@@ -41,7 +41,6 @@ from .discretize import (
     invariant_factors,
     retract_inequality_check,
     shapiro_complex,
-    smith_normal_form,
 )
 from .lognorm import (
     gabber_column_bound,
@@ -76,7 +75,7 @@ __all__ = [
     "make_surjective", "strictify_complex", "strictify_map",
     "betti_mod_p", "coinvariants_complex", "coinvariants_matrix",
     "homology_of_complex", "invariant_factors", "retract_inequality_check",
-    "shapiro_complex", "smith_normal_form",
+    "shapiro_complex",
     "gabber_column_bound", "gabber_exact", "gabber_split_bound",
     "lognorm_certificate", "lognorm_exact", "lognorm_of_decomposition",
     "lognorm_upper",

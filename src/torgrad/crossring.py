@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .groups import FiniteQuotient, parse_word, word_to_str
 
@@ -35,6 +35,9 @@ Fn = dict
 CElt = dict
 # Module element: tuple of CElt, one per summand.
 Vector = tuple
+
+# LevelSpace.fraction memoises n / |G| for 0 <= n below this.
+_FRACTION_MEMO = 4096
 
 
 class LevelSpace:
@@ -51,6 +54,7 @@ class LevelSpace:
         self.quotient = quotient
         self.order = quotient.order
         self.char = int(char)
+        self._fractions: dict[int, Fraction] = {}
 
     def __eq__(self, other) -> bool:
         return (
@@ -77,9 +81,19 @@ class LevelSpace:
 
     # measure and coefficients ----------------------------------------------
 
+    def fraction(self, n: int) -> Fraction:
+        """n / |G|; small n are memoised, as statistics build these in
+        hot loops."""
+        out = self._fractions.get(n)
+        if out is None:
+            out = Fraction(n, self.order)
+            if 0 <= n < _FRACTION_MEMO:
+                self._fractions[n] = out
+        return out
+
     def measure(self, points: Iterable[int]) -> Fraction:
-        return Fraction(len(points if hasattr(points, "__len__") else set(points)),
-                        self.order)
+        return self.fraction(
+            len(points if hasattr(points, "__len__") else set(points)))
 
     def full_carrier(self) -> frozenset:
         return frozenset(range(self.order))
@@ -193,17 +207,18 @@ def celt_scale(space: LevelSpace, a: int, x: CElt) -> CElt:
 def celt_mul(space: LevelSpace, x: CElt, y: CElt) -> CElt:
     """(f, g)(h, k) = (f * (g.h), g k), extended bilinearly."""
     q = space.quotient
+    char = space.char
     out: CElt = {}
     for g, f in x.items():
         table = q.left_table(g)
         for k, h in y.items():
-            gk = q.mul(g, k)
+            gk = table[k]
             prod = {}
             for u, c in h.items():
                 gu = table[u]
                 fv = f.get(gu)
                 if fv is not None:
-                    s = space.normalize_coeff(fv * c)
+                    s = fv * c % char if char else fv * c
                     if s:
                         prod[gu] = s
             if prod:
@@ -240,8 +255,7 @@ def celt_apply_l(space: LevelSpace, z: CElt, xi: Fn) -> Fn:
     return out
 
 
-@dataclass(frozen=True)
-class ElementStats:
+class ElementStats(NamedTuple):
     l1: Fraction
     linf: int
     n1: int
@@ -250,61 +264,50 @@ class ElementStats:
     supp1: frozenset
 
 
-def _stats_accumulate(space, z, counts1, counts2, supp):
+def _element_stats(space: LevelSpace, components) -> ElementStats:
+    """Statistics of the celts in ``components``, counted jointly."""
     q = space.quotient
-    total = 0
-    linf = 0
-    for g, f in z.items():
-        back = q.left_table(q.inv(g))
-        for u, c in f.items():
-            a = space.coeff_abs(c)
-            total += a
-            if a > linf:
-                linf = a
-            counts2[u] = counts2.get(u, 0) + 1
-            y = back[u]
-            counts1[y] = counts1.get(y, 0) + 1
-            supp.add(u)
-    return total, linf
-
-
-def celt_stats(space: LevelSpace, z: CElt) -> ElementStats:
+    char = space.char
     counts1: dict = {}
     counts2: dict = {}
     supp: set = set()
-    total, linf = _stats_accumulate(space, z, counts1, counts2, supp)
+    total = 0
+    linf = 0
+    for z in components:
+        for g, f in z.items():
+            back = q.left_table(q.inv(g))
+            for u, c in f.items():
+                if char:
+                    a = 1 if c % char else 0
+                else:
+                    a = c if c >= 0 else -c
+                total += a
+                if a > linf:
+                    linf = a
+                counts2[u] = counts2.get(u, 0) + 1
+                y = back[u]
+                counts1[y] = counts1.get(y, 0) + 1
+                supp.add(u)
     return ElementStats(
-        l1=Fraction(total, space.order),
+        l1=space.fraction(total),
         linf=linf,
         n1=max(counts1.values(), default=0),
         n2=max(counts2.values(), default=0),
-        size1=space.measure(supp),
+        size1=space.fraction(len(supp)),
         supp1=frozenset(supp),
     )
+
+
+def celt_stats(space: LevelSpace, z: CElt) -> ElementStats:
+    return _element_stats(space, (z,))
 
 
 # ---------------------------------------------------------------------------
 # vectors (elements of a direct sum)
 
 
-def vector_add(space, x: Vector, y: Vector) -> Vector:
-    return tuple(celt_add(space, a, b) for a, b in zip(x, y))
-
-
 def vector_sub(space, x: Vector, y: Vector) -> Vector:
     return tuple(celt_sub(space, a, b) for a, b in zip(x, y))
-
-
-def vector_neg(space, x: Vector) -> Vector:
-    return tuple(celt_neg(space, a) for a in x)
-
-
-def vector_scale(space, a: int, x: Vector) -> Vector:
-    return tuple(celt_scale(space, a, z) for z in x)
-
-
-def vector_is_zero(x: Vector) -> bool:
-    return all(not z for z in x)
 
 
 def vector_supp1(x: Vector) -> frozenset:
@@ -317,24 +320,7 @@ def vector_supp1(x: Vector) -> frozenset:
 
 def vector_stats(space: LevelSpace, x: Vector) -> ElementStats:
     """Joint statistics: counts aggregate over (summand, group element)."""
-    counts1: dict = {}
-    counts2: dict = {}
-    supp: set = set()
-    total = 0
-    linf = 0
-    for z in x:
-        t, m = _stats_accumulate(space, z, counts1, counts2, supp)
-        total += t
-        if m > linf:
-            linf = m
-    return ElementStats(
-        l1=Fraction(total, space.order),
-        linf=linf,
-        n1=max(counts1.values(), default=0),
-        n2=max(counts2.values(), default=0),
-        size1=space.measure(supp),
-        supp1=frozenset(supp),
-    )
+    return _element_stats(space, x)
 
 
 # ---------------------------------------------------------------------------
@@ -354,6 +340,7 @@ class MarkedModule:
                     raise ValueError(f"carrier point {u} outside the level")
             fixed.append(A)
         self.carriers = tuple(fixed)
+        self._allowed: dict = {}
 
     @property
     def rank(self) -> int:
@@ -387,15 +374,23 @@ class MarkedModule:
     def normalize_component(self, i: int, z: CElt) -> CElt:
         """Project onto <A_i>: fibre at g is restricted to g A_i."""
         space = self.space
-        q = space.quotient
-        A = self.carriers[i]
+        char = space.char
         out = {}
         for g, f in z.items():
-            table = q.left_table(g)
-            allowed = {table[u] for u in A}
-            f = space.fn_normalize(space.fn_restrict(f, allowed))
-            if f:
-                out[g] = f
+            allowed = self._allowed.get((i, g))
+            if allowed is None:
+                table = space.quotient.left_table(g)
+                allowed = frozenset(table[u] for u in self.carriers[i])
+                self._allowed[i, g] = allowed
+            kept = {}
+            for u, c in f.items():
+                if u in allowed:
+                    if char:
+                        c %= char
+                    if c:
+                        kept[u] = c
+            if kept:
+                out[g] = kept
         return out
 
     def normalize_vector(self, vec: Sequence[CElt]) -> Vector:
@@ -568,7 +563,8 @@ class MarkedMorphism:
             for j in range(self.codomain.rank):
                 e = self.entries[i][j]
                 if e:
-                    out[j] = celt_add(space, out[j], celt_mul(space, z, e))
+                    prod = celt_mul(space, z, e)
+                    out[j] = celt_add(space, out[j], prod) if out[j] else prod
         return tuple(out)
 
     def then(self, other: "MarkedMorphism") -> "MarkedMorphism":
@@ -656,10 +652,6 @@ class MarkedMorphism:
             [celt_from_json(space, t) for t in row] for row in data["entries"]
         ]
         return MarkedMorphism(domain, codomain, entries)
-
-
-def morphism_apply(f: MarkedMorphism, vec: Sequence[CElt]) -> Vector:
-    return f.apply(vec)
 
 
 def compose(outer: MarkedMorphism, inner: MarkedMorphism) -> MarkedMorphism:

@@ -8,10 +8,10 @@ group ring data (one permutation block per word), giving an independent
 route to the same matrices.
 
 The integer linear algebra lives here too: fraction-free rank, elimination
-mod p, and a Smith normal form that tracks the column transform and its
-inverse so kernels come out as lattice direct summands.  Homology is
-computed in kernel coordinates: torsion of H_n is read off the invariant
-factors of the incoming boundary expressed in a saturated kernel basis.
+mod p, and the invariant factors of a matrix by diagonal elimination.
+Homology needs nothing more: C_n / ker d_n embeds in the free group
+C_{n-1}, so Tors H_n = Tors coker d_{n+1} and
+b_n = dim C_n - rk d_n - rk d_{n+1}, and each boundary is factored once.
 """
 
 from __future__ import annotations
@@ -33,13 +33,6 @@ Matrix = list  # list of rows, each a list of ints
 
 def zeros(rows: int, cols: int) -> Matrix:
     return [[0] * cols for _ in range(rows)]
-
-
-def identity_matrix(n: int) -> Matrix:
-    out = zeros(n, n)
-    for i in range(n):
-        out[i][i] = 1
-    return out
 
 
 def mat_shape(a: Matrix) -> tuple[int, int]:
@@ -133,66 +126,19 @@ def rank_mod_p(a: Matrix, p: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Smith normal form
+# invariant factors
 
 
-@dataclass(frozen=True)
-class SNFResult:
-    """U a V = diag; diag holds the nonzero invariant factors d_1 | d_2 | ...
+def invariant_factors(a: Matrix) -> tuple:
+    """The nonzero invariant factors d_1 | d_2 | ... of a.
 
-    V and Vinv are tracked so that kernel bases come out saturated: the
-    columns of V beyond rank span ker(a) as a direct summand, and
-    coordinates in that basis are read off rows of Vinv."""
-
-    diag: tuple
-    rank: int
-    U: Optional[Matrix]
-    V: Optional[Matrix]
-    Vinv: Optional[Matrix]
-
-
-def smith_normal_form(a: Matrix, transforms: bool = False) -> SNFResult:
+    Row and column operations bring a to its Smith normal form; only the
+    diagonal is kept, no transform is tracked."""
     m, n = mat_shape(a)
     D = [list(map(int, row)) for row in a]
-    U = identity_matrix(m) if transforms else None
-    V = identity_matrix(n) if transforms else None
-    Vinv = identity_matrix(n) if transforms else None
-
-    def row_swap(i, j):
-        D[i], D[j] = D[j], D[i]
-        if U is not None:
-            U[i], U[j] = U[j], U[i]
-
-    def col_swap(i, j):
-        for row in D:
-            row[i], row[j] = row[j], row[i]
-        if V is not None:
-            for row in V:
-                row[i], row[j] = row[j], row[i]
-            Vinv[i], Vinv[j] = Vinv[j], Vinv[i]
-
-    def row_axpy(dst, src, q):
-        # row_dst -= q * row_src
-        if not q:
-            return
-        D[dst] = [x - q * y for x, y in zip(D[dst], D[src])]
-        if U is not None:
-            U[dst] = [x - q * y for x, y in zip(U[dst], U[src])]
-
-    def col_axpy(dst, src, q):
-        # col_dst -= q * col_src; the inverse transform adds it back
-        if not q:
-            return
-        for row in D:
-            row[dst] -= q * row[src]
-        if V is not None:
-            for row in V:
-                row[dst] -= q * row[src]
-            Vinv[src] = [x + q * y for x, y in zip(Vinv[src], Vinv[dst])]
-
-    t = 0
     limit = min(m, n)
-    while t < limit:
+    for t in range(limit):
+        # smallest nonzero entry of the remaining block as pivot
         pivot = None
         best = None
         for i in range(t, m):
@@ -206,48 +152,35 @@ def smith_normal_form(a: Matrix, transforms: bool = False) -> SNFResult:
                 break
         if pivot is None:
             break
-        row_swap(t, pivot[0])
-        col_swap(t, pivot[1])
+        D[t], D[pivot[0]] = D[pivot[0]], D[t]
+        # rows above t are zero from column t on
+        for row in D[t:]:
+            row[t], row[pivot[1]] = row[pivot[1]], row[t]
         while True:
             i = next((i for i in range(t + 1, m) if D[i][t]), None)
             if i is not None:
                 q = D[i][t] // D[t][t]
-                row_axpy(i, t, q)
+                D[i] = [x - q * y for x, y in zip(D[i], D[t])]
                 if D[i][t]:
-                    row_swap(t, i)
+                    D[t], D[i] = D[i], D[t]
                 continue
             j = next((j for j in range(t + 1, n) if D[t][j]), None)
             if j is not None:
                 q = D[t][j] // D[t][t]
-                col_axpy(j, t, q)
+                for row in D[t:]:
+                    row[j] -= q * row[t]
                 if D[t][j]:
-                    col_swap(t, j)
+                    for row in D[t:]:
+                        row[t], row[j] = row[j], row[t]
                 continue
             # pivot clean; enforce divisibility of the remaining block
             p = D[t][t]
-            bad = None
-            for i in range(t + 1, m):
-                for j in range(t + 1, n):
-                    if D[i][j] % p:
-                        bad = i
-                        break
-                if bad is not None:
-                    break
+            bad = next((i for i in range(t + 1, m)
+                        if any(D[i][j] % p for j in range(t + 1, n))), None)
             if bad is None:
                 break
-            row_axpy(t, bad, -1)
-        if D[t][t] < 0:
-            D[t] = [-x for x in D[t]]
-            if U is not None:
-                U[t] = [-x for x in U[t]]
-        t += 1
-
-    diag = tuple(D[i][i] for i in range(limit) if D[i][i])
-    return SNFResult(diag=diag, rank=len(diag), U=U, V=V, Vinv=Vinv)
-
-
-def invariant_factors(a: Matrix) -> tuple:
-    return smith_normal_form(a).diag
+            D[t] = [x + y for x, y in zip(D[t], D[bad])]
+    return tuple(abs(D[i][i]) for i in range(limit) if D[i][i])
 
 
 def cokernel_log_torsion(a: Matrix) -> float:
@@ -361,42 +294,30 @@ class HomologyResult:
         return not self.torsion
 
 
-def homology_of_complex(dims: Sequence[int], mats: Sequence[Matrix], n: int
-                        ) -> HomologyResult:
-    """H_n of a complex of free abelian groups.
+def homology_of_complex(dims: Sequence[int], mats: Sequence[Matrix]) -> tuple:
+    """H_n for every degree n = 0..len(dims)-1 of a complex of free abelian
+    groups, as a tuple indexed by n.
 
-    mats[r] is the boundary from degree r+1 to degree r; a saturated basis
-    of ker(d_n) comes from the Smith column transform, and the incoming
-    boundary is rewritten in those coordinates before its invariant
-    factors are taken, so torsion is exact.
+    mats[r] is the boundary d_{r+1} from degree r+1 to degree r.  Each is
+    factored once: b_n = dims[n] - rk d_n - rk d_{n+1}, and Tors H_n is
+    the torsion of coker d_{n+1}, since C_n / ker d_n is free.
     """
-    if not 0 <= n < len(dims):
-        raise ValueError(f"degree {n} outside 0..{len(dims) - 1}")
-    d_out = mats[n - 1] if n >= 1 else None
-    d_in = mats[n] if n < len(mats) else None
-    dim_n = dims[n]
-
-    if d_out is None:
-        kernel_dim = dim_n
-        K = d_in if d_in is not None else zeros(dim_n, 0)
-    else:
-        snf = smith_normal_form(d_out, transforms=True)
-        kernel_dim = dim_n - snf.rank
-        if d_in is None:
-            K = zeros(kernel_dim, 0)
-        else:
-            coords = mat_mul(snf.Vinv, d_in)
-            for i in range(snf.rank):
-                if any(coords[i]):
-                    raise ValueError(
-                        "boundaries do not compose to zero; not a complex"
-                    )
-            K = coords[snf.rank:]
-
-    inner = smith_normal_form(K)
-    betti = kernel_dim - inner.rank
-    torsion = tuple(d for d in inner.diag if d > 1)
-    return HomologyResult(betti=betti, torsion=torsion)
+    for r in range(1, len(mats)):
+        # a matrix without rows has no width to check and composes to zero
+        if mats[r - 1] and mats[r] and any(
+                map(any, mat_mul(mats[r - 1], mats[r]))):
+            raise ValueError(
+                "boundaries do not compose to zero; not a complex"
+            )
+    # factors[n] belongs to d_{n+1}; no boundary maps into the top degree
+    factors = [invariant_factors(m) for m in mats]
+    factors += [()] * (len(dims) - len(mats))
+    rank = [0] + [len(f) for f in factors]  # rank[r] = rk d_r
+    return tuple(
+        HomologyResult(betti=dims[n] - rank[n] - rank[n + 1],
+                       torsion=tuple(d for d in factors[n] if d > 1))
+        for n in range(len(dims))
+    )
 
 
 def betti_mod_p(dims: Sequence[int], mats: Sequence[Matrix], n: int, p: int
@@ -480,12 +401,10 @@ def retract_inequality_check(
 
     dims_c, mats_c = coinvariants_complex(retract_cx)
     dims_a, mats_a = coinvariants_complex(ambient_cx)
-    hom_c = tuple(homology_of_complex(dims_c, mats_c, n) for n in range(top + 1))
-    hom_a = tuple(homology_of_complex(dims_a, mats_a, n) for n in range(top + 1))
     return RetractReport(
         forward=rep_f,
         backward=rep_b,
         homotopy_sizes=tuple(sizes),
-        retract_homology=hom_c,
-        ambient_homology=hom_a,
+        retract_homology=homology_of_complex(dims_c, mats_c),
+        ambient_homology=homology_of_complex(dims_a, mats_a),
     )

@@ -305,6 +305,7 @@ class FiniteQuotient:
         self.identity = 0
         self.generator_images = tuple(index[k] for k in gen_keys)
         self._left_tables: dict[int, list[int]] = {}
+        self._inverses: dict[int, int] = {}
 
     # construction ---------------------------------------------------------
 
@@ -409,7 +410,11 @@ class FiniteQuotient:
         return self._index[self._key_mul(self._keys[i], self._keys[j])]
 
     def inv(self, i: int) -> int:
-        return self._index[self._key_inv(self._keys[i])]
+        j = self._inverses.get(i)
+        if j is None:
+            j = self._index[self._key_inv(self._keys[i])]
+            self._inverses[i] = j
+        return j
 
     def power(self, i: int, n: int) -> int:
         if n < 0:

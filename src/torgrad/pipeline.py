@@ -51,7 +51,7 @@ from .discretize import (
     homology_of_complex,
     retract_inequality_check,
 )
-from .groups import FiniteQuotient
+from .groups import FiniteQuotient, OrderCapExceeded
 from .lognorm import (
     LOG_SLACK,
     gabber_column_bound,
@@ -318,15 +318,21 @@ def _embedding_tile(embedding: dict) -> int:
 def run_gradient(config: dict) -> GradientTable:
     """Betti/torsion gradient table along a chain of finite quotients.
 
-    Exact integer columns come from coinvariants + Smith form; dim_upper
+    Exact integer columns come from the coinvariant boundaries: betti_q
+    and logtors from their ranks and invariant factors, each boundary
+    factored once per level, and betti_p from their ranks mod p; dim_upper
     and lognorm_upper come from the configured target complex (the induced
     resolution by default, a Rokhlin tile complex when an embedding is
     configured), together with the per-row bound columns and verdict."""
     family = config.get("family")
     if not isinstance(family, str):
         raise ConfigError("config needs a resolution family under 'family'")
+    param = config.get("param")
+    if param is not None and (not isinstance(param, int)
+                              or isinstance(param, bool)):
+        raise ConfigError(f"param must be an integer, got {param!r}")
     try:
-        ranks, matrices = resolution_by_name(family, config.get("param"))
+        ranks, matrices = resolution_by_name(family, param)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     levels = config.get("levels")
@@ -334,7 +340,8 @@ def run_gradient(config: dict) -> GradientTable:
         raise ConfigError("config needs a nonempty list under 'levels'")
     degrees = config.get("degrees", list(range(len(ranks))))
     if (not isinstance(degrees, list) or not degrees
-            or any(not isinstance(n, int) or n < 0 for n in degrees)):
+            or any(not isinstance(n, int) or isinstance(n, bool) or n < 0
+                   for n in degrees)):
         raise ConfigError("degrees must be a nonempty list of integers >= 0")
     p = config.get("p", 2)
     if not isinstance(p, int) or not _is_prime(p):
@@ -349,7 +356,7 @@ def run_gradient(config: dict) -> GradientTable:
     for idx, spec in enumerate(levels, start=1):
         try:
             quotient = FiniteQuotient.from_json(spec)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OrderCapExceeded) as exc:
             raise ConfigError(f"level {idx}: {exc}") from None
         if quotient.order <= prev_order:
             raise ConfigError(
@@ -364,6 +371,7 @@ def run_gradient(config: dict) -> GradientTable:
         except (IndexError, ValueError) as exc:
             raise ConfigError(f"level {idx}: {exc}") from None
         dims, mats = coinvariants_complex(induced)
+        homology = homology_of_complex(dims, mats)
 
         target = induced
         if embedding is not None:
@@ -387,7 +395,7 @@ def run_gradient(config: dict) -> GradientTable:
                 rows.append(GradientRow(idx, quotient.order, n, 0, 0, 0.0,
                                         Fraction(0), 0.0, *extra))
                 continue
-            h = homology_of_complex(dims, mats, n)
+            h = homology[n]
             bq = h.betti
             bp = betti_mod_p(dims, mats, n, p)
             lt = h.log_torsion
@@ -728,15 +736,19 @@ def cmd_gradient(args) -> int:
     table = run_gradient(config)
     csv_text = table.to_csv()
     out_path = args.output or config.get("output")
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(csv_text)
-    else:
-        sys.stdout.write(csv_text)
-    if args.json:
-        with open(args.json, "w") as fh:
-            json.dump(table.to_json(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+    try:
+        if out_path:
+            with open(out_path, "w") as fh:
+                fh.write(csv_text)
+        else:
+            sys.stdout.write(csv_text)
+        if args.json:
+            with open(args.json, "w") as fh:
+                json.dump(table.to_json(), fh, indent=2, sort_keys=True)
+                fh.write("\n")
+    except OSError as exc:
+        print(f"config error: cannot write output: {exc}", file=sys.stderr)
+        return 1
     if not table.all_pass:
         print("gradient table: bound inequality violated", file=sys.stderr)
         return 2

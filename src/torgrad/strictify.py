@@ -172,7 +172,7 @@ def strictify_complex(cx: MarkedComplex) -> StrictifyComplexResult:
     error_modules.append(E0)
     error_dims.append(E0.dim())
 
-    tilde = _corrected_boundary(cx, 1, zero_hat, slots, supports)
+    tilde = _corrected_map(space, cx.boundary(1), zero_hat, slots, supports)
 
     for r in range(1, top):
         comp = cx.boundary(r + 1).then(tilde)
@@ -189,7 +189,8 @@ def strictify_complex(cx: MarkedComplex) -> StrictifyComplexResult:
         new_modules[r] = r_hat
         error_modules.append(Er)
         error_dims.append(Er.dim())
-        tilde = _corrected_boundary(cx, r + 1, r_hat, slots, supports)
+        tilde = _corrected_map(space, cx.boundary(r + 1), r_hat, slots,
+                               supports)
 
     new_modules[top] = cx.module(top)
     new_boundaries[top - 1] = tilde
@@ -203,24 +204,6 @@ def strictify_complex(cx: MarkedComplex) -> StrictifyComplexResult:
         input_defects=input_defects,
         witness=witness,
     )
-
-
-def _corrected_boundary(cx, r, target_hat, slots, supports) -> MarkedMorphism:
-    """d_r with each row i pushed into the extended target, minus the
-    indicator of its error summand."""
-    space = cx.space
-    d = cx.boundary(r)
-    base_rank = d.codomain.rank
-    extra = target_hat.rank - base_rank
-    rows = []
-    for i in range(d.domain.rank):
-        row = list(d.entries[i]) + [{}] * extra
-        if i in slots:
-            row[base_rank + slots[i]] = celt_neg(
-                space, celt_indicator(space, supports[i])
-            )
-        rows.append(row)
-    return MarkedMorphism.from_rows(d.domain, target_hat, rows)
 
 
 def _strictify_witness(before: MarkedComplex, after: MarkedComplex) -> GHWitness:
@@ -366,6 +349,8 @@ def strictify_map(
 
 def _corrected_map(space, f: MarkedMorphism, target_hat, slots, supports
                    ) -> MarkedMorphism:
+    """f with each row i pushed into the extended target, minus the
+    indicator of its error summand."""
     base_rank = f.codomain.rank
     extra = target_hat.rank - base_rank
     rows = []

@@ -63,7 +63,7 @@ def _group_homology(quotient, family, param, degree):
     ranks, matrices = resolution_by_name(family, param)
     cx = induce_resolution(space, ranks, matrices, augmented=False)
     dims, mats = coinvariants_complex(cx)
-    return homology_of_complex(dims, mats, degree)
+    return homology_of_complex(dims, mats)[degree]
 
 
 def test_criterion_1_free_group_gradients():

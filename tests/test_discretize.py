@@ -20,7 +20,6 @@ from torgrad.discretize import (
     coinvariants_rank,
     cokernel_log_torsion,
     homology_of_complex,
-    identity_matrix,
     invariant_factors,
     mat_mul,
     mat_shape,
@@ -31,7 +30,6 @@ from torgrad.discretize import (
     retract_inequality_check,
     shapiro_complex,
     shapiro_matrix,
-    smith_normal_form,
     zeros,
 )
 from helpers import free_complex, gm1, koszul2, restricted_copy, w, zres
@@ -69,19 +67,86 @@ def test_snf_frozen_examples():
 
 @given(int_matrices)
 @settings(deadline=None, max_examples=120)
-def test_snf_reconstruction_and_oracle(a):
-    res = smith_normal_form(a, transforms=True)
-    m, n = mat_shape(a)
-    d = mat_mul(mat_mul(res.U, a), res.V)
-    for i in range(m):
-        for j in range(n):
-            expect = res.diag[i] if i == j and i < len(res.diag) else 0
-            assert d[i][j] == expect
-    assert mat_mul(res.V, res.Vinv) == identity_matrix(n)
-    assert mat_mul(res.Vinv, res.V) == identity_matrix(n)
-    for x, y in zip(res.diag, res.diag[1:]):
+def test_invariant_factors_oracle(a):
+    diag = invariant_factors(a)
+    for x, y in zip(diag, diag[1:]):
         assert y % x == 0
-    assert res.diag == sympy_factors(a)
+    assert diag == sympy_factors(a)
+
+
+TOP = 3  # complexes in degrees 0..TOP
+# ("Z", k): Z in degree k; (m, k): Z --m--> Z from degree k+1 to degree k
+elementary = st.one_of(
+    st.tuples(st.just("Z"), st.integers(0, TOP)),
+    st.tuples(st.sampled_from([0, 1, 2, 3, 4, 6, 12]),
+              st.integers(0, TOP - 1)),
+)
+
+
+def elementary_sum(summands):
+    """dims and boundaries of the direct sum, and its (betti, torsion) per
+    degree known by construction."""
+    dims = [0] * (TOP + 1)
+    entries = []  # (k, row, col, m): entry m of d_{k+1}
+    betti = [0] * (TOP + 1)
+    orders = [[] for _ in range(TOP + 1)]
+    for m, k in summands:
+        dims[k] += 1
+        if m == "Z":
+            betti[k] += 1
+            continue
+        dims[k + 1] += 1
+        entries.append((k, dims[k] - 1, dims[k + 1] - 1, m))
+        if m == 0:
+            betti[k] += 1
+            betti[k + 1] += 1
+        elif m > 1:
+            orders[k].append(m)
+    mats = [zeros(dims[n - 1], dims[n]) for n in range(1, TOP + 1)]
+    for k, row, col, m in entries:
+        mats[k][row][col] = m
+    return dims, mats, list(zip(betti, map(cyclic_sum_factors, orders)))
+
+
+def cyclic_sum_factors(orders):
+    """Invariant factors > 1 of the direct sum of Z/m over orders."""
+    diag = [[m if i == j else 0 for j in range(len(orders))]
+            for i, m in enumerate(orders)]
+    return tuple(d for d in sympy_factors(diag) if d > 1)
+
+
+def random_unimodular(rng, n):
+    """P and its inverse, from random elementary row operations."""
+    P = [[int(i == j) for j in range(n)] for i in range(n)]
+    Pinv = [row[:] for row in P]
+    for _ in range(3 * n if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice([-2, -1, 1, 2])
+        P[i] = [x + c * y for x, y in zip(P[i], P[j])]
+        for row in Pinv:
+            row[j] -= c * row[i]
+    return P, Pinv
+
+
+@given(st.lists(elementary, max_size=6),
+       st.tuples(st.sampled_from([2, 3, 4, 6, 12]), st.integers(1, TOP - 1)),
+       st.randoms(use_true_random=False))
+@settings(deadline=None, max_examples=80)
+def test_homology_torsion_oracle(summands, torsion_summand, rng):
+    # a unit pair in every degree keeps each C_n nonzero
+    units = [(1, k) for k in range(TOP)]
+    dims, mats, expected = elementary_sum(
+        units + [torsion_summand] + summands)
+    conj = [random_unimodular(rng, d) for d in dims]
+    for P, Pinv in conj:
+        assert mat_mul(P, Pinv) == [[int(i == j) for j in range(len(P))]
+                                    for i in range(len(P))]
+    # d'_n = P_{n-1} d_n P_n^{-1}; the boundaries become dense
+    dense = [mat_mul(mat_mul(conj[n - 1][0], mats[n - 1]), conj[n][1])
+             for n in range(1, TOP + 1)]
+    got = [(h.betti, h.torsion) for h in homology_of_complex(dims, dense)]
+    assert got == expected
+    assert any(t for _, t in expected[1:])
 
 
 @given(int_matrices)
@@ -177,54 +242,50 @@ def test_shapiro_with_generator_images():
 def test_homology_of_induced_level_complexes():
     # rank 2 free group at (Z/2)^2: H_1 has rank 1 + |G|(d - 1) = 5
     dims, mats = coinvariants_complex(free_complex(SP22))
-    h1 = homology_of_complex(dims, mats, 1)
+    h0, h1 = homology_of_complex(dims, mats)
     assert (h1.betti, h1.torsion) == (5, ())
-    h0 = homology_of_complex(dims, mats, 0)
     assert (h0.betti, h0.torsion) == (1, ())
 
     # at S3 the index 6 subgroup is free of rank 7
     dims, mats = coinvariants_complex(free_complex(SPS3))
-    assert homology_of_complex(dims, mats, 1).betti == 7
+    assert homology_of_complex(dims, mats)[1].betti == 7
 
     # Koszul at (Z/3)^2 sees the homology of Z^2: betti (1, 2, 1)
     dims, mats = coinvariants_complex(koszul2(SP33))
-    for n, expect in enumerate([1, 2, 1]):
-        h = homology_of_complex(dims, mats, n)
+    for h, expect in zip(homology_of_complex(dims, mats), [1, 2, 1]):
         assert h.betti == expect
         assert h.torsion_free
 
     # Z at Z/5
     dims, mats = coinvariants_complex(zres(LevelSpace(FiniteQuotient.abelian([5])), 1))
-    assert [homology_of_complex(dims, mats, n).betti for n in (0, 1)] == [1, 1]
+    assert [h.betti for h in homology_of_complex(dims, mats)] == [1, 1]
 
 
 def test_homology_torsion_and_mod_p():
     dims, mats = [1, 1], [[[2]]]
-    h0 = homology_of_complex(dims, mats, 0)
+    h0, h1 = homology_of_complex(dims, mats)
     assert h0.betti == 0
     assert h0.torsion == (2,)
     assert h0.log_torsion == pytest.approx(math.log(2))
     assert betti_mod_p(dims, mats, 0, 2) == 1
     assert betti_mod_p(dims, mats, 0, 3) == 0
-    assert homology_of_complex(dims, mats, 1).betti == 0
+    assert h1.betti == 0
 
     # square presentation of Z/2 x Z/4 in one degree
     dims, mats = [2, 2], [[[2, 0], [2, 4]]]
-    h0 = homology_of_complex(dims, mats, 0)
+    h0 = homology_of_complex(dims, mats)[0]
     assert h0.torsion == (2, 4)
-    with pytest.raises(ValueError):
-        homology_of_complex(dims, mats, 3)
 
 
 def test_homology_rejects_non_complex():
     with pytest.raises(ValueError):
-        homology_of_complex([1, 1, 1], [[[1]], [[1]]], 1)
+        homology_of_complex([1, 1, 1], [[[1]], [[1]]])
 
 
 def test_betti_mod_p_matches_rational_when_torsion_free():
     dims, mats = coinvariants_complex(koszul2(SP33))
-    for n in range(3):
-        b = homology_of_complex(dims, mats, n).betti
+    for n, h in enumerate(homology_of_complex(dims, mats)):
+        b = h.betti
         assert betti_mod_p(dims, mats, n, 2) == b
         assert betti_mod_p(dims, mats, n, 5) == b
 

@@ -130,6 +130,37 @@ def test_gradient_cli_error_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+def _gradient_cli_error(tmp_path, capsys, config, *extra):
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps(config))
+    code = main(["gradient", "--config", str(cfg_path), *extra])
+    err = capsys.readouterr().err
+    return code, err
+
+
+@pytest.mark.parametrize("breakage", [{"degrees": [True]}, {"param": "x"}])
+def test_gradient_cli_rejects_bad_values(tmp_path, capsys, breakage):
+    code, err = _gradient_cli_error(tmp_path, capsys,
+                                    dict(FREE_CHAIN, **breakage))
+    assert code == 1
+    assert err.startswith("config error:")
+
+
+def test_gradient_cli_order_cap(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("TORGRAD_ORDER_CAP", "10")
+    code, err = _gradient_cli_error(tmp_path, capsys, FREE_CHAIN)
+    assert code == 1
+    assert err.startswith("config error: level 3:")
+
+
+def test_gradient_cli_unwritable_output(tmp_path, capsys):
+    missing = tmp_path / "missing" / "table.csv"
+    code, err = _gradient_cli_error(tmp_path, capsys, FREE_CHAIN,
+                                    "--output", str(missing))
+    assert code == 1
+    assert err.startswith("config error: cannot write output:")
+
+
 SMALL_TRIALS = {"opnorm": 25, "gabber": 50, "strictify": 8,
                 "rokhlin": 2, "lognorm": 25, "retract": 8}
 
