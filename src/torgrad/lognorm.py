@@ -12,10 +12,11 @@ decompositions is a minimum over set partitions; atoms with zero norm
 contribute nothing and are kept out of the search.
 
 For plain integer matrices the same game is played on columns: the exact
-torsion of the cokernel (through Smith form) is dominated by the greedy
+torsion of the cokernel (from its invariant factors: unit-pivot reduction
+plus a dense Smith form of the residual core) is dominated by the greedy
 column bound (sum of log column norms over a rationally spanning subset,
 cheapest columns first), which in turn is dominated by the one-block
-split bound.
+split bound.  Ranks come from the same sparse elimination, taken over Q.
 """
 
 from __future__ import annotations
@@ -62,9 +63,9 @@ class _BlockContext:
     def __init__(self, f: MarkedMorphism):
         self.order = f.space.order
         self.norms = atom_norms(f)
-        self.matrix = coinvariants_matrix(f)
-        atoms = list(f.domain.atoms())
-        self.col_of = {atom: k for k, atom in enumerate(atoms)}
+        self.col_of = {atom: k for k, atom in enumerate(f.domain.atoms())}
+        # a block's rank is that of its columns, so keep them as rows
+        self.columns = list(zip(*coinvariants_matrix(f)))
         self._cache = {}
 
     def value(self, block) -> float:
@@ -76,9 +77,7 @@ class _BlockContext:
         if norm <= 1:
             self._cache[key] = 0.0
             return 0.0
-        cols = sorted(self.col_of[a] for a in key)
-        sub = [[row[c] for c in cols] for row in self.matrix]
-        rank = matrix_rank(sub)
+        rank = matrix_rank([self.columns[self.col_of[a]] for a in key])
         weight = Fraction(min(len(key), rank), self.order)
         val = float(weight) * math.log(norm)
         self._cache[key] = val
@@ -219,8 +218,7 @@ def lognorm_exact(f: MarkedMorphism, max_atoms: int = EXACT_ATOM_CAP) -> float:
 
 
 def column_l1s(a) -> list:
-    rows, cols = mat_shape(a)
-    return [sum(abs(a[i][j]) for i in range(rows)) for j in range(cols)]
+    return [sum(map(abs, col)) for col in zip(*a)]
 
 
 def gabber_column_bound(a) -> float:
@@ -228,24 +226,33 @@ def gabber_column_bound(a) -> float:
 
     Columns are tried in order of ascending l1 norm and kept when they
     grow the rank, so the chosen set spans the image over Q and the
-    torsion of the cokernel divides the product of the kept norms.
+    torsion of the cokernel divides the product of the kept norms.  The
+    kept columns are held as a fraction-free echelon basis, each vector
+    with its pivot position and divided by the gcd of its entries; a
+    candidate grows the rank when it does not reduce to zero against it.
     """
     rows, cols = mat_shape(a)
+    columns = list(zip(*a))
     norms = column_l1s(a)
     order = sorted(range(cols), key=lambda j: (norms[j], j))
-    chosen = []
-    rank = 0
+    basis = []  # (pivot, vector): zero at the pivots of earlier vectors
     total = 0.0
     for j in order:
         if not norms[j]:
             continue
-        candidate = chosen + [j]
-        r = matrix_rank([[row[c] for c in candidate] for row in a])
-        if r > rank:
-            chosen = candidate
-            rank = r
+        v = list(columns[j])
+        for piv, b in basis:
+            if v[piv]:
+                x, y = b[piv], v[piv]
+                v = [x * vi - y * bi for vi, bi in zip(v, b)]
+                g = math.gcd(*v)
+                if not g:
+                    break
+                v = [vi // g for vi in v]
+        if any(v):
+            basis.append((next(i for i, vi in enumerate(v) if vi), v))
             total += log_plus(norms[j])
-            if rank == min(rows, cols):
+            if len(basis) == min(rows, cols):
                 break
     return total
 
@@ -256,7 +263,8 @@ def gabber_split_bound(a, blocks: Optional[Iterable] = None) -> float:
     With the trivial one-block split this dominates the greedy column
     bound, which in turn dominates the exact cokernel torsion.
     """
-    rows, cols = mat_shape(a)
+    cols = mat_shape(a)[1]
+    columns = list(zip(*a))
     norms = column_l1s(a)
     if blocks is None:
         blocks = [list(range(cols))]
@@ -273,7 +281,7 @@ def gabber_split_bound(a, blocks: Optional[Iterable] = None) -> float:
         peak = max((norms[j] for j in block), default=0)
         if peak <= 1:
             continue
-        rank = matrix_rank([[row[j] for j in block] for row in a])
+        rank = matrix_rank([columns[j] for j in block])
         total += min(len(block), rank) * math.log(peak)
     if len(seen) != cols:
         raise ValueError("blocks must cover every column")
@@ -281,5 +289,5 @@ def gabber_split_bound(a, blocks: Optional[Iterable] = None) -> float:
 
 
 def gabber_exact(a) -> float:
-    """Exact log torsion of the cokernel, through Smith normal form."""
+    """Exact log torsion of the cokernel, from its invariant factors."""
     return cokernel_log_torsion(a)

@@ -222,6 +222,7 @@ def perturb_morphism(rng: random.Random, f: MarkedMorphism) -> MarkedMorphism:
 # gradient tables
 
 
+GRADIENT_STRATEGIES = ("atoms", "greedy", "block")
 GRADIENT_COLUMNS = ("level", "|G|", "degree", "betti_q", "betti_p", "logtors",
                     "betti_q/|G|", "logtors/|G|", "dim_upper", "lognorm_upper")
 BOUND_COLUMNS = ("betti_bound", "torsion_bound", "verdict")
@@ -306,11 +307,12 @@ def _parse_embedding(config: dict, family: str):
 def _embedding_tile(embedding: dict) -> int:
     if embedding["kind"] == "rokhlin":
         tile = embedding.get("tile")
-        if not isinstance(tile, int) or tile < 1:
+        if not isinstance(tile, int) or isinstance(tile, bool) or tile < 1:
             raise ConfigError("rokhlin embedding needs a positive integer tile")
         return tile
     eps = embedding.get("epsilon")
-    if not isinstance(eps, (int, float)) or not 0 < eps:
+    if (not isinstance(eps, (int, float)) or isinstance(eps, bool)
+            or not 0 < eps):
         raise ConfigError("cheap embedding needs an epsilon > 0")
     return max(1, math.ceil(2 / eps))
 
@@ -319,11 +321,12 @@ def run_gradient(config: dict) -> GradientTable:
     """Betti/torsion gradient table along a chain of finite quotients.
 
     Exact integer columns come from the coinvariant boundaries: betti_q
-    and logtors from their ranks and invariant factors, each boundary
-    factored once per level, and betti_p from their ranks mod p; dim_upper
-    and lognorm_upper come from the configured target complex (the induced
-    resolution by default, a Rokhlin tile complex when an embedding is
-    configured), together with the per-row bound columns and verdict."""
+    and logtors from their ranks and invariant factors, and betti_p from
+    their ranks mod p, each boundary factored and ranked mod p once per
+    level; dim_upper and lognorm_upper come from the configured target
+    complex (the induced resolution by default, a Rokhlin tile complex
+    when an embedding is configured), together with the per-row bound
+    columns and verdict."""
     family = config.get("family")
     if not isinstance(family, str):
         raise ConfigError("config needs a resolution family under 'family'")
@@ -347,9 +350,14 @@ def run_gradient(config: dict) -> GradientTable:
     if not isinstance(p, int) or not _is_prime(p):
         raise ConfigError(f"p must be a prime, got {p!r}")
     strategy = config.get("strategy", "atoms")
-    if strategy not in ("atoms", "greedy", "exact", "block"):
-        raise ConfigError(f"unknown lognorm strategy {strategy!r}")
+    if strategy not in GRADIENT_STRATEGIES:
+        # exact search is capped at EXACT_ATOM_CAP atoms, which an induced
+        # level of any interest exceeds
+        raise ConfigError(f"lognorm strategy {strategy!r} is not usable in "
+                          f"gradient; choose from "
+                          f"{', '.join(GRADIENT_STRATEGIES)}")
     embedding = _parse_embedding(config, family)
+    tile = _embedding_tile(embedding) if embedding is not None else None
 
     rows = []
     prev_order = 0
@@ -372,6 +380,7 @@ def run_gradient(config: dict) -> GradientTable:
             raise ConfigError(f"level {idx}: {exc}") from None
         dims, mats = coinvariants_complex(induced)
         homology = homology_of_complex(dims, mats)
+        betti_p = betti_mod_p(dims, mats, p)
 
         target = induced
         if embedding is not None:
@@ -381,7 +390,6 @@ def run_gradient(config: dict) -> GradientTable:
                     f"level {idx}: embeddings need plain cyclic levels "
                     "(abelian, one modulus)"
                 )
-            tile = _embedding_tile(embedding)
             try:
                 target = integers_embedding(quotient.order, tile).target
             except ValueError as exc:
@@ -397,7 +405,7 @@ def run_gradient(config: dict) -> GradientTable:
                 continue
             h = homology[n]
             bq = h.betti
-            bp = betti_mod_p(dims, mats, n, p)
+            bp = betti_p[n]
             lt = h.log_torsion
             dim_upper = (target.module(n).dim()
                          if n <= target.top_degree else Fraction(0))
@@ -733,9 +741,13 @@ def cmd_gradient(args) -> int:
         print("config error: top level must be a JSON object",
               file=sys.stderr)
         return 1
+    out_path = args.output or config.get("output")
+    if out_path is not None and not isinstance(out_path, str):
+        print(f"config error: output must be a path string, got "
+              f"{out_path!r}", file=sys.stderr)
+        return 1
     table = run_gradient(config)
     csv_text = table.to_csv()
-    out_path = args.output or config.get("output")
     try:
         if out_path:
             with open(out_path, "w") as fh:

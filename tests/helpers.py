@@ -10,6 +10,13 @@ from torgrad.crossring import (
 from torgrad.complexes import MarkedComplex, induce_resolution
 
 
+def mat_mul(a, b):
+    """Dense product of integer matrices given as lists of rows."""
+    cols = list(zip(*b))
+    return [[sum(x * y for x, y in zip(row, col)) for col in cols]
+            for row in a]
+
+
 def w(s):
     return parse_word(s)
 

@@ -1,4 +1,5 @@
 import math
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,7 +22,6 @@ from torgrad.discretize import (
     cokernel_log_torsion,
     homology_of_complex,
     invariant_factors,
-    mat_mul,
     mat_shape,
     matrix_from_json,
     matrix_rank,
@@ -31,8 +31,18 @@ from torgrad.discretize import (
     shapiro_complex,
     shapiro_matrix,
     zeros,
+    _core_invariant_factors,
 )
-from helpers import free_complex, gm1, koszul2, restricted_copy, w, zres
+from torgrad.pipeline import run_gradient
+from helpers import (
+    free_complex,
+    gm1,
+    koszul2,
+    mat_mul,
+    restricted_copy,
+    w,
+    zres,
+)
 
 SP22 = LevelSpace(FiniteQuotient.abelian([2, 2]))
 SP33 = LevelSpace(FiniteQuotient.abelian([3, 3]))
@@ -163,6 +173,105 @@ def test_rank_mod_p_counts_unit_factors(a, p):
     assert rank_mod_p(a, p) == expected
 
 
+# The sparse kernel against slow oracles: sympy's Smith form, and the dense
+# Smith loop (the kernel's core routine) run on the whole matrix.
+
+
+def kernel_matrices(entries, size=8):
+    """Matrices of shape 0..size x 0..size, with zero rows and columns
+    spliced in; a matrix without rows is []."""
+    def splice(a, zero_rows, zero_cols):
+        width = len(a[0]) if a else 0
+        a = [row[:] for row in a]
+        for j in zero_cols:
+            for row in a:
+                row.insert(min(j, len(row)), 0)
+        width += len(zero_cols)
+        for i in zero_rows:
+            a.insert(min(i, len(a)), [0] * width)
+        return a
+
+    shaped = st.integers(0, size).flatmap(
+        lambda r: st.integers(0, size).flatmap(
+            lambda c: st.lists(st.lists(entries, min_size=c, max_size=c),
+                               min_size=r, max_size=r)))
+    gaps = st.lists(st.integers(0, size), max_size=2)
+    return st.builds(splice, shaped, gaps, gaps)
+
+
+unit_sparse = kernel_matrices(st.sampled_from([0, 0, 0, 0, 1, -1]))
+non_unit = kernel_matrices(st.sampled_from([0, 0, 1, -1, 2, -2, 3, 4, 6]))
+
+
+@st.composite
+def dense_torsion(draw):
+    """P D Q with D a diagonal carrying real torsion and P, Q random
+    unimodular, so every entry is dense and few pivots are units."""
+    d = draw(st.lists(st.sampled_from([0, 1, 2, 3, 4, 6, 12]),
+                      min_size=1, max_size=5))
+    extra = draw(st.integers(0, 2))
+    rng = draw(st.randoms(use_true_random=False))
+    rows, cols = len(d), len(d) + extra
+    diag = [[d[i] if i == j else 0 for j in range(cols)]
+            for i in range(rows)]
+    P, _ = random_unimodular(rng, rows)
+    Q, _ = random_unimodular(rng, cols)
+    return mat_mul(mat_mul(P, diag), Q)
+
+
+def check_kernel(a):
+    expected = sympy_factors(a)
+    assert invariant_factors(a) == expected
+    assert _core_invariant_factors(a) == expected
+    assert matrix_rank(a) == len(expected)
+    for p in (2, 3, 5):
+        # over F_p exactly the invariant factors prime to p survive
+        assert rank_mod_p(a, p) == sum(1 for d in expected if d % p)
+
+
+@given(unit_sparse)
+@settings(deadline=None, max_examples=150)
+def test_kernel_sparse_units(a):
+    check_kernel(a)
+
+
+@given(non_unit)
+@settings(deadline=None, max_examples=150)
+def test_kernel_non_unit_pivots(a):
+    check_kernel(a)
+
+
+@given(dense_torsion())
+@settings(deadline=None, max_examples=80)
+def test_kernel_dense_core_with_torsion(a):
+    check_kernel(a)
+    assert matrix_rank(a) == SymMatrix(a).rank()
+
+
+def test_kernel_empty_shapes():
+    for a in ([], [[]], [[], [], []], zeros(3, 4)):
+        assert invariant_factors(a) == ()
+        assert matrix_rank(a) == 0
+        assert rank_mod_p(a, 2) == 0
+
+
+def test_gradient_at_order_1024_within_budget():
+    # free rank 2 over (Z/32)^2: H_1 of the index 1024 subgroup is free of
+    # rank 1 + 1024; the budget leaves a wide margin on a 2-core machine
+    budget_s = 10.0
+    started = time.monotonic()
+    table = run_gradient({
+        "family": "free", "param": 2,
+        "levels": [{"kind": "abelian", "moduli": [32, 32]}],
+    })
+    elapsed = time.monotonic() - started
+    row = table.rows[1]
+    assert (row.order, row.degree) == (1024, 1)
+    assert row.betti_q == row.betti_p == 1025
+    assert row.logtors == 0
+    assert elapsed < budget_s, f"took {elapsed:.1f}s"
+
+
 def test_matrix_json_round_trip():
     a = [[1, -2, 0], [0, 3, 7]]
     assert matrix_from_json(matrix_to_json(a)) == a
@@ -267,8 +376,8 @@ def test_homology_torsion_and_mod_p():
     assert h0.betti == 0
     assert h0.torsion == (2,)
     assert h0.log_torsion == pytest.approx(math.log(2))
-    assert betti_mod_p(dims, mats, 0, 2) == 1
-    assert betti_mod_p(dims, mats, 0, 3) == 0
+    assert betti_mod_p(dims, mats, 2) == (1, 1)
+    assert betti_mod_p(dims, mats, 3) == (0, 0)
     assert h1.betti == 0
 
     # square presentation of Z/2 x Z/4 in one degree
@@ -284,10 +393,9 @@ def test_homology_rejects_non_complex():
 
 def test_betti_mod_p_matches_rational_when_torsion_free():
     dims, mats = coinvariants_complex(koszul2(SP33))
-    for n, h in enumerate(homology_of_complex(dims, mats)):
-        b = h.betti
-        assert betti_mod_p(dims, mats, n, 2) == b
-        assert betti_mod_p(dims, mats, n, 5) == b
+    betti = tuple(h.betti for h in homology_of_complex(dims, mats))
+    assert betti_mod_p(dims, mats, 2) == betti
+    assert betti_mod_p(dims, mats, 5) == betti
 
 
 def test_identity_retract_passes():

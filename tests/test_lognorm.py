@@ -2,6 +2,7 @@ import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from sympy import Matrix as SymMatrix
 
 from torgrad.groups import FiniteQuotient
 from torgrad.crossring import (
@@ -21,6 +22,7 @@ from torgrad.lognorm import (
     gabber_column_bound,
     gabber_exact,
     gabber_split_bound,
+    log_plus,
     lognorm_certificate,
     lognorm_exact,
     lognorm_of_decomposition,
@@ -208,6 +210,35 @@ def test_gabber_chain(a):
     split = gabber_split_bound(a)
     assert exact <= column + LOG_SLACK
     assert column <= split + LOG_SLACK
+
+
+def rerank_column_bound(a):
+    """The greedy column bound by its definition: every column, cheapest
+    first, is kept when the rank of the kept columns plus it grows."""
+    rows, cols = len(a), len(a[0])
+    norms = column_l1s(a)
+    chosen, rank, total = [], 0, 0.0
+    for j in sorted(range(cols), key=lambda j: (norms[j], j)):
+        if not norms[j]:
+            continue
+        r = SymMatrix([[row[c] for c in chosen + [j]] for row in a]).rank()
+        if r > rank:
+            chosen, rank = chosen + [j], r
+            total += log_plus(norms[j])
+            if rank == min(rows, cols):
+                break
+    return total
+
+
+@given(int_matrices, st.lists(st.tuples(st.integers(-2, 2),
+                                        st.integers(-2, 2)), max_size=3))
+@settings(deadline=None, max_examples=150)
+def test_gabber_column_bound_matches_rerank(a, combos):
+    # append columns that depend on the first two, so some are skipped
+    for x, y in combos:
+        for row in a:
+            row.append(x * row[0] + y * row[-1])
+    assert gabber_column_bound(a) == rerank_column_bound(a)
 
 
 def test_gabber_split_blocks():

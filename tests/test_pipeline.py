@@ -138,12 +138,33 @@ def _gradient_cli_error(tmp_path, capsys, config, *extra):
     return code, err
 
 
-@pytest.mark.parametrize("breakage", [{"degrees": [True]}, {"param": "x"}])
+def _cyclic_embedding(embedding):
+    return {"family": "integers", "param": None, "embedding": embedding,
+            "levels": [{"kind": "abelian", "moduli": [6]}]}
+
+
+@pytest.mark.parametrize("breakage", [
+    {"degrees": [True]},
+    {"param": "x"},
+    _cyclic_embedding({"kind": "rokhlin", "tile": True}),
+    _cyclic_embedding({"kind": "cheap", "epsilon": True}),
+    {"output": [1]},
+])
 def test_gradient_cli_rejects_bad_values(tmp_path, capsys, breakage):
     code, err = _gradient_cli_error(tmp_path, capsys,
                                     dict(FREE_CHAIN, **breakage))
     assert code == 1
     assert err.startswith("config error:")
+
+
+def test_gradient_cli_rejects_exact_strategy(tmp_path, capsys, monkeypatch):
+    # refused before any level is built
+    monkeypatch.setattr(FiniteQuotient, "from_json", None)
+    code, err = _gradient_cli_error(tmp_path, capsys,
+                                    dict(FREE_CHAIN, strategy="exact"))
+    assert code == 1
+    assert err.startswith("config error:")
+    assert "atoms, greedy, block" in err
 
 
 def test_gradient_cli_order_cap(tmp_path, capsys, monkeypatch):
