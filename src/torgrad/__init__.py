@@ -59,7 +59,6 @@ from .constructions import (
     supp1_chain_extend,
     supp1_extend,
 )
-from .pipeline import main, random_morphism, run_gradient, run_verify
 
 __version__ = "0.1.0"
 
@@ -81,5 +80,4 @@ __all__ = [
     "lognorm_upper",
     "degree0_cheap", "integers_embedding", "resolution_by_name",
     "rokhlin_partition", "supp1_chain_extend", "supp1_extend",
-    "main", "random_morphism", "run_gradient", "run_verify",
 ]

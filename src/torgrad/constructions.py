@@ -50,11 +50,24 @@ def _gm1(k: int) -> dict:
 # ---------------------------------------------------------------------------
 # resolution data over group rings
 
+# Free generators of a resolution summed over its degrees.  Every level
+# multiplies them by |G|, and the surface data alone grows with the cube of
+# the genus (genus 63 takes about 2 s, 127 about 15 s), so a larger
+# resolution is refused before it is built.
+MAX_GENERATORS = 128
+
+
+def _check_size(total: int) -> None:
+    if total > MAX_GENERATORS:
+        raise ValueError(f"resolution has {total} generators over all "
+                         f"degrees, above the cap {MAX_GENERATORS}")
+
 
 def resolution_free(rank: int):
     """Free group on ``rank`` letters: 0 -> R^rank -> R -> Z -> 0."""
     if rank < 1:
         raise ValueError("free resolution needs at least one generator")
+    _check_size(1 + rank)
     return [1, rank], [[[_gm1(k)] for k in range(rank)]]
 
 
@@ -76,6 +89,7 @@ def resolution_surface(genus: int):
     free derivatives of the relator."""
     if genus < 1:
         raise ValueError("surface resolution needs genus >= 1")
+    _check_size(2 + 2 * genus)
     rel = surface_relator(genus)
     d1 = [[_gm1(k)] for k in range(2 * genus)]
     d2 = [[fox_derivative(rel, k) for k in range(2 * genus)]]
@@ -90,6 +104,8 @@ def resolution_free_abelian(dim: int):
     """
     if dim < 1:
         raise ValueError("free abelian resolution needs dimension >= 1")
+    # 2^dim generators; the exponent is clipped so a huge dim costs nothing
+    _check_size(2 ** min(dim, MAX_GENERATORS.bit_length()))
     ranks = []
     subsets = []
     for r in range(dim + 1):

@@ -323,6 +323,16 @@ def vector_stats(space: LevelSpace, x: Vector) -> ElementStats:
     return _element_stats(space, x)
 
 
+def vector_l1(space: LevelSpace, x: Vector) -> int:
+    """The unnormalised l1 mass |G| * vector_stats(space, x).l1, for
+    callers that read nothing else; over F_p each nonzero entry counts 1."""
+    char = space.char
+    if char:
+        return sum(1 for z in x for f in z.values() for c in f.values()
+                   if c % char)
+    return sum(abs(c) for z in x for f in z.values() for c in f.values())
+
+
 # ---------------------------------------------------------------------------
 # marked modules
 

@@ -14,10 +14,12 @@ matrix becomes row dicts with a column index in one pass; pivots are
 taken in Markowitz order from a cost queue.  Over Z only +-1 entries are
 pivots, each contributing an invariant factor 1, and the residual core,
 usually empty since these matrices are very sparse with unit entries, goes
-to a dense Smith loop.  Rank over Q and over F_p take every nonzero entry
-as a pivot and leave no core.  Homology needs nothing more: C_n / ker d_n
-embeds in the free group C_{n-1}, so Tors H_n = Tors coker d_{n+1} and
+to a dense Smith loop.  Rank over Q takes every nonzero entry as a pivot
+and leaves no core.  Homology needs nothing more: C_n / ker d_n embeds in
+the free group C_{n-1}, so Tors H_n = Tors coker d_{n+1} and
 b_n = dim C_n - rk d_n - rk d_{n+1}, and each boundary is factored once.
+Betti numbers over F_p come from the same factors by universal
+coefficients, with no second elimination.
 """
 
 from __future__ import annotations
@@ -72,24 +74,21 @@ def matrix_from_json(obj: dict) -> Matrix:
 # elimination
 
 
-def _sparse_rows(a: Matrix, p: Optional[int] = None) -> list:
-    """Row i of a as {column: value} over its nonzero entries, mod p if p."""
+def _sparse_rows(a: Matrix) -> list:
+    """Row i of a as {column: value} over its nonzero entries."""
     idx = range(len(a[0])) if a else ()
-    if not p:
-        return [{j: row[j] for j in compress(idx, row)} for row in a]
-    return [{j: v for j in compress(idx, row) if (v := row[j] % p)}
-            for row in a]
+    return [{j: row[j] for j in compress(idx, row)} for row in a]
 
 
-def _eliminate(a: Matrix, p: Optional[int] = None) -> tuple:
-    """Sparse elimination of a over Z (p None), Q (p 0) or F_p (p prime).
+def _eliminate(a: Matrix, over_q: bool = False) -> tuple:
+    """Sparse elimination of a over Z, or over Q if over_q.
 
     Over Z a pivot is an entry +-1, whose row and column unimodular row
     and column operations clear, so a is equivalent to I_k + S, S the
-    Schur complement left when no unit pivot remains.  Over Q and F_p
-    every nonzero entry is a pivot and nothing is left; over Q a row
-    cleared by a pivot u other than +-1 is first multiplied by u (the rank
-    stays) and then divided by the gcd of its entries.
+    Schur complement left when no unit pivot remains.  Over Q every
+    nonzero entry is a pivot and nothing is left; a row cleared by a pivot
+    u other than +-1 is first multiplied by u (the rank stays) and then
+    divided by the gcd of its entries.
 
     Rows are pivoted cheapest first by the Markowitz cost (row length - 1)
     * (column length - 1) of their best pivot, from a heap: a row is queued
@@ -98,12 +97,12 @@ def _eliminate(a: Matrix, p: Optional[int] = None) -> tuple:
     rows and columns left.
     """
     n = mat_shape(a)[1]
-    rows = _sparse_rows(a, p)
+    rows = _sparse_rows(a)
     cols = [set() for _ in range(n)]  # column j -> rows nonzero there
     for i, row in enumerate(rows):
         for j in row:
             cols[j].add(i)
-    units_only = p is None
+    units_only = not over_q
 
     def best(row):
         """(Markowitz cost, column) of the cheapest pivot of row, or None."""
@@ -130,9 +129,7 @@ def _eliminate(a: Matrix, p: Optional[int] = None) -> tuple:
             continue
         rows[i] = None
         del pivot_row[c]
-        if p:
-            u = pow(u, -1, p)
-        scale = not p and u != 1 and u != -1
+        scale = u != 1 and u != -1
         for j in pivot_row:
             cols[j].discard(i)
         below, cols[c] = cols[c], set()
@@ -140,17 +137,13 @@ def _eliminate(a: Matrix, p: Optional[int] = None) -> tuple:
         for t in below:
             row = rows[t]
             f = row.pop(c)
-            if p:
-                f = f * u % p
-            elif scale:  # over Q: row <- u * row - f * pivot_row
+            if scale:  # over Q: row <- u * row - f * pivot_row
                 for j in row:
                     row[j] *= u
             else:
                 f *= u
             for j, v in pivot_row.items():
                 w = row.get(j, 0) - f * v
-                if p:
-                    w %= p
                 if w:
                     if j not in row:
                         cols[j].add(t)
@@ -176,12 +169,7 @@ def _eliminate(a: Matrix, p: Optional[int] = None) -> tuple:
 
 def matrix_rank(a: Matrix) -> int:
     """Rank over Q."""
-    return _eliminate(a, 0)[0]
-
-
-def rank_mod_p(a: Matrix, p: int) -> int:
-    """Rank over F_p."""
-    return _eliminate(a, p)[0]
+    return _eliminate(a, over_q=True)[0]
 
 
 def invariant_factors(a: Matrix) -> tuple:
@@ -333,6 +321,7 @@ def shapiro_complex(
 class HomologyResult:
     betti: int
     torsion: tuple  # invariant factors > 1, in divisibility order
+    boundary_rank: int  # rk d_{n+1}: the count of its invariant factors
 
     @property
     def log_torsion(self) -> float:
@@ -364,18 +353,22 @@ def homology_of_complex(dims: Sequence[int], mats: Sequence[Matrix]) -> tuple:
     rank = [0] + [len(f) for f in factors]  # rank[r] = rk d_r
     return tuple(
         HomologyResult(betti=dims[n] - rank[n] - rank[n + 1],
-                       torsion=tuple(d for d in factors[n] if d > 1))
+                       torsion=tuple(d for d in factors[n] if d > 1),
+                       boundary_rank=rank[n + 1])
         for n in range(len(dims))
     )
 
 
-def betti_mod_p(dims: Sequence[int], mats: Sequence[Matrix], p: int
-                ) -> tuple:
-    """b_n over F_p for every degree n, as a tuple indexed by n; each
-    boundary is ranked mod p once."""
-    rank = [0] + [rank_mod_p(m, p) for m in mats]
-    rank += [0] * (len(dims) + 1 - len(rank))  # rank[r] = rk d_r mod p
-    return tuple(dims[n] - rank[n] - rank[n + 1] for n in range(len(dims)))
+def betti_mod_p(homology: Sequence[HomologyResult], p: int) -> tuple:
+    """b_n over F_p for every degree n, from the integral homology that
+    homology_of_complex returns, as a tuple indexed by n.
+
+    By universal coefficients H_n(C; F_p) = H_n (x) F_p + Tor(H_{n-1}, F_p),
+    so b_n(F_p) = b_n + t_p(H_n) + t_p(H_{n-1}), where t_p counts the
+    invariant factors divisible by p; no matrix is eliminated again."""
+    t = [sum(1 for d in h.torsion if d % p == 0) for h in homology]
+    return tuple(h.betti + t[n] + (t[n - 1] if n else 0)
+                 for n, h in enumerate(homology))
 
 
 def _composes_to_zero(a: Matrix, b: Matrix) -> bool:

@@ -282,6 +282,14 @@ def _enumerate_subgroup(
     return keys, words, index
 
 
+def _as_int(value, what: str) -> int:
+    """value itself if it is an int; a bool, float or string is refused
+    rather than rounded or read as 0 or 1."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 class FiniteQuotient:
     """A finite quotient group, enumerated once and addressed by index.
 
@@ -321,7 +329,7 @@ class FiniteQuotient:
         (so the generator count equals len(moduli)); ``images`` overrides
         this with one coefficient vector per generator.
         """
-        moduli = tuple(int(m) for m in moduli)
+        moduli = tuple(_as_int(m, "modulus") for m in moduli)
         if not moduli:
             raise ValueError("abelian quotient needs at least one modulus")
         for m in moduli:
@@ -331,7 +339,7 @@ class FiniteQuotient:
         if images is None:
             vecs = [[1 if j == i else 0 for j in range(k)] for i in range(k)]
         else:
-            vecs = [list(map(int, v)) for v in images]
+            vecs = [[_as_int(c, "image entry") for c in v] for v in images]
             for v in vecs:
                 if len(v) != k:
                     raise ValueError(
@@ -359,12 +367,12 @@ class FiniteQuotient:
         Permutations are one-line notation, 0-indexed, acting on the left;
         composition applies the right factor first.
         """
-        degree = int(degree)
+        degree = _as_int(degree, "permutation degree")
         if degree < 1:
             raise ValueError("permutation degree must be >= 1")
         gen_keys = []
         for p in images:
-            t = tuple(int(x) for x in p)
+            t = tuple(_as_int(x, "permutation entry") for x in p)
             if sorted(t) != list(range(degree)):
                 raise ValueError(f"{list(p)} is not a permutation of 0..{degree - 1}")
             gen_keys.append(t)

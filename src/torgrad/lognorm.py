@@ -58,15 +58,30 @@ def atom_norms(f: MarkedMorphism) -> dict:
 
 
 class _BlockContext:
-    """Shared data for evaluating blocks of one morphism, with caching."""
+    """Shared data for evaluating blocks of one morphism, with caching.
 
-    def __init__(self, f: MarkedMorphism):
+    rank, when given, is the rank over Q of coinvariants_matrix(f).  A
+    block holding every atom of nonzero norm holds every nonzero column
+    of that matrix, so it takes this rank as is; the columns are built
+    only when some other block needs an elimination."""
+
+    def __init__(self, f: MarkedMorphism, rank: Optional[int] = None):
+        self.f = f
         self.order = f.space.order
         self.norms = atom_norms(f)
-        self.col_of = {atom: k for k, atom in enumerate(f.domain.atoms())}
-        # a block's rank is that of its columns, so keep them as rows
-        self.columns = list(zip(*coinvariants_matrix(f)))
+        self.live = frozenset(a for a, n in self.norms.items() if n)
+        self.rank = rank
+        self._columns = None
         self._cache = {}
+
+    def block_rank(self, key: frozenset) -> int:
+        if self.rank is not None and key >= self.live:
+            return self.rank
+        if self._columns is None:
+            # a block's rank is that of its columns, so keep them as rows
+            columns = list(zip(*coinvariants_matrix(self.f)))
+            self._columns = dict(zip(self.f.domain.atoms(), columns))
+        return matrix_rank([self._columns[a] for a in key])
 
     def value(self, block) -> float:
         key = frozenset(block)
@@ -77,8 +92,7 @@ class _BlockContext:
         if norm <= 1:
             self._cache[key] = 0.0
             return 0.0
-        rank = matrix_rank([self.columns[self.col_of[a]] for a in key])
-        weight = Fraction(min(len(key), rank), self.order)
+        weight = Fraction(min(len(key), self.block_rank(key)), self.order)
         val = float(weight) * math.log(norm)
         self._cache[key] = val
         return val
@@ -160,14 +174,17 @@ def lognorm_certificate(
     f: MarkedMorphism,
     strategy: str = "greedy",
     max_atoms: int = EXACT_ATOM_CAP,
+    rank: Optional[int] = None,
 ) -> tuple:
     """Value plus the decomposition realising it, for audit output.
 
     Blocks are lists of (summand, point) atoms; atoms of zero norm are
-    left out, they never contribute.
+    left out, they never contribute.  rank, when the caller already has
+    it, is the rank over Q of coinvariants_matrix(f); it saves the
+    elimination of any block that covers every atom of nonzero norm.
     """
-    ctx = _BlockContext(f)
-    live = sorted(a for a, n in ctx.norms.items() if n)
+    ctx = _BlockContext(f, rank)
+    live = sorted(ctx.live)
     if not live:
         return 0.0, []
     if strategy == "block":
@@ -200,13 +217,15 @@ def lognorm_upper(
     f: MarkedMorphism,
     strategy: str = "greedy",
     max_atoms: int = EXACT_ATOM_CAP,
+    rank: Optional[int] = None,
 ) -> float:
     """Upper bound for the log-norm of f by the named search strategy.
 
     Every returned value is realised by some decomposition, so the chain
-    exact <= greedy <= atoms and exact <= block always holds.
+    exact <= greedy <= atoms and exact <= block always holds.  rank is as
+    in lognorm_certificate.
     """
-    return lognorm_certificate(f, strategy, max_atoms)[0]
+    return lognorm_certificate(f, strategy, max_atoms, rank)[0]
 
 
 def lognorm_exact(f: MarkedMorphism, max_atoms: int = EXACT_ATOM_CAP) -> float:

@@ -42,7 +42,7 @@ from .crossring import (
     marked_projection,
     morphism_stats,
     op_norm,
-    vector_stats,
+    vector_l1,
 )
 from .discretize import (
     betti_mod_p,
@@ -171,9 +171,7 @@ def brute_force_op_norm(f: MarkedMorphism) -> int:
     space = f.space
     best = 0
     for i, u in f.domain.atoms():
-        img = f.apply(f.domain.atom(i, u))
-        mass = vector_stats(space, img).l1 * space.order
-        best = max(best, int(mass))
+        best = max(best, vector_l1(space, f.apply(f.domain.atom(i, u))))
     return best
 
 
@@ -282,6 +280,9 @@ class GradientTable:
                 "rows": [row.cells(self.embedded) for row in self.rows]}
 
 
+P_CAP = 2 ** 31  # keeps the trial division below fast
+
+
 def _is_prime(p: int) -> bool:
     if p < 2:
         return False
@@ -311,8 +312,9 @@ def _embedding_tile(embedding: dict) -> int:
             raise ConfigError("rokhlin embedding needs a positive integer tile")
         return tile
     eps = embedding.get("epsilon")
+    # 2 / eps overflows to inf for a subnormal epsilon
     if (not isinstance(eps, (int, float)) or isinstance(eps, bool)
-            or not 0 < eps):
+            or not 0 < eps or not math.isfinite(2 / eps)):
         raise ConfigError("cheap embedding needs an epsilon > 0")
     return max(1, math.ceil(2 / eps))
 
@@ -320,13 +322,14 @@ def _embedding_tile(embedding: dict) -> int:
 def run_gradient(config: dict) -> GradientTable:
     """Betti/torsion gradient table along a chain of finite quotients.
 
-    Exact integer columns come from the coinvariant boundaries: betti_q
-    and logtors from their ranks and invariant factors, and betti_p from
-    their ranks mod p, each boundary factored and ranked mod p once per
-    level; dim_upper and lognorm_upper come from the configured target
-    complex (the induced resolution by default, a Rokhlin tile complex
-    when an embedding is configured), together with the per-row bound
-    columns and verdict."""
+    Exact integer columns come from the coinvariant boundaries, each
+    factored once per level: betti_q and logtors from their ranks and
+    invariant factors, and betti_p from the same factors by universal
+    coefficients; dim_upper and lognorm_upper come from the configured
+    target complex (the induced resolution by default, a Rokhlin tile
+    complex when an embedding is configured), together with the per-row
+    bound columns and verdict.  On the induced target, lognorm's
+    whole-block rank is the boundary rank the factorisation gave."""
     family = config.get("family")
     if not isinstance(family, str):
         raise ConfigError("config needs a resolution family under 'family'")
@@ -339,16 +342,18 @@ def run_gradient(config: dict) -> GradientTable:
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     levels = config.get("levels")
-    if not isinstance(levels, list) or not levels:
-        raise ConfigError("config needs a nonempty list under 'levels'")
+    if (not isinstance(levels, list) or not levels
+            or not all(isinstance(spec, dict) for spec in levels)):
+        raise ConfigError("config needs a nonempty list of JSON objects "
+                          "under 'levels'")
     degrees = config.get("degrees", list(range(len(ranks))))
     if (not isinstance(degrees, list) or not degrees
             or any(not isinstance(n, int) or isinstance(n, bool) or n < 0
                    for n in degrees)):
         raise ConfigError("degrees must be a nonempty list of integers >= 0")
     p = config.get("p", 2)
-    if not isinstance(p, int) or not _is_prime(p):
-        raise ConfigError(f"p must be a prime, got {p!r}")
+    if not isinstance(p, int) or p >= P_CAP or not _is_prime(p):
+        raise ConfigError(f"p must be a prime below 2**31, got {p!r}")
     strategy = config.get("strategy", "atoms")
     if strategy not in GRADIENT_STRATEGIES:
         # exact search is capped at EXACT_ATOM_CAP atoms, which an induced
@@ -380,7 +385,7 @@ def run_gradient(config: dict) -> GradientTable:
             raise ConfigError(f"level {idx}: {exc}") from None
         dims, mats = coinvariants_complex(induced)
         homology = homology_of_complex(dims, mats)
-        betti_p = betti_mod_p(dims, mats, p)
+        betti_p = betti_mod_p(homology, p)
 
         target = induced
         if embedding is not None:
@@ -409,7 +414,11 @@ def run_gradient(config: dict) -> GradientTable:
             lt = h.log_torsion
             dim_upper = (target.module(n).dim()
                          if n <= target.top_degree else Fraction(0))
-            ln_upper = (lognorm_upper(target.boundary(n + 1), strategy)
+            # the induced target's degree n+1 boundary is mats[n], whose
+            # rank homology[n] already holds
+            rank = homology[n].boundary_rank if embedding is None else None
+            ln_upper = (lognorm_upper(target.boundary(n + 1), strategy,
+                                      rank=rank)
                         if n + 1 <= target.top_degree else 0.0)
             if embedding is None:
                 rows.append(GradientRow(idx, quotient.order, n, bq, bp, lt,
@@ -449,10 +458,10 @@ def _suite_opnorm(rng: random.Random, trials: int) -> list:
         if ok:
             for _ in range(20):
                 z = random_vector(rng, f.domain)
-                mass = vector_stats(f.space, z).l1
+                mass = vector_l1(f.space, z)
                 if mass == 0:
                     continue
-                if vector_stats(f.space, f.apply(z)).l1 > norm * mass:
+                if vector_l1(f.space, f.apply(z)) > norm * mass:
                     ok = False
                     break
         if not ok:
@@ -742,7 +751,9 @@ def cmd_gradient(args) -> int:
               file=sys.stderr)
         return 1
     out_path = args.output or config.get("output")
-    if out_path is not None and not isinstance(out_path, str):
+    # open() raises ValueError, not OSError, on a NUL in the path
+    if out_path is not None and (not isinstance(out_path, str)
+                                 or "\0" in out_path):
         print(f"config error: output must be a path string, got "
               f"{out_path!r}", file=sys.stderr)
         return 1

@@ -59,6 +59,13 @@ def test_resolution_free_shapes():
         resolution_free(0)
     with pytest.raises(ValueError):
         resolution_by_name("moebius")
+    # at most 128 generators over all degrees, refused before building
+    assert sum(resolution_by_name("free", 127)[0]) == 128
+    assert sum(resolution_by_name("free_abelian", 7)[0]) == 128
+    for family, param in (("free", 128), ("surface", 64),
+                          ("free_abelian", 8), ("free_abelian", 10 ** 9)):
+        with pytest.raises(ValueError, match="above the cap"):
+            resolution_by_name(family, param)
 
 
 def test_surface_relator_and_fox_row():

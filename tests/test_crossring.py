@@ -27,6 +27,7 @@ from torgrad.crossring import (
     marked_rank,
     morphism_stats,
     op_norm,
+    vector_l1,
     vector_stats,
     vector_sub,
 )
@@ -318,3 +319,20 @@ def test_vector_sub_and_stats_join():
     s = vector_stats(SP, d)
     assert s.n2 == 2  # point 1 hit in both summands
     assert s.size1 == Fraction(1, 2)
+
+
+# raw coefficients, not reduced mod p, so that some vanish only over F_p
+raw_vectors = st.lists(
+    st.dictionaries(st.integers(0, 3),
+                    st.dictionaries(st.integers(0, 3), st.integers(-6, 6),
+                                    max_size=3),
+                    max_size=3),
+    max_size=3,
+).map(tuple)
+
+
+@given(raw_vectors, st.sampled_from([0, 2, 3]))
+@settings(deadline=None, max_examples=80)
+def test_vector_l1_is_unnormalised_l1(x, char):
+    sp = LevelSpace(FiniteQuotient.abelian([4]), char=char)
+    assert vector_l1(sp, x) == vector_stats(sp, x).l1 * sp.order

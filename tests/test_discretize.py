@@ -3,8 +3,9 @@ import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from sympy import Matrix as SymMatrix
+from sympy import GF, Matrix as SymMatrix
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+from sympy.polys.matrices import DomainMatrix
 
 from torgrad.groups import FiniteQuotient
 from torgrad.crossring import (
@@ -26,7 +27,6 @@ from torgrad.discretize import (
     matrix_from_json,
     matrix_rank,
     matrix_to_json,
-    rank_mod_p,
     retract_inequality_check,
     shapiro_complex,
     shapiro_matrix,
@@ -66,6 +66,14 @@ def sympy_factors(a):
     d = sympy_snf(m)
     vals = [abs(d[i, i]) for i in range(min(d.rows, d.cols))]
     return tuple(v for v in vals if v)
+
+
+def gf_rank(a, p):
+    """Rank over F_p by sympy, independent of the kernel."""
+    field = GF(p)
+    shape = (len(a), len(a[0]) if a else 0)
+    return DomainMatrix([[field(v) for v in row] for row in a], shape,
+                        field).rank()
 
 
 def test_snf_frozen_examples():
@@ -154,9 +162,18 @@ def test_homology_torsion_oracle(summands, torsion_summand, rng):
     # d'_n = P_{n-1} d_n P_n^{-1}; the boundaries become dense
     dense = [mat_mul(mat_mul(conj[n - 1][0], mats[n - 1]), conj[n][1])
              for n in range(1, TOP + 1)]
-    got = [(h.betti, h.torsion) for h in homology_of_complex(dims, dense)]
+    homology = homology_of_complex(dims, dense)
+    got = [(h.betti, h.torsion) for h in homology]
     assert got == expected
     assert any(t for _, t in expected[1:])
+    assert [h.boundary_rank for h in homology] == [
+        SymMatrix(m).rank() for m in dense] + [0]
+    # universal coefficients against ranks over F_p by sympy; 2 and 3
+    # divide torsion in degree 1 or 2, 5 never does
+    for p in (2, 3, 5):
+        rank = [0] + [gf_rank(m, p) for m in dense] + [0]
+        assert betti_mod_p(homology, p) == tuple(
+            dims[n] - rank[n] - rank[n + 1] for n in range(len(dims)))
 
 
 @given(int_matrices)
@@ -170,7 +187,7 @@ def test_rank_against_oracle(a):
 def test_rank_mod_p_counts_unit_factors(a, p):
     # over F_p exactly the invariant factors prime to p survive
     expected = sum(1 for d in invariant_factors(a) if d % p)
-    assert rank_mod_p(a, p) == expected
+    assert gf_rank(a, p) == expected
 
 
 # The sparse kernel against slow oracles: sympy's Smith form, and the dense
@@ -226,7 +243,7 @@ def check_kernel(a):
     assert matrix_rank(a) == len(expected)
     for p in (2, 3, 5):
         # over F_p exactly the invariant factors prime to p survive
-        assert rank_mod_p(a, p) == sum(1 for d in expected if d % p)
+        assert gf_rank(a, p) == sum(1 for d in invariant_factors(a) if d % p)
 
 
 @given(unit_sparse)
@@ -252,7 +269,7 @@ def test_kernel_empty_shapes():
     for a in ([], [[]], [[], [], []], zeros(3, 4)):
         assert invariant_factors(a) == ()
         assert matrix_rank(a) == 0
-        assert rank_mod_p(a, 2) == 0
+        assert gf_rank(a, 2) == 0
 
 
 def test_gradient_at_order_1024_within_budget():
@@ -372,12 +389,13 @@ def test_homology_of_induced_level_complexes():
 
 def test_homology_torsion_and_mod_p():
     dims, mats = [1, 1], [[[2]]]
-    h0, h1 = homology_of_complex(dims, mats)
+    homology = h0, h1 = homology_of_complex(dims, mats)
     assert h0.betti == 0
     assert h0.torsion == (2,)
     assert h0.log_torsion == pytest.approx(math.log(2))
-    assert betti_mod_p(dims, mats, 2) == (1, 1)
-    assert betti_mod_p(dims, mats, 3) == (0, 0)
+    assert (h0.boundary_rank, h1.boundary_rank) == (1, 0)
+    assert betti_mod_p(homology, 2) == (1, 1)
+    assert betti_mod_p(homology, 3) == (0, 0)
     assert h1.betti == 0
 
     # square presentation of Z/2 x Z/4 in one degree
@@ -393,9 +411,10 @@ def test_homology_rejects_non_complex():
 
 def test_betti_mod_p_matches_rational_when_torsion_free():
     dims, mats = coinvariants_complex(koszul2(SP33))
-    betti = tuple(h.betti for h in homology_of_complex(dims, mats))
-    assert betti_mod_p(dims, mats, 2) == betti
-    assert betti_mod_p(dims, mats, 5) == betti
+    homology = homology_of_complex(dims, mats)
+    betti = tuple(h.betti for h in homology)
+    assert betti_mod_p(homology, 2) == betti
+    assert betti_mod_p(homology, 5) == betti
 
 
 def test_identity_retract_passes():

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,7 +15,7 @@ from torgrad.crossring import (
     morphism_stats,
     op_norm,
 )
-from torgrad.discretize import coinvariants_matrix
+from torgrad.discretize import coinvariants_matrix, matrix_rank
 from torgrad.lognorm import (
     LOG_SLACK,
     atom_norms,
@@ -29,6 +30,7 @@ from torgrad.lognorm import (
     lognorm_upper,
     set_partitions,
 )
+from torgrad.pipeline import random_morphism
 
 SP2 = LevelSpace(FiniteQuotient.abelian([2]))
 SP4 = LevelSpace(FiniteQuotient.abelian([4]))
@@ -262,3 +264,27 @@ def test_certificate_realizes_value():
         assert lognorm_of_decomposition(f, blocks) == pytest.approx(value)
     # the zero morphism certifies with no blocks at all
     assert lognorm_certificate(full_morphism(SP2, {}), "exact") == (0.0, [])
+
+
+def test_rank_argument_changes_no_value():
+    # the caller's rank of the coinvariants matrix stands in for the
+    # elimination of a block covering every live atom, and for nothing else
+    for seed in range(40):
+        f = random_morphism(random.Random(seed))
+        rank = matrix_rank(coinvariants_matrix(f))
+        live = sum(1 for n in atom_norms(f).values() if n)
+        strategies = ["atoms", "greedy", "block"]
+        if live <= 6:
+            strategies.append("exact")
+        for strategy in strategies:
+            assert lognorm_upper(f, strategy, rank=rank) == lognorm_upper(
+                f, strategy), (seed, strategy)
+
+
+def test_rank_argument_only_for_covering_blocks():
+    # atoms splits the live atoms of diag(2, 3) into two blocks, so even a
+    # wrong rank is never read; the one block of block strategy reads it
+    f = full_morphism(SP2, {0: {0: 2, 1: 3}})
+    assert lognorm_upper(f, "atoms", rank=0) == lognorm_upper(f, "atoms")
+    assert lognorm_upper(f, "block") == pytest.approx(math.log(3))
+    assert lognorm_upper(f, "block", rank=0) == 0.0

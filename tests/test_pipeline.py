@@ -1,7 +1,17 @@
+import contextlib
+import copy
+import importlib.util
+import io
 import json
+import os
 import random
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from torgrad.crossring import LevelSpace
 from torgrad.groups import FiniteQuotient
@@ -149,6 +159,12 @@ def _cyclic_embedding(embedding):
     _cyclic_embedding({"kind": "rokhlin", "tile": True}),
     _cyclic_embedding({"kind": "cheap", "epsilon": True}),
     {"output": [1]},
+    {"output": "table\0.csv"},
+    {"levels": [1]},
+    {"levels": [{"kind": "abelian", "moduli": [True, 3]}]},
+    _cyclic_embedding({"kind": "cheap", "epsilon": 1e-320}),
+    {"p": 2 ** 61 - 1},
+    {"param": 10 ** 6},
 ])
 def test_gradient_cli_rejects_bad_values(tmp_path, capsys, breakage):
     code, err = _gradient_cli_error(tmp_path, capsys,
@@ -180,6 +196,99 @@ def test_gradient_cli_unwritable_output(tmp_path, capsys):
                                     "--output", str(missing))
     assert code == 1
     assert err.startswith("config error: cannot write output:")
+
+
+# Small valid configs, one per embedding kind, and the places a mutation
+# may hit: top-level keys, keys of the first level and of the embedding.
+FUZZ_BASES = (
+    dict(FREE_CHAIN, levels=[{"kind": "abelian", "moduli": [2, 2]},
+                             {"kind": "abelian", "moduli": [3, 3],
+                              "images": [[1, 1], [0, 1]]}],
+         degrees=[0, 1], p=2, strategy="atoms"),
+    _cyclic_embedding({"kind": "rokhlin", "tile": 2}),
+    _cyclic_embedding({"kind": "cheap", "epsilon": 0.5}),
+)
+FUZZ_PATHS = (("family",), ("param",), ("levels",), ("degrees",), ("p",),
+              ("strategy",), ("embedding",), ("output",),
+              ("levels", 0, "kind"), ("levels", 0, "moduli"),
+              ("levels", 0, "images"), ("levels", 0, "degree"),
+              ("embedding", "kind"), ("embedding", "tile"),
+              ("embedding", "epsilon"))
+# no "/" in strings: an "output" value is a path relative to a temporary dir
+fuzz_text = st.text(alphabet="ab01.\0", max_size=4)
+fuzz_leaf = st.one_of(st.none(), st.booleans(), st.floats(), fuzz_text,
+                      st.integers(-10 ** 6, 0), st.integers(10 ** 6, 10 ** 30))
+fuzz_value = st.one_of(fuzz_leaf, st.lists(fuzz_leaf, max_size=3),
+                       st.dictionaries(fuzz_text, fuzz_leaf, max_size=2))
+DELETE = object()
+
+
+@given(st.sampled_from(FUZZ_BASES), st.sampled_from(FUZZ_PATHS),
+       st.one_of(fuzz_value, st.just(DELETE)))
+@settings(deadline=None, max_examples=200)
+def test_gradient_config_fuzz(base, path, value):
+    config = copy.deepcopy(base)
+    owner = config
+    for key in path[:-1]:
+        owner = owner.get(key) if isinstance(owner, dict) else owner[key]
+        if not isinstance(owner, (dict, list)):
+            return
+    if value is DELETE:
+        if isinstance(owner, dict):
+            owner.pop(path[-1], None)
+    else:
+        owner[path[-1]] = value
+    old = os.getcwd()
+    with tempfile.TemporaryDirectory() as workdir:
+        cfg_path = os.path.join(workdir, "exp.json")
+        with open(cfg_path, "w") as fh:
+            json.dump(config, fh)
+        os.chdir(workdir)
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()) as err:
+                code = main(["gradient", "--config", cfg_path])
+        finally:
+            os.chdir(old)
+    assert code in (0, 1, 2)
+    assert code != 1 or err.getvalue().startswith("config error:")
+
+
+def test_module_start_runs_once():
+    # python -m torgrad.pipeline must not import the module a second time
+    # through the package (runpy warns on stderr when it does)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run(
+        [sys.executable, "-m", "torgrad.pipeline", "verify", "gabber",
+         "--trials", "0"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0
+    assert proc.stdout == "suite gabber: trials=0 failures=0 PASS\n"
+    assert proc.stderr == ""
+
+
+def _bench_workloads():
+    """perfbench/workloads.py, read only: its configs and golden CSVs."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look the module up
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_gradient_ladder_matches_golden_csv(tmp_path, capsys, seed):
+    workloads = _bench_workloads()
+    for inv in workloads.invocations("gradient-ladder", seed):
+        cfg_path = tmp_path / "exp.json"
+        cfg_path.write_text(json.dumps(inv.config))
+        assert main(inv.argv(str(cfg_path))) == 0
+        golden = (workloads.GOLDEN / inv.golden).read_text()
+        assert capsys.readouterr().out == golden, inv.label
 
 
 SMALL_TRIALS = {"opnorm": 25, "gabber": 50, "strictify": 8,
