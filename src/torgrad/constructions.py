@@ -51,9 +51,8 @@ def _gm1(k: int) -> dict:
 # resolution data over group rings
 
 # Free generators of a resolution summed over its degrees.  Every level
-# multiplies them by |G|, and the surface data alone grows with the cube of
-# the genus (genus 63 takes about 2 s, 127 about 15 s), so a larger
-# resolution is refused before it is built.
+# multiplies them by |G|, so a larger resolution is refused before it is
+# built.
 MAX_GENERATORS = 128
 
 
@@ -106,6 +105,18 @@ def resolution_free_abelian(dim: int):
         raise ValueError("free abelian resolution needs dimension >= 1")
     # 2^dim generators; the exponent is clipped so a huge dim costs nothing
     _check_size(2 ** min(dim, MAX_GENERATORS.bit_length()))
+    return koszul_complex([_gm1(k) for k in range(dim)])
+
+
+def koszul_complex(elements: Sequence[dict]):
+    """Koszul complex of group ring elements x_0..x_{k-1}: rank C(k, r) in
+    degree r, one basis vector e_s per r-subset s, and d e_s the sum over
+    the positions p of s of (-1)^p x_{s_p} e_{s minus s_p}.
+
+    The boundaries square to zero once the x_k commute at the level, as
+    polynomials in one word do in every quotient.
+    """
+    dim = len(elements)
     ranks = []
     subsets = []
     for r in range(dim + 1):
@@ -121,8 +132,7 @@ def resolution_free_abelian(dim: int):
                 off = tuple(x for x in s if x != k)
                 coeff = 1 if pos % 2 == 0 else -1
                 row[subsets[r - 1][off]] = {
-                    _gen(k): coeff, (): -coeff,
-                }
+                    w: coeff * c for w, c in elements[k].items()}
             rows.append(row)
         matrices.append(rows)
     return ranks, matrices

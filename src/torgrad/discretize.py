@@ -9,17 +9,21 @@ route to the same matrices.
 
 The integer linear algebra lives here too, as one sparse elimination
 kernel (Dumas, Saunders, Villard, J. Symbolic Comput. 32, 2001;
-Kaczynski, Mischaikow, Mrozek, Computational Homology, 2004).  A dense
-matrix becomes row dicts with a column index in one pass; pivots are
-taken in Markowitz order from a cost queue.  Over Z only +-1 entries are
-pivots, each contributing an invariant factor 1, and the residual core,
-usually empty since these matrices are very sparse with unit entries, goes
-to a dense Smith loop.  Rank over Q takes every nonzero entry as a pivot
-and leaves no core.  Homology needs nothing more: C_n / ker d_n embeds in
-the free group C_{n-1}, so Tors H_n = Tors coker d_{n+1} and
-b_n = dim C_n - rk d_n - rk d_{n+1}, and each boundary is factored once.
-Betti numbers over F_p come from the same factors by universal
-coefficients, with no second elimination.
+Kaczynski, Mischaikow, Mrozek, Computational Homology, 2004).  It takes
+sparse rows; a dense matrix is read into them once, transposed if it has
+more rows than columns, since a pivot clears its whole column.  Pivots
+are taken in Markowitz order from a cost queue.  Over Z only +-1 entries
+are pivots, each contributing an invariant factor 1, and the residual
+core, usually empty since these matrices are very sparse with unit
+entries, goes to a dense Smith loop.  Rank over Q takes every nonzero
+entry as a pivot and leaves no core.  Homology needs nothing more:
+C_n / ker d_n embeds in the free group C_{n-1}, so Tors H_n =
+Tors coker d_{n+1} and b_n = dim C_n - rk d_n - rk d_{n+1}.  The complex
+is reduced from the top boundary down, each boundary eliminated once:
+the generators of C_n that d_{n+1}'s unit pivots pair off are deleted
+from d_n first, which leaves the image of d_n as it was.  Betti numbers
+over F_p come from the same factors by universal coefficients, with no
+second elimination.
 """
 
 from __future__ import annotations
@@ -80,12 +84,32 @@ def _sparse_rows(a: Matrix) -> list:
     return [{j: row[j] for j in compress(idx, row)} for row in a]
 
 
-def _eliminate(a: Matrix, over_q: bool = False) -> tuple:
-    """Sparse elimination of a over Z, or over Q if over_q.
+def _transpose(rows: list, width: int) -> list:
+    """The width sparse rows of the transpose of sparse rows."""
+    out = [{} for _ in range(width)]
+    for i, row in enumerate(rows):
+        for j, v in row.items():
+            out[j][i] = v
+    return out
+
+
+def _oriented(a: Matrix) -> tuple:
+    """Sparse rows of a and its width, or of its transpose if a has more
+    rows than columns: a pivot clears its whole column, so elimination runs
+    where columns are shorter.  Rank and invariant factors are the same."""
+    rows, width = _sparse_rows(a), mat_shape(a)[1]
+    if len(rows) > width:
+        return _transpose(rows, width), len(rows)
+    return rows, width
+
+
+def _eliminate(rows: list, width: int, over_q: bool = False) -> tuple:
+    """Sparse elimination over Z, or over Q if over_q, of the matrix with
+    the given sparse rows (consumed) and width.
 
     Over Z a pivot is an entry +-1, whose row and column unimodular row
-    and column operations clear, so a is equivalent to I_k + S, S the
-    Schur complement left when no unit pivot remains.  Over Q every
+    and column operations clear, so the matrix is equivalent to I_k + S, S
+    the Schur complement left when no unit pivot remains.  Over Q every
     nonzero entry is a pivot and nothing is left; a row cleared by a pivot
     u other than +-1 is first multiplied by u (the rank stays) and then
     divided by the gcd of its entries.
@@ -93,12 +117,10 @@ def _eliminate(a: Matrix, over_q: bool = False) -> tuple:
     Rows are pivoted cheapest first by the Markowitz cost (row length - 1)
     * (column length - 1) of their best pivot, from a heap: a row is queued
     again whenever elimination changes it, and an older entry is still
-    used while its pivot is.  Returns k and S as a dense matrix over the
-    rows and columns left.
+    used while its pivot is.  Returns the pivots as (row, column) pairs,
+    k of them, and S as a dense matrix over the rows and columns left.
     """
-    n = mat_shape(a)[1]
-    rows = _sparse_rows(a)
-    cols = [set() for _ in range(n)]  # column j -> rows nonzero there
+    cols = [set() for _ in range(width)]  # column j -> rows nonzero there
     for i, row in enumerate(rows):
         for j in row:
             cols[j].add(i)
@@ -118,7 +140,7 @@ def _eliminate(a: Matrix, over_q: bool = False) -> tuple:
 
     heap = [(*cand, i) for i, cand in enumerate(map(best, rows)) if cand]
     heapify(heap)
-    k = 0
+    pivots = []
     while heap:
         _, c, i = heappop(heap)
         pivot_row = rows[i]
@@ -159,17 +181,17 @@ def _eliminate(a: Matrix, over_q: bool = False) -> tuple:
             cand = best(row)
             if cand is not None:
                 heappush(heap, (*cand, t))
-        k += 1
+        pivots.append((i, c))
     live = [row for row in rows if row]
     if not live:
-        return k, []
-    left = [j for j in range(n) if cols[j]]
-    return k, [[row.get(j, 0) for j in left] for row in live]
+        return pivots, []
+    left = [j for j in range(width) if cols[j]]
+    return pivots, [[row.get(j, 0) for j in left] for row in live]
 
 
 def matrix_rank(a: Matrix) -> int:
     """Rank over Q."""
-    return _eliminate(a, over_q=True)[0]
+    return len(_eliminate(*_oriented(a), over_q=True)[0])
 
 
 def invariant_factors(a: Matrix) -> tuple:
@@ -177,8 +199,8 @@ def invariant_factors(a: Matrix) -> tuple:
 
     Each unit pivot contributes a factor 1; the dense Smith loop runs on
     the residual core only, usually empty."""
-    k, core = _eliminate(a)
-    return (1,) * k + _core_invariant_factors(core)
+    pivots, core = _eliminate(*_oriented(a))
+    return (1,) * len(pivots) + _core_invariant_factors(core)
 
 
 def _core_invariant_factors(a: Matrix) -> tuple:
@@ -337,19 +359,50 @@ def homology_of_complex(dims: Sequence[int], mats: Sequence[Matrix]) -> tuple:
     groups, as a tuple indexed by n.
 
     mats[r] is the boundary d_{r+1} from degree r+1 to degree r.  Each is
-    factored once: b_n = dims[n] - rk d_n - rk d_{n+1}, and Tors H_n is
-    the torsion of coker d_{n+1}, since C_n / ker d_n is free.
+    read into sparse rows once; d d = 0 is checked on those rows, then the
+    complex is reduced from the top boundary down, each boundary factored
+    once: b_n = dims[n] - rk d_n - rk d_{n+1}, and Tors H_n is the torsion
+    of coker d_{n+1}, since C_n / ker d_n is free.
+
+    A unit pivot of d_{n+1} pairs a generator a of C_n with a generator b
+    of C_{n+1}; d_n d_{n+1} b = 0 puts d_n a in the span of d_n on the
+    other generators, and the same holds in every Schur complement.  So the
+    columns of d_n that d_{n+1}'s unit pivots pair off are deleted before
+    d_n is eliminated, which leaves its image, hence its rank and nonzero
+    invariant factors, as they were.  Each boundary is eliminated in the
+    orientation with the shorter columns, transposed when it has more
+    live rows than live columns.
     """
+    rows = [_sparse_rows(m) for m in mats]
+    widths = [mat_shape(m)[1] for m in mats]
     for r in range(1, len(mats)):
         # a matrix without rows has no width to check and composes to zero
-        if mats[r - 1] and mats[r] and not _composes_to_zero(mats[r - 1],
-                                                            mats[r]):
+        if rows[r - 1] and rows[r] and not _composes_to_zero(
+                rows[r - 1], widths[r - 1], rows[r], widths[r]):
             raise ValueError(
                 "boundaries do not compose to zero; not a complex"
             )
-    # factors[n] belongs to d_{n+1}; no boundary maps into the top degree
-    factors = [invariant_factors(m) for m in mats]
-    factors += [()] * (len(dims) - len(mats))
+    factors = [()] * len(mats)  # factors[n] belongs to d_{n+1}
+    paired = set()  # generators of C_{r+1} that d_{r+2} pairs off
+    for r in reversed(range(len(mats))):
+        a, width = rows[r], widths[r]
+        if paired:
+            a = [{j: v for j, v in row.items() if j not in paired}
+                 for row in a]
+        transposed = len(a) > width - len(paired)
+        if transposed:
+            a, width = _transpose(a, width), len(a)
+        pivots, core = _eliminate(a, width)
+        factors[r] = (1,) * len(pivots) + _core_invariant_factors(core)
+        # the pivots' indices in C_r, the codomain of d_{r+1}
+        paired = {p[transposed] for p in pivots}
+    return homology_from_factors(dims, factors)
+
+
+def homology_from_factors(dims: Sequence[int], factors: Sequence) -> tuple:
+    """H_n for every degree n = 0..len(dims)-1, from factors[r], the
+    nonzero invariant factors of d_{r+1}; missing ones are empty."""
+    factors = list(factors) + [()] * (len(dims) - len(factors))
     rank = [0] + [len(f) for f in factors]  # rank[r] = rk d_r
     return tuple(
         HomologyResult(betti=dims[n] - rank[n] - rank[n + 1],
@@ -371,16 +424,16 @@ def betti_mod_p(homology: Sequence[HomologyResult], p: int) -> tuple:
                  for n, h in enumerate(homology))
 
 
-def _composes_to_zero(a: Matrix, b: Matrix) -> bool:
-    """Whether the product a b is zero, summed over nonzero entries only."""
-    if len(a[0]) != len(b):
-        raise ValueError(f"cannot compose a {len(a)}x{len(a[0])} matrix "
-                         f"with a {len(b)}x{len(b[0])} matrix")
-    b_rows = _sparse_rows(b)
-    for row in _sparse_rows(a):
+def _composes_to_zero(a: list, a_width: int, b: list, b_width: int) -> bool:
+    """Whether the product of the sparse rows a (a_width columns) and b
+    (b_width columns) is zero, summed over nonzero entries only."""
+    if a_width != len(b):
+        raise ValueError(f"cannot compose a {len(a)}x{a_width} matrix "
+                         f"with a {len(b)}x{b_width} matrix")
+    for row in a:
         acc = defaultdict(int)
         for k, v in row.items():
-            for j, w in b_rows[k].items():
+            for j, w in b[k].items():
                 acc[j] += v * w
         if any(acc.values()):
             return False

@@ -14,6 +14,7 @@ import os
 import re
 import string
 from collections import deque
+from operator import add, mod
 from typing import Callable, Iterable, Optional, Sequence
 
 # A word is a reduced tuple of (generator index, nonzero exponent) pairs,
@@ -179,21 +180,28 @@ def fox_derivative(word: Word, gen: int) -> RingElt:
     """Free derivative d(word)/d(gen) in the integral group ring.
 
     Characterised by d(uv) = du + u dv, dg/dg = 1, dh/dg = 0 for h != g,
-    which forces d(g^-1)/dg = -g^-1.
+    which forces d(g^-1)/dg = -g^-1.  The word is reduced once; a prefix
+    of a reduced word is reduced and ends in a letter other than gen, so
+    every term is a slice with one power of gen appended.
     """
+    word = reduce_word(word)
     out: RingElt = {}
-    prefix: Word = ()
-    for g, e in word:
-        if g == gen:
-            if e > 0:
-                terms = [word_mul(prefix, ((g, k),) if k else ()) for k in range(e)]
-                sign = 1
+    for pos, (g, e) in enumerate(word):
+        if g != gen:
+            continue
+        prefix = word[:pos]
+        if e > 0:
+            terms = [prefix + ((g, k),) if k else prefix for k in range(e)]
+            sign = 1
+        else:
+            terms = [prefix + ((g, -k),) for k in range(1, -e + 1)]
+            sign = -1
+        for t in terms:
+            c = out.get(t, 0) + sign
+            if c:
+                out[t] = c
             else:
-                terms = [word_mul(prefix, ((g, -k),)) for k in range(1, -e + 1)]
-                sign = -1
-            for t in terms:
-                out = ring_add(out, ring_from_word(t, sign))
-        prefix = word_mul(prefix, ((g, e),))
+                del out[t]
     return out
 
 
@@ -254,32 +262,40 @@ def _enumerate_subgroup(
     key_inv: Callable,
     cap: int,
 ):
+    """Breadth-first enumeration over the generator images and their
+    inverses.  Returns the keys, a shortest word per element, the key
+    index, and the tree: for each element x but the identity, its parent
+    p and the right table of the step s with x = p s."""
     keys = [identity_key]
     words: list[Word] = [()]
     index = {identity_key: 0}
     steps = []
     for gi, gk in enumerate(gen_keys):
-        steps.append((gi, 1, gk))
-        steps.append((gi, -1, key_inv(gk)))
+        steps.append((gi, 1, gk, []))
+        steps.append((gi, -1, key_inv(gk), []))
+    tree = []
     queue = deque([0])
     while queue:
         i = queue.popleft()
         base_key = keys[i]
         base_word = words[i]
-        for gi, e, gk in steps:
+        for gi, e, gk, right in steps:
+            # elements leave the queue in index order: right[i] is i * step
             nk = key_mul(base_key, gk)
-            if nk in index:
-                continue
-            if len(keys) >= cap:
-                raise OrderCapExceeded(
-                    f"quotient enumeration exceeded {cap} elements; raise "
-                    f"{ORDER_CAP_ENV} to allow larger levels"
-                )
-            index[nk] = len(keys)
-            keys.append(nk)
-            words.append(word_mul(base_word, ((gi, e),)))
-            queue.append(index[nk])
-    return keys, words, index
+            j = index.get(nk)
+            if j is None:
+                if len(keys) >= cap:
+                    raise OrderCapExceeded(
+                        f"quotient enumeration exceeded {cap} elements; raise "
+                        f"{ORDER_CAP_ENV} to allow larger levels"
+                    )
+                j = index[nk] = len(keys)
+                keys.append(nk)
+                words.append(word_mul(base_word, ((gi, e),)))
+                tree.append((i, right))
+                queue.append(j)
+            right.append(j)
+    return keys, words, index, tree
 
 
 def _as_int(value, what: str) -> int:
@@ -303,12 +319,13 @@ class FiniteQuotient:
         self.spec = spec
         self._key_mul = key_mul
         self._key_inv = key_inv
-        keys, words, index = _enumerate_subgroup(
+        keys, words, index, tree = _enumerate_subgroup(
             identity_key, gen_keys, key_mul, key_inv, order_cap()
         )
         self._keys = keys
         self._words = words
         self._index = index
+        self._tree = tree
         self.order = len(keys)
         self.identity = 0
         self.generator_images = tuple(index[k] for k in gen_keys)
@@ -351,7 +368,7 @@ class FiniteQuotient:
             spec["images"] = [list(v) for v in vecs]
 
         def key_mul(x, y):
-            return tuple((a + b) % m for a, b, m in zip(x, y, moduli))
+            return tuple(map(mod, map(add, x, y), moduli))
 
         def key_inv(x):
             return tuple(-a % m for a, m in zip(x, moduli))
@@ -438,7 +455,10 @@ class FiniteQuotient:
     def left_table(self, g: int) -> list[int]:
         table = self._left_tables.get(g)
         if table is None:
-            table = [self.mul(g, x) for x in range(self.order)]
+            # g x = (g p) s along the enumeration tree, parents first
+            table = [g]
+            for parent, right in self._tree:
+                table.append(right[table[parent]])
             self._left_tables[g] = table
         return table
 

@@ -28,6 +28,7 @@ from .complexes import (
 )
 from .constructions import (
     integers_embedding,
+    koszul_complex,
     resolution_by_name,
     rokhlin_level_contraction,
     rokhlin_partition,
@@ -45,11 +46,14 @@ from .crossring import (
     vector_l1,
 )
 from .discretize import (
+    _core_invariant_factors,
     betti_mod_p,
     coinvariants_complex,
     coinvariants_matrix,
+    homology_from_factors,
     homology_of_complex,
     retract_inequality_check,
+    shapiro_complex,
 )
 from .groups import FiniteQuotient, OrderCapExceeded
 from .lognorm import (
@@ -443,9 +447,10 @@ def run_gradient(config: dict) -> GradientTable:
 
 ROKHLIN_GRID = ((6, 2), (7, 2), (12, 4), (100, 10))
 VERIFY_SUITES = ("opnorm", "gabber", "strictify", "rokhlin", "lognorm",
-                 "retract")
+                 "retract", "discretize")
 DEFAULT_TRIALS = {"opnorm": 200, "gabber": 200, "strictify": 25,
-                  "rokhlin": 6, "lognorm": 60, "retract": 20}
+                  "rokhlin": 6, "lognorm": 60, "retract": 20,
+                  "discretize": 200}
 
 
 def _suite_opnorm(rng: random.Random, trials: int) -> list:
@@ -712,9 +717,63 @@ def _suite_retract(rng: random.Random, trials: int) -> list:
     return failures
 
 
+def random_torsion_level(rng: random.Random) -> tuple:
+    """A small level and the Koszul complex of two or three random ring
+    elements over it, (quotient, ranks, ring matrices, generator images);
+    its homology usually has torsion.  An element is g - 1, a
+    constant, g + c or 1 + g + g^2 for g a power of a free generator.
+    Images are random elements of an abelian quotient, or powers of one
+    element of S3 or of the dihedral group of order 8, so the elements
+    commute at the level and the complex is strict."""
+    if rng.random() < 0.3:
+        q = FiniteQuotient.permutation(*rng.choice((
+            (3, [[1, 0, 2], [1, 2, 0]]), (4, [[1, 2, 3, 0], [3, 2, 1, 0]]))))
+        h = rng.randrange(q.order)
+        images = [q.power(h, rng.randint(1, q.order)) for _ in range(2)]
+    else:
+        q = FiniteQuotient.abelian(rng.choice(
+            [s["moduli"] for s in QUOTIENT_SPECS if s["kind"] == "abelian"]))
+        images = [rng.randrange(q.order) for _ in range(2)]
+    elements = []
+    for _ in range(rng.randint(2, 3)):
+        k, e = rng.randrange(2), rng.choice((1, -1, 2))
+        g = ((k, e),)
+        elements.append(rng.choice((
+            {g: 1, (): -1},  # unit entries
+            {(): rng.choice((2, 3))},
+            {g: 1, (): rng.choice((1, 2, -2))},
+            {(): 1, g: 1, ((k, 2 * e),): 1})))
+    ranks, mats = koszul_complex(elements)
+    return q, ranks, mats, images
+
+
+def _suite_discretize(rng: random.Random, trials: int) -> list:
+    failures = []
+    for t in range(trials):
+        q, ranks, mats, images = random_torsion_level(rng)
+        cx = induce_resolution(LevelSpace(q), ranks, mats,
+                               gen_images=images, augmented=False)
+        dims, level = coinvariants_complex(cx)
+        routes = {
+            "reduced": homology_of_complex(dims, level),
+            # the dense Smith loop on each whole boundary
+            "dense": homology_from_factors(
+                dims, [_core_invariant_factors(m) for m in level]),
+            "shapiro": homology_of_complex(
+                *shapiro_complex(q, ranks, mats, images)),
+        }
+        if not routes["reduced"] == routes["dense"] == routes["shapiro"]:
+            failures.append({"suite": "discretize", "trial": t,
+                             "complex": cx.to_json(),
+                             **{k: list(map(str, v))
+                                for k, v in routes.items()}})
+    return failures
+
+
 SUITE_RUNNERS = {"opnorm": _suite_opnorm, "gabber": _suite_gabber,
                  "strictify": _suite_strictify, "rokhlin": _suite_rokhlin,
-                 "lognorm": _suite_lognorm, "retract": _suite_retract}
+                 "lognorm": _suite_lognorm, "retract": _suite_retract,
+                 "discretize": _suite_discretize}
 
 
 def run_verify(suite: str, seed: int = 0,

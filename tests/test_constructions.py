@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -66,6 +67,18 @@ def test_resolution_free_shapes():
                           ("free_abelian", 8), ("free_abelian", 10 ** 9)):
         with pytest.raises(ValueError, match="above the cap"):
             resolution_by_name(family, param)
+
+
+def test_surface_resolution_at_genus_63_within_budget():
+    # the relator has length 4g; each free derivative is read off slices
+    # of it, so the largest surface allowed builds in well under a second
+    budget_s = 1.0
+    started = time.monotonic()
+    ranks, mats = resolution_by_name("surface", 63)
+    elapsed = time.monotonic() - started
+    assert ranks == [1, 126, 1]
+    assert all(len(d) == 2 for d in mats[1][0])
+    assert elapsed < budget_s, f"took {elapsed:.2f}s"
 
 
 def test_surface_relator_and_fox_row():

@@ -1,4 +1,5 @@
 import math
+import random
 import time
 
 import pytest
@@ -174,6 +175,74 @@ def test_homology_torsion_oracle(summands, torsion_summand, rng):
         rank = [0] + [gf_rank(m, p) for m in dense] + [0]
         assert betti_mod_p(homology, p) == tuple(
             dims[n] - rank[n] - rank[n + 1] for n in range(len(dims)))
+
+
+# The top-down reduction: homology_of_complex deletes the columns of d_n
+# that d_{n+1}'s unit pivots pair off, and eliminates each boundary in the
+# orientation with the shorter columns.
+
+
+@st.composite
+def reduction_complexes(draw):
+    """A complex in degrees 0..TOP with a unit pair in d_{n+1} above torsion
+    in d_n, torsion in d_{n+1} as well, random elementary summands, and free
+    summands that make d_{n+1} tall, wide or square; every degree is
+    conjugated by a random unimodular matrix.  Returns dims, the dense
+    boundaries, (betti, torsion) per degree by construction, and n."""
+    n = draw(st.integers(1, TOP - 1))
+    torsion = st.sampled_from([2, 3, 4, 6, 12])
+    summands = [(1, n), (1, n), (draw(torsion), n - 1), (draw(torsion), n)]
+    summands += draw(st.lists(elementary, max_size=6))
+    dims = elementary_sum(summands)[0]
+    rows, cols = dims[n], dims[n + 1]
+    extra = draw(st.integers(1, 3))
+    shape = draw(st.sampled_from(["tall", "wide", "square"]))
+    if shape == "tall":
+        pad = [("Z", n)] * max(0, cols - rows + extra)
+    elif shape == "wide":
+        pad = [("Z", n + 1)] * max(0, rows - cols + extra)
+    else:
+        pad = [("Z", n if rows < cols else n + 1)] * abs(rows - cols)
+    dims, mats, expected = elementary_sum(summands + pad)
+    rng = draw(st.randoms(use_true_random=False))
+    conj = [random_unimodular(rng, d) for d in dims]
+    dense = [mat_mul(mat_mul(conj[k - 1][0], mats[k - 1]), conj[k][1])
+             for k in range(1, TOP + 1)]
+    return dims, dense, expected, n
+
+
+@given(reduction_complexes())
+@settings(deadline=None, max_examples=150)
+def test_top_down_reduction_against_sympy(case):
+    dims, mats, expected, n = case
+    # each boundary on its own, by sympy's Smith form
+    factors = [sympy_factors(m) for m in mats] + [()]
+    rank = [0] + [len(f) for f in factors]
+    oracle = [(dims[k] - rank[k] - rank[k + 1],
+               tuple(d for d in factors[k] if d > 1), rank[k + 1])
+              for k in range(len(dims))]
+    homology = homology_of_complex(dims, mats)
+    assert [(h.betti, h.torsion, h.boundary_rank) for h in homology] == oracle
+    assert [(h.betti, h.torsion) for h in homology] == expected
+    assert homology[n - 1].torsion and homology[n].torsion
+
+
+@pytest.mark.parametrize("dims, top", [
+    ([3, 1, 2], [[1, 0]]),      # tall d_1, wide d_2
+    ([1, 2, 1], [[1], [0]]),    # wide d_1, tall d_2
+])
+def test_reduction_still_checks_composition(dims, top):
+    rng = random.Random(len(top))
+    d1 = [[int(i == j) for j in range(dims[1])] for i in range(dims[0])]
+    assert mat_mul(d1, top) != zeros(dims[0], dims[2])
+    with pytest.raises(ValueError, match="do not compose"):
+        homology_of_complex(dims, [d1, top])
+    # the same, with every degree conjugated
+    conj = [random_unimodular(rng, d) for d in dims]
+    mats = [mat_mul(mat_mul(conj[k - 1][0], m), conj[k][1])
+            for k, m in ((1, d1), (2, top))]
+    with pytest.raises(ValueError, match="do not compose"):
+        homology_of_complex(dims, mats)
 
 
 @given(int_matrices)

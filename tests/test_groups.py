@@ -142,6 +142,46 @@ def test_left_table():
     assert sorted(table) == list(range(q.order))
 
 
+abelian_quotients = st.integers(1, 3).flatmap(
+    lambda k: st.tuples(
+        st.lists(st.integers(1, 6), min_size=k, max_size=k),
+        st.lists(st.lists(st.integers(-7, 7), min_size=k, max_size=k),
+                 min_size=1, max_size=4),
+    )
+).map(lambda spec: FiniteQuotient.abelian(*spec))
+
+permutation_quotients = st.integers(1, 5).flatmap(
+    lambda d: st.lists(st.permutations(range(d)), min_size=1, max_size=3)
+    .map(lambda images: FiniteQuotient.permutation(d, images))
+)
+
+
+@given(st.one_of(abelian_quotients, permutation_quotients))
+@settings(deadline=None, max_examples=60)
+def test_left_table_matches_mul(q):
+    # tables come from the enumeration tree, mul from key arithmetic
+    for g in range(q.order):
+        assert q.left_table(g) == [q.mul(g, x) for x in range(q.order)]
+    for i in range(q.order):
+        assert q.evaluate_word(q.word_of(i)) == i
+
+
+def test_enumeration_order_frozen():
+    # element indices and representative words are part of the output
+    q = s3_quotient()
+    assert [q.word_of(i) for i in range(q.order)] == [
+        (), ((0, 1),), ((1, 1),), ((1, -1),), ((0, 1), (1, 1)),
+        ((0, 1), (1, -1))]
+    assert [q.element_label(i) for i in range(q.order)] == [
+        "(0, 1, 2)", "(1, 0, 2)", "(1, 2, 0)", "(2, 0, 1)", "(0, 2, 1)",
+        "(2, 1, 0)"]
+    q = FiniteQuotient.abelian([3, 2], images=[[1, 1], [2, 0]])
+    assert [q.word_of(i) for i in range(q.order)] == [
+        (), ((0, 1),), ((0, -1),), ((1, 1),), ((1, -1),), ((0, 1), (1, 1))]
+    assert [q.element_label(i) for i in range(q.order)] == [
+        "(0, 0)", "(1, 1)", "(2, 1)", "(2, 0)", "(1, 0)", "(0, 1)"]
+
+
 def test_abelian_quotient_defaults():
     q = FiniteQuotient.abelian([2, 2])
     assert q.order == 4

@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import dataclasses
 import importlib.util
 import io
 import json
@@ -13,7 +14,10 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from torgrad import pipeline
+from torgrad.complexes import induce_resolution
 from torgrad.crossring import LevelSpace
+from torgrad.discretize import coinvariants_complex, homology_of_complex
 from torgrad.groups import FiniteQuotient
 from torgrad.lognorm import lognorm_exact, lognorm_of_decomposition, lognorm_upper
 from torgrad.pipeline import (
@@ -24,6 +28,7 @@ from torgrad.pipeline import (
     VERIFY_SUITES,
     main,
     random_morphism,
+    random_torsion_level,
     run_gradient,
     run_verify,
 )
@@ -292,12 +297,36 @@ def test_gradient_ladder_matches_golden_csv(tmp_path, capsys, seed):
 
 
 SMALL_TRIALS = {"opnorm": 25, "gabber": 50, "strictify": 8,
-                "rokhlin": 2, "lognorm": 25, "retract": 8}
+                "rokhlin": 2, "lognorm": 25, "retract": 8, "discretize": 60}
 
 
 @pytest.mark.parametrize("suite", VERIFY_SUITES)
 def test_verify_suites_pass(suite):
     assert run_verify(suite, seed=11, trials=SMALL_TRIALS[suite]) == []
+
+
+def test_verify_discretize_levels_have_torsion(monkeypatch):
+    # the suite's levels carry torsion, on permutation quotients too
+    rng = random.Random(3)
+    seen = set()
+    for _ in range(60):
+        q, ranks, mats, images = random_torsion_level(rng)
+        cx = induce_resolution(LevelSpace(q), ranks, mats, gen_images=images,
+                               augmented=False)
+        homology = homology_of_complex(*coinvariants_complex(cx))
+        if any(h.torsion for h in homology):
+            seen.add(q.spec["kind"])
+    assert seen == {"abelian", "permutation"}
+
+    # and it reports a homology that forgets torsion
+    def torsion_free(dims, mats):
+        return tuple(dataclasses.replace(h, torsion=())
+                     for h in homology_of_complex(dims, mats))
+    monkeypatch.setattr(pipeline, "homology_of_complex", torsion_free)
+    failures = run_verify("discretize", seed=11, trials=20)
+    assert failures
+    assert {f["suite"] for f in failures} == {"discretize"}
+    json.dumps(failures)
 
 
 def test_verify_unknown_suite():
