@@ -13,10 +13,8 @@ from .crossring import (
     LevelSpace,
     MarkedModule,
     MarkedMorphism,
-    almost_eq,
     marked_inclusion,
     marked_projection,
-    marked_rank,
     morphism_stats,
     op_norm,
     vector_stats,
@@ -27,7 +25,6 @@ from .complexes import (
     defect_report,
     gh_verify,
     induce_resolution,
-    kappa_stats,
     mapping_cone,
     tensor_complex,
     witness_report,
@@ -56,8 +53,6 @@ from .constructions import (
     integers_embedding,
     resolution_by_name,
     rokhlin_partition,
-    supp1_chain_extend,
-    supp1_extend,
 )
 
 __version__ = "0.1.0"
@@ -66,11 +61,10 @@ __all__ = [
     "FiniteQuotient", "Presentation", "fox_derivative", "parse_word",
     "push_to_quotient", "reduce_word",
     "Augmentation", "LevelSpace", "MarkedModule", "MarkedMorphism",
-    "almost_eq", "marked_inclusion", "marked_projection", "marked_rank",
-    "morphism_stats", "op_norm", "vector_stats",
+    "marked_inclusion", "marked_projection", "morphism_stats", "op_norm",
+    "vector_stats",
     "MarkedComplex", "check_chain_map", "defect_report", "gh_verify",
-    "induce_resolution", "kappa_stats", "mapping_cone", "tensor_complex",
-    "witness_report",
+    "induce_resolution", "mapping_cone", "tensor_complex", "witness_report",
     "make_surjective", "strictify_complex", "strictify_map",
     "betti_mod_p", "coinvariants_complex", "coinvariants_matrix",
     "homology_of_complex", "invariant_factors", "retract_inequality_check",
@@ -79,5 +73,5 @@ __all__ = [
     "lognorm_certificate", "lognorm_exact", "lognorm_of_decomposition",
     "lognorm_upper",
     "degree0_cheap", "integers_embedding", "resolution_by_name",
-    "rokhlin_partition", "supp1_chain_extend", "supp1_extend",
+    "rokhlin_partition",
 ]

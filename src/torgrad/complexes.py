@@ -160,34 +160,6 @@ def defect_report(cx: MarkedComplex) -> DefectReport:
 
 
 @dataclass(frozen=True)
-class KappaStats:
-    """Norm and counting profile of a complex: kappa bounds operator norms,
-    nu the fibre counts (nu_low with max taken over rows instead of sums)."""
-
-    kappa: int
-    nu: int
-    nu_low: int
-    dims: tuple
-
-    def bounded_by(self, kappa: int) -> bool:
-        return self.kappa < kappa and all(d < kappa for d in self.dims)
-
-
-def kappa_stats(cx: MarkedComplex) -> KappaStats:
-    kappa = nu = nu_low = 0
-    if cx.augmentation is not None:
-        norm = cx.augmentation.linf()
-        kappa = nu = nu_low = norm
-    for r in range(1, cx.top_degree + 1):
-        s = morphism_stats(cx.boundary(r))
-        kappa = max(kappa, op_norm(cx.boundary(r)))
-        nu = max(nu, s.n1)
-        nu_low = max(nu_low, s.n1_max)
-    return KappaStats(kappa=kappa, nu=nu, nu_low=nu_low,
-                      dims=tuple(m.dim() for m in cx.modules))
-
-
-@dataclass(frozen=True)
 class WitnessReport:
     """How close eta(z) is to the constant function 1."""
 
@@ -484,25 +456,6 @@ def tensor_complex(left: MarkedComplex, right: MarkedComplex) -> TensorResult:
     return TensorResult(MarkedComplex(modules, boundaries, aug), tuple(summands))
 
 
-def tensor_vector(result: TensorResult, degree_pair, left_vec: Vector,
-                  right_vec: Vector) -> Vector:
-    """Componentwise product z_i * w_j placed on the (p, i, j) summands of
-    the tensor; exact for product-independent data."""
-    from .crossring import celt_mul
-
-    p, q = degree_pair
-    n = p + q
-    module = result.complex.module(n)
-    out = [dict() for _ in range(module.rank)]
-    pos = {tag: t for t, tag in enumerate(result.summands[n])}
-    for i, z in enumerate(left_vec):
-        for j, w in enumerate(right_vec):
-            t = pos.get((p, i, j))
-            if t is not None and z and w:
-                out[t] = celt_mul(result.complex.space, z, w)
-    return module.normalize_vector(out)
-
-
 # ---------------------------------------------------------------------------
 # ambient comparisons (Gromov-Hausdorff style witnesses)
 
@@ -612,97 +565,3 @@ def gh_verify(left: MarkedComplex, right: MarkedComplex, witness: GHWitness
         delta=witness.delta,
         k=witness.k,
     )
-
-
-def gh_identity_witness(cx: MarkedComplex, delta=None, k: Optional[int] = None
-                        ) -> GHWitness:
-    """The trivial witness comparing a complex with itself in itself."""
-    assignments = tuple(
-        tuple(range(cx.module(r).rank)) for r in range(cx.top_degree + 1)
-    )
-    stats = kappa_stats(cx)
-    return GHWitness(
-        ambients=tuple(cx.modules),
-        left_assignments=assignments,
-        right_assignments=assignments,
-        delta=Fraction(delta) if delta is not None else Fraction(1),
-        k=k if k is not None else stats.kappa,
-    )
-
-
-def gh_compose(first: GHWitness, middle: MarkedComplex, second: GHWitness
-               ) -> GHWitness:
-    """Glue two witnesses along the common middle complex.
-
-    Per degree the new ambient is the pushout of the two ambients along the
-    middle inclusions: ambient summands receiving the same middle summand
-    are merged (carrier union), all other summands are kept.  Parameters
-    add: (delta + delta', k + k').
-    """
-    top = middle.top_degree
-    ambients = []
-    left_assignments = []
-    right_assignments = []
-    for r in range(top + 1):
-        P, Q = first.ambients[r], second.ambients[r]
-        into_P = first.right_assignments[r]
-        into_Q = second.left_assignments[r]
-        if len(into_P) != middle.module(r).rank or len(into_Q) != middle.module(r).rank:
-            raise ValueError("witnesses do not agree on the middle complex")
-        carriers = []
-        p_pos = {}
-        q_pos = {}
-        for j in range(middle.module(r).rank):
-            p_pos[into_P[j]] = len(carriers)
-            q_pos[into_Q[j]] = len(carriers)
-            carriers.append(P.carriers[into_P[j]] | Q.carriers[into_Q[j]])
-        for t in range(P.rank):
-            if t not in p_pos:
-                p_pos[t] = len(carriers)
-                carriers.append(P.carriers[t])
-        for t in range(Q.rank):
-            if t not in q_pos:
-                q_pos[t] = len(carriers)
-                carriers.append(Q.carriers[t])
-        ambients.append(MarkedModule(middle.space, carriers))
-        left_assignments.append(
-            tuple(p_pos[t] for t in first.left_assignments[r])
-        )
-        right_assignments.append(
-            tuple(q_pos[t] for t in second.right_assignments[r])
-        )
-    return GHWitness(
-        ambients=tuple(ambients),
-        left_assignments=tuple(left_assignments),
-        right_assignments=tuple(right_assignments),
-        delta=first.delta + second.delta,
-        k=first.k + second.k,
-    )
-
-
-def gh_transport_vector(left: MarkedComplex, right: MarkedComplex,
-                        witness: GHWitness, vec: Vector, degree: int = 0
-                        ) -> Vector:
-    """Move a vector across the witness: pi_{phi'} (phi (vec)).
-
-    Transporting an augmentation witness this way degrades its defect by at
-    most (1 + N_1(vec)) times the witness delta, and never increases N_1,
-    N_2 or the sup norm."""
-    iota = marked_inclusion(left.module(degree), witness.ambients[degree],
-                            witness.left_assignments[degree])
-    pi = marked_projection(witness.ambients[degree], right.module(degree),
-                           witness.right_assignments[degree])
-    return pi.apply(iota.apply(vec))
-
-
-def gh_extracted_maps(left: MarkedComplex, right: MarkedComplex,
-                      witness: GHWitness) -> list[MarkedMorphism]:
-    """The comparison maps pi_{phi'} o phi: left_r -> right_r."""
-    maps = []
-    for r in range(left.top_degree + 1):
-        iota = marked_inclusion(left.module(r), witness.ambients[r],
-                                witness.left_assignments[r])
-        pi = marked_projection(witness.ambients[r], right.module(r),
-                               witness.right_assignments[r])
-        maps.append(iota.then(pi))
-    return maps

@@ -4,9 +4,8 @@ Resolution data is kept at the group ring level (ranks plus matrices of
 word-coefficient dictionaries) so one description can be induced at every
 finite level.  The other constructions live at a fixed level: a greedy
 cheap degree-0 piece, the two-term complex attached to a Rokhlin tile of
-Z/M, the chain homotopy equivalence between that complex and the induced
-resolution of the integers, and extension of a short complex to higher
-degrees along prescribed syzygies with support-minimal carriers.
+Z/M, and the chain homotopy equivalence between that complex and the
+induced resolution of the integers.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ from .groups import (
     FiniteQuotient,
     Word,
     fox_derivative,
-    push_to_quotient,
     reduce_word,
 )
 from .crossring import (
@@ -33,10 +31,9 @@ from .crossring import (
     celt_mul,
     celt_normalize,
     celt_sub,
-    celt_supp1,
     op_norm,
 )
-from .complexes import MarkedComplex, defect_report
+from .complexes import MarkedComplex
 
 
 def _gen(k: int, e: int = 1) -> Word:
@@ -499,81 +496,3 @@ def integers_embedding(modulus: int, tile: int) -> EmbeddingResult:
         backward=(r0, r1),
         homotopies=(h0,),
     )
-
-
-# ---------------------------------------------------------------------------
-# extension along syzygies with support-minimal carriers
-
-
-def ring_matrix_to_celts(space: LevelSpace, matrix, gen_images=None):
-    """Push a matrix of group ring elements to level elements with full
-    base functions, one (c chi_G, g) term per image element."""
-    out = []
-    for row in matrix:
-        new = []
-        for elt in row:
-            pushed = push_to_quotient(elt, space.quotient, gen_images)
-            celt = {g: {u: c for u in range(space.order)}
-                    for g, c in pushed.items()}
-            new.append(celt_normalize(space, celt))
-        out.append(new)
-    return out
-
-
-def ring_kappa(matrix) -> int:
-    """Largest l1 coefficient mass of an entry."""
-    return max(
-        (sum(abs(c) for c in elt.values()) for row in matrix for elt in row),
-        default=0,
-    )
-
-
-def supp1_extend(space: LevelSpace, lam, codomain: MarkedModule
-                 ) -> MarkedMorphism:
-    """Morphism with entries lam[i][j] . chi_{B_j} and the smallest marked
-    domain carrying them: A_i is the union of left supports of row i."""
-    rows = len(lam)
-    images = []
-    carriers = []
-    for i in range(rows):
-        if len(lam[i]) != codomain.rank:
-            raise ValueError(
-                f"row {i} has {len(lam[i])} entries for rank {codomain.rank}"
-            )
-        row = [
-            celt_mul(space, lam[i][j],
-                     celt_indicator(space, codomain.carriers[j]))
-            for j in range(codomain.rank)
-        ]
-        support = frozenset().union(*(celt_supp1(z) for z in row)) \
-            if row else frozenset()
-        images.append(row)
-        carriers.append(support)
-    domain = MarkedModule(space, carriers)
-    return MarkedMorphism(domain, codomain, images)
-
-
-def supp1_chain_extend(base: MarkedComplex, matrices,
-                       gen_images=None) -> MarkedComplex:
-    """Extend a complex upwards along group ring syzygies.
-
-    matrices[k] maps the new degree top+k+1 to the previous top; each
-    new module carries exactly the supports of the pushed rows, so chi_A z
-    = z holds and composites vanish whenever the ring products do.  The
-    result is validated and a non-complex input is rejected.
-    """
-    space = base.space
-    modules = list(base.modules)
-    boundaries = [base.boundary(r) for r in range(1, base.top_degree + 1)]
-    for mat in matrices:
-        lam = ring_matrix_to_celts(space, mat, gen_images)
-        nxt = supp1_extend(space, lam, modules[-1])
-        modules.append(nxt.domain)
-        boundaries.append(nxt)
-    out = MarkedComplex(modules, boundaries, base.augmentation)
-    report = defect_report(out)
-    if not report.is_strict:
-        raise ValueError(
-            f"extension is not a chain complex, defects {report.composite_sizes}"
-        )
-    return out

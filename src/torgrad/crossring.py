@@ -1,9 +1,9 @@
 """Crossed product rings over a finite level and marked modules over them.
 
 The level model of the crossed product: fix a finite quotient G of the
-acting group and a coefficient ring (Z, or F_p with the trivial norm).  A
+acting group; coefficients are integers with the usual absolute value.  A
 ring element is a finite sum z = sum_g (f_g, g) with f_g a finitely
-supported function G -> coefficients, stored as {g: {point: coeff}}.
+supported function G -> Z, stored as {g: {point: coeff}}.
 Multiplication twists by the left translation action (g.f)(x) = f(g^-1 x):
 
     (f, g) * (h, k) = (f * (g.h), g k)
@@ -41,43 +41,39 @@ _FRACTION_MEMO = 4096
 
 
 class LevelSpace:
-    """A finite quotient together with a coefficient choice.
+    """A finite quotient with integer coefficients.
 
-    ``char`` 0 means integer coefficients with the usual absolute value;
-    a prime p means F_p with the trivial norm (|x| = 1 for x != 0).  The
-    measure is the normalised counting measure on the quotient.
+    The measure is the normalised counting measure on the quotient.
     """
 
-    def __init__(self, quotient: FiniteQuotient, char: int = 0):
-        if char < 0 or char == 1:
-            raise ValueError(f"characteristic must be 0 or a prime, got {char}")
+    def __init__(self, quotient: FiniteQuotient):
         self.quotient = quotient
         self.order = quotient.order
-        self.char = int(char)
         self._fractions: dict[int, Fraction] = {}
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, LevelSpace)
-            and self.char == other.char
             and self.quotient.spec == other.quotient.spec
         )
 
     def __hash__(self):
-        return hash((self.char, self.order))
+        return hash(self.order)
 
     def __repr__(self) -> str:
-        coeff = "Z" if self.char == 0 else f"F{self.char}"
-        return f"LevelSpace(order={self.order}, coeffs={coeff})"
+        return f"LevelSpace(order={self.order})"
 
     def to_json(self) -> dict:
-        return {"quotient": self.quotient.to_json(), "char": self.char}
+        return {"quotient": self.quotient.to_json()}
 
     @staticmethod
     def from_json(data: dict) -> "LevelSpace":
-        return LevelSpace(
-            FiniteQuotient.from_json(data["quotient"]), data.get("char", 0)
-        )
+        """Coefficients are integers: a ``char`` key, if present, must be 0."""
+        char = data.get("char", 0)
+        if char != 0:
+            raise ValueError(f"only integer coefficients are supported; "
+                             f"char must be absent or 0, got {char!r}")
+        return LevelSpace(FiniteQuotient.from_json(data["quotient"]))
 
     # measure and coefficients ----------------------------------------------
 
@@ -98,28 +94,15 @@ class LevelSpace:
     def full_carrier(self) -> frozenset:
         return frozenset(range(self.order))
 
-    def normalize_coeff(self, c: int) -> int:
-        return c % self.char if self.char else c
-
-    def coeff_abs(self, c: int) -> int:
-        if self.char:
-            return 1 if c % self.char else 0
-        return abs(c)
-
     # sparse functions -------------------------------------------------------
 
     def fn_normalize(self, f: Fn) -> Fn:
-        out = {}
-        for u, c in f.items():
-            c = self.normalize_coeff(c)
-            if c:
-                out[u] = c
-        return out
+        return {u: c for u, c in f.items() if c}
 
     def fn_add(self, f: Fn, g: Fn) -> Fn:
         out = dict(f)
         for u, c in g.items():
-            s = self.normalize_coeff(out.get(u, 0) + c)
+            s = out.get(u, 0) + c
             if s:
                 out[u] = s
             else:
@@ -127,7 +110,7 @@ class LevelSpace:
         return out
 
     def fn_neg(self, f: Fn) -> Fn:
-        return {u: self.normalize_coeff(-c) for u, c in f.items()}
+        return {u: -c for u, c in f.items()}
 
     def fn_sub(self, f: Fn, g: Fn) -> Fn:
         return self.fn_add(f, self.fn_neg(g))
@@ -146,11 +129,8 @@ class LevelSpace:
     def indicator(self, points: Iterable[int]) -> Fn:
         return {int(u): 1 for u in points}
 
-    def fn_l1_count(self, f: Fn) -> int:
-        return sum(self.coeff_abs(c) for c in f.values())
-
     def fn_linf(self, f: Fn) -> int:
-        return max((self.coeff_abs(c) for c in f.values()), default=0)
+        return max((abs(c) for c in f.values()), default=0)
 
 
 # ---------------------------------------------------------------------------
@@ -170,10 +150,6 @@ def celt_indicator(space: LevelSpace, points: Iterable[int], g: int = 0) -> CElt
     """(chi_S, g); the multiplicative unit is celt_indicator(space, all, e)."""
     f = space.indicator(points)
     return {g: f} if f else {}
-
-
-def celt_unit(space: LevelSpace) -> CElt:
-    return celt_indicator(space, range(space.order), space.quotient.identity)
 
 
 def celt_add(space: LevelSpace, x: CElt, y: CElt) -> CElt:
@@ -207,7 +183,6 @@ def celt_scale(space: LevelSpace, a: int, x: CElt) -> CElt:
 def celt_mul(space: LevelSpace, x: CElt, y: CElt) -> CElt:
     """(f, g)(h, k) = (f * (g.h), g k), extended bilinearly."""
     q = space.quotient
-    char = space.char
     out: CElt = {}
     for g, f in x.items():
         table = q.left_table(g)
@@ -218,9 +193,7 @@ def celt_mul(space: LevelSpace, x: CElt, y: CElt) -> CElt:
                 gu = table[u]
                 fv = f.get(gu)
                 if fv is not None:
-                    s = fv * c % char if char else fv * c
-                    if s:
-                        prod[gu] = s
+                    prod[gu] = fv * c
             if prod:
                 merged = space.fn_add(out.get(gk, {}), prod)
                 if merged:
@@ -228,14 +201,6 @@ def celt_mul(space: LevelSpace, x: CElt, y: CElt) -> CElt:
                 else:
                     out.pop(gk, None)
     return out
-
-
-def celt_supp1(z: CElt) -> frozenset:
-    """Union of the fibre supports; chi_supp1(z) * z = z."""
-    out: set = set()
-    for f in z.values():
-        out.update(f)
-    return frozenset(out)
 
 
 def celt_apply_l(space: LevelSpace, z: CElt, xi: Fn) -> Fn:
@@ -247,7 +212,7 @@ def celt_apply_l(space: LevelSpace, z: CElt, xi: Fn) -> Fn:
             gu = table[u]
             fv = f.get(gu)
             if fv is not None:
-                s = space.normalize_coeff(out.get(gu, 0) + fv * c)
+                s = out.get(gu, 0) + fv * c
                 if s:
                     out[gu] = s
                 else:
@@ -267,7 +232,6 @@ class ElementStats(NamedTuple):
 def _element_stats(space: LevelSpace, components) -> ElementStats:
     """Statistics of the celts in ``components``, counted jointly."""
     q = space.quotient
-    char = space.char
     counts1: dict = {}
     counts2: dict = {}
     supp: set = set()
@@ -277,10 +241,7 @@ def _element_stats(space: LevelSpace, components) -> ElementStats:
         for g, f in z.items():
             back = q.left_table(q.inv(g))
             for u, c in f.items():
-                if char:
-                    a = 1 if c % char else 0
-                else:
-                    a = c if c >= 0 else -c
+                a = c if c >= 0 else -c
                 total += a
                 if a > linf:
                     linf = a
@@ -298,19 +259,12 @@ def _element_stats(space: LevelSpace, components) -> ElementStats:
     )
 
 
-def celt_stats(space: LevelSpace, z: CElt) -> ElementStats:
-    return _element_stats(space, (z,))
-
-
 # ---------------------------------------------------------------------------
 # vectors (elements of a direct sum)
 
 
-def vector_sub(space, x: Vector, y: Vector) -> Vector:
-    return tuple(celt_sub(space, a, b) for a, b in zip(x, y))
-
-
 def vector_supp1(x: Vector) -> frozenset:
+    """Union of the fibre supports; chi_supp1(x_i) * x_i = x_i."""
     out: set = set()
     for z in x:
         for f in z.values():
@@ -325,11 +279,7 @@ def vector_stats(space: LevelSpace, x: Vector) -> ElementStats:
 
 def vector_l1(space: LevelSpace, x: Vector) -> int:
     """The unnormalised l1 mass |G| * vector_stats(space, x).l1, for
-    callers that read nothing else; over F_p each nonzero entry counts 1."""
-    char = space.char
-    if char:
-        return sum(1 for z in x for f in z.values() for c in f.values()
-                   if c % char)
+    callers that read nothing else."""
     return sum(abs(c) for z in x for f in z.values() for c in f.values())
 
 
@@ -363,9 +313,6 @@ class MarkedModule:
     def full(cls, space: LevelSpace, rank: int) -> "MarkedModule":
         return cls(space, [space.full_carrier()] * rank)
 
-    def zero_vector(self) -> Vector:
-        return ({},) * self.rank
-
     def basis_vector(self, i: int) -> Vector:
         """chi_{A_i} e_i, the marked generator of the i-th summand."""
         return self.element(i, celt_indicator(self.space, self.carriers[i]))
@@ -383,36 +330,17 @@ class MarkedModule:
 
     def normalize_component(self, i: int, z: CElt) -> CElt:
         """Project onto <A_i>: fibre at g is restricted to g A_i."""
-        space = self.space
-        char = space.char
         out = {}
         for g, f in z.items():
             allowed = self._allowed.get((i, g))
             if allowed is None:
-                table = space.quotient.left_table(g)
+                table = self.space.quotient.left_table(g)
                 allowed = frozenset(table[u] for u in self.carriers[i])
                 self._allowed[i, g] = allowed
-            kept = {}
-            for u, c in f.items():
-                if u in allowed:
-                    if char:
-                        c %= char
-                    if c:
-                        kept[u] = c
+            kept = {u: c for u, c in f.items() if c and u in allowed}
             if kept:
                 out[g] = kept
         return out
-
-    def normalize_vector(self, vec: Sequence[CElt]) -> Vector:
-        if len(vec) != self.rank:
-            raise ValueError(f"vector has {len(vec)} components, expected {self.rank}")
-        return tuple(self.normalize_component(i, z) for i, z in enumerate(vec))
-
-    def contains_vector(self, vec: Sequence[CElt]) -> bool:
-        return len(vec) == self.rank and all(
-            celt_sub(self.space, z, self.normalize_component(i, z)) == {}
-            for i, z in enumerate(vec)
-        )
 
     def atoms(self):
         for i, A in enumerate(self.carriers):
@@ -664,11 +592,6 @@ class MarkedMorphism:
         return MarkedMorphism(domain, codomain, entries)
 
 
-def compose(outer: MarkedMorphism, inner: MarkedMorphism) -> MarkedMorphism:
-    """outer after inner."""
-    return inner.then(outer)
-
-
 # ---------------------------------------------------------------------------
 # morphism statistics and norms
 
@@ -681,11 +604,6 @@ class MorphismStats:
     n1_max: int
     n2_max: int
     linf: int
-
-    @property
-    def k_bound(self) -> int:
-        """N_2max * linf; always dominates the operator norm."""
-        return self.n2_max * self.linf
 
 
 def morphism_stats(f: MarkedMorphism) -> MorphismStats:
@@ -707,61 +625,17 @@ def morphism_stats(f: MarkedMorphism) -> MorphismStats:
 def op_norm(f: MarkedMorphism) -> int:
     """max over atoms (i, u in A_i) of the l1 mass of the image of the atom,
     renormalised by the measure of the atom; an integer."""
-    space = f.space
     best = 0
     for i, A in enumerate(f.domain.carriers):
         per_point: dict[int, int] = {}
         for j in range(f.codomain.rank):
             for g, fn in f.entries[i][j].items():
                 for u, c in fn.items():
-                    per_point[u] = per_point.get(u, 0) + space.coeff_abs(c)
+                    per_point[u] = per_point.get(u, 0) + abs(c)
         # entries are normalised, so per_point only sees points of A_i
         if per_point:
             best = max(best, max(per_point.values()))
     return best
-
-
-def marked_rank(f: MarkedMorphism) -> Fraction:
-    """Total measure of the smallest marked submodule of the codomain
-    containing the image: per codomain summand, the union of g^-1 supp(f_g)
-    over all entries of the column."""
-    space = f.space
-    q = space.quotient
-    total = Fraction(0)
-    for j in range(f.codomain.rank):
-        covered: set = set()
-        for i in range(f.domain.rank):
-            for g, fn in f.entries[i][j].items():
-                back = q.left_table(q.inv(g))
-                covered.update(back[u] for u in fn)
-        total += space.measure(covered)
-    return total
-
-
-@dataclass(frozen=True)
-class AlmostEqReport:
-    size1: Fraction
-    delta: Fraction
-    op_norm: Optional[int]
-    k: Optional[int]
-
-    @property
-    def within(self) -> bool:
-        if self.size1 >= self.delta:
-            return False
-        if self.k is not None and self.op_norm is not None and self.op_norm > self.k:
-            return False
-        return True
-
-
-def almost_eq(f: MarkedMorphism, g: MarkedMorphism, delta, k: Optional[int] = None
-              ) -> AlmostEqReport:
-    """Measure f =_delta g (strictly less than delta), optionally with the
-    operator norm bound ||f - g|| <= k."""
-    diff = f.sub(g)
-    size1 = morphism_stats(diff).size1
-    norm = op_norm(diff) if k is not None else None
-    return AlmostEqReport(size1=size1, delta=Fraction(delta), op_norm=norm, k=k)
 
 
 # ---------------------------------------------------------------------------
@@ -899,11 +773,3 @@ class Augmentation:
         domain = MarkedModule.from_json(data, space)
         values = [{int(u): int(c) for u, c in pairs} for pairs in data["values"]]
         return Augmentation(domain, values)
-
-
-def augmentation_almost_eq(a: Augmentation, b: Augmentation, delta,
-                           k: Optional[int] = None) -> AlmostEqReport:
-    diff = a.sub(b)
-    norm = diff.linf() if k is not None else None
-    return AlmostEqReport(size1=diff.size1(), delta=Fraction(delta),
-                          op_norm=norm, k=k)

@@ -54,26 +54,6 @@ def mat_shape(a: Matrix) -> tuple[int, int]:
     return len(a), len(a[0]) if a else 0
 
 
-def matrix_to_json(a: Matrix) -> dict:
-    r, c = mat_shape(a)
-    return {"rows": r, "cols": c, "data": [list(row) for row in a]}
-
-
-def matrix_from_json(obj: dict) -> Matrix:
-    rows, cols = int(obj["rows"]), int(obj["cols"])
-    if "data" in obj:
-        data = [[int(v) for v in row] for row in obj["data"]]
-        if len(data) != rows or any(len(r) != cols for r in data):
-            raise ValueError("dense matrix data does not match rows x cols")
-        return data
-    out = zeros(rows, cols)
-    for i, j, v in obj["entries"]:
-        if not (0 <= i < rows and 0 <= j < cols):
-            raise ValueError(f"entry ({i}, {j}) outside {rows}x{cols}")
-        out[int(i)][int(j)] += int(v)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # elimination
 

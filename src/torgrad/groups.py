@@ -1,4 +1,4 @@
-"""Free-group words, integral group rings, Fox calculus, finite quotients.
+"""Free-group words, Fox derivatives, finite quotients.
 
 A presented group is only ever touched through its finite quotients: words
 stay elements of the ambient free group, and equality of words is decided
@@ -70,23 +70,6 @@ def reduce_word(pairs: Iterable[Sequence[int]]) -> Word:
     return tuple(stack)
 
 
-def word_mul(u: Word, v: Word) -> Word:
-    return reduce_word(tuple(u) + tuple(v))
-
-
-def word_inv(u: Word) -> Word:
-    return tuple((g, -e) for g, e in reversed(u))
-
-
-def word_pow(u: Word, n: int) -> Word:
-    if n < 0:
-        return word_pow(word_inv(u), -n)
-    acc: Word = ()
-    for _ in range(n):
-        acc = word_mul(acc, u)
-    return acc
-
-
 _TOKEN = re.compile(r"([a-z])(?:\^?(-?\d+))?")
 
 
@@ -133,47 +116,7 @@ def word_to_str(word: Word) -> str:
 
 
 # ---------------------------------------------------------------------------
-# integral group ring of the free group
-
-
-def ring_from_word(word: Word, coeff: int = 1) -> RingElt:
-    return {tuple(word): coeff} if coeff else {}
-
-
-def ring_one() -> RingElt:
-    return {(): 1}
-
-
-def ring_add(x: RingElt, y: RingElt) -> RingElt:
-    out = dict(x)
-    for w, c in y.items():
-        s = out.get(w, 0) + c
-        if s:
-            out[w] = s
-        else:
-            out.pop(w, None)
-    return out
-
-
-def ring_neg(x: RingElt) -> RingElt:
-    return {w: -c for w, c in x.items()}
-
-
-def ring_sub(x: RingElt, y: RingElt) -> RingElt:
-    return ring_add(x, ring_neg(y))
-
-
-def ring_mul(x: RingElt, y: RingElt) -> RingElt:
-    out: RingElt = {}
-    for u, cu in x.items():
-        for v, cv in y.items():
-            w = word_mul(u, v)
-            s = out.get(w, 0) + cu * cv
-            if s:
-                out[w] = s
-            else:
-                out.pop(w, None)
-    return out
+# Fox calculus
 
 
 def fox_derivative(word: Word, gen: int) -> RingElt:
@@ -203,15 +146,6 @@ def fox_derivative(word: Word, gen: int) -> RingElt:
             else:
                 del out[t]
     return out
-
-
-def fox_identity_defect(word: Word, num_generators: int) -> RingElt:
-    """sum_g d(word)/dg * (g - 1) - (word - 1); zero for every word."""
-    total: RingElt = {}
-    for g in range(num_generators):
-        bracket = ring_add(ring_from_word(((g, 1),)), ring_from_word((), -1))
-        total = ring_add(total, ring_mul(fox_derivative(word, g), bracket))
-    return ring_sub(total, ring_sub(ring_from_word(word), ring_one()))
 
 
 # ---------------------------------------------------------------------------
@@ -279,6 +213,8 @@ def _enumerate_subgroup(
         i = queue.popleft()
         base_key = keys[i]
         base_word = words[i]
+        # base_word is reduced, so only its last letter can merge
+        last = base_word[-1] if base_word else None
         for gi, e, gk, right in steps:
             # elements leave the queue in index order: right[i] is i * step
             nk = key_mul(base_key, gk)
@@ -291,7 +227,12 @@ def _enumerate_subgroup(
                     )
                 j = index[nk] = len(keys)
                 keys.append(nk)
-                words.append(word_mul(base_word, ((gi, e),)))
+                if last is not None and last[0] == gi:
+                    merged = last[1] + e
+                    words.append(base_word[:-1] + ((gi, merged),)
+                                 if merged else base_word[:-1])
+                else:
+                    words.append(base_word + ((gi, e),))
                 tree.append((i, right))
                 queue.append(j)
             right.append(j)

@@ -52,7 +52,7 @@ def atom_norms(f: MarkedMorphism) -> dict:
                 for fn in row[j].values():
                     c = fn.get(u)
                     if c:
-                        total += f.space.coeff_abs(c)
+                        total += abs(c)
             out[(i, u)] = total
     return out
 
@@ -173,7 +173,6 @@ def set_partitions(items: Sequence):
 def lognorm_certificate(
     f: MarkedMorphism,
     strategy: str = "greedy",
-    max_atoms: int = EXACT_ATOM_CAP,
     rank: Optional[int] = None,
 ) -> tuple:
     """Value plus the decomposition realising it, for audit output.
@@ -200,9 +199,9 @@ def lognorm_certificate(
             return single, [list(live)]
         return total, blocks
     if strategy == "exact":
-        if len(live) > max_atoms:
+        if len(live) > EXACT_ATOM_CAP:
             raise ValueError(
-                f"{len(live)} atoms exceed the exhaustive cap {max_atoms}"
+                f"{len(live)} atoms exceed the exhaustive cap {EXACT_ATOM_CAP}"
             )
         best_val, best_blocks = None, None
         for part in set_partitions(live):
@@ -216,7 +215,6 @@ def lognorm_certificate(
 def lognorm_upper(
     f: MarkedMorphism,
     strategy: str = "greedy",
-    max_atoms: int = EXACT_ATOM_CAP,
     rank: Optional[int] = None,
 ) -> float:
     """Upper bound for the log-norm of f by the named search strategy.
@@ -225,11 +223,11 @@ def lognorm_upper(
     exact <= greedy <= atoms and exact <= block always holds.  rank is as
     in lognorm_certificate.
     """
-    return lognorm_certificate(f, strategy, max_atoms, rank)[0]
+    return lognorm_certificate(f, strategy, rank)[0]
 
 
-def lognorm_exact(f: MarkedMorphism, max_atoms: int = EXACT_ATOM_CAP) -> float:
-    return lognorm_upper(f, "exact", max_atoms)
+def lognorm_exact(f: MarkedMorphism) -> float:
+    return lognorm_upper(f, "exact")
 
 
 # ---------------------------------------------------------------------------

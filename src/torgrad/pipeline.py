@@ -179,45 +179,40 @@ def brute_force_op_norm(f: MarkedMorphism) -> int:
     return best
 
 
-def perturb_complex(rng: random.Random, cx: MarkedComplex,
-                    cells: int = 1) -> MarkedComplex:
-    """Add `cells` random single-point terms to boundary entries; each cell
-    moves one boundary map by size at most 1/|G|."""
-    space = cx.space
-    boundaries = list(cx.boundaries())
-    for _ in range(cells):
-        r = rng.randrange(len(boundaries))
-        d = boundaries[r]
-        i = rng.randrange(d.domain.rank)
-        j = rng.randrange(d.codomain.rank)
-        g = rng.randrange(space.order)
-        table = space.quotient.left_table(g)
-        gb = {table[v] for v in d.codomain.carriers[j]}
-        pts = sorted(u for u in d.domain.carriers[i] if u in gb)
-        if not pts:
-            continue
-        u = pts[rng.randrange(len(pts))]
-        entries = [list(row) for row in d.entries]
-        entries[i][j] = celt_add(space, entries[i][j],
-                                 {g: {u: rng.choice([-1, 1])}})
-        boundaries[r] = MarkedMorphism(d.domain, d.codomain, entries)
-    return MarkedComplex(cx.modules, boundaries, cx.augmentation)
-
-
-def perturb_morphism(rng: random.Random, f: MarkedMorphism) -> MarkedMorphism:
-    """Add one random cell to one entry; moves f by size at most 1/|G|."""
-    entries = [list(row) for row in f.entries]
+def _perturb_cell(rng: random.Random, f: MarkedMorphism,
+                  coeffs: Sequence[int]) -> MarkedMorphism:
+    """f plus one random cell: a single-point term, coefficient drawn from
+    coeffs, in a random entry and fibre; f itself when that entry has no
+    point to take.  Moves f by size at most 1/|G|."""
     i = rng.randrange(f.domain.rank)
     j = rng.randrange(f.codomain.rank)
     g = rng.randrange(f.space.order)
     table = f.space.quotient.left_table(g)
     gb = {table[v] for v in f.codomain.carriers[j]}
     pts = sorted(u for u in f.domain.carriers[i] if u in gb)
-    if pts:
-        u = pts[rng.randrange(len(pts))]
-        entries[i][j] = celt_add(f.space, entries[i][j],
-                                 {g: {u: rng.choice([-2, -1, 1, 2])}})
+    if not pts:
+        return f
+    u = pts[rng.randrange(len(pts))]
+    entries = [list(row) for row in f.entries]
+    entries[i][j] = celt_add(f.space, entries[i][j],
+                             {g: {u: rng.choice(coeffs)}})
     return MarkedMorphism(f.domain, f.codomain, entries)
+
+
+def perturb_complex(rng: random.Random, cx: MarkedComplex,
+                    cells: int = 1) -> MarkedComplex:
+    """Add `cells` random cells with coefficients +-1 to boundary entries;
+    each cell moves one boundary map by size at most 1/|G|."""
+    boundaries = list(cx.boundaries())
+    for _ in range(cells):
+        r = rng.randrange(len(boundaries))
+        boundaries[r] = _perturb_cell(rng, boundaries[r], (-1, 1))
+    return MarkedComplex(cx.modules, boundaries, cx.augmentation)
+
+
+def perturb_morphism(rng: random.Random, f: MarkedMorphism) -> MarkedMorphism:
+    """Add one random cell with coefficient +-1 or +-2 to one entry."""
+    return _perturb_cell(rng, f, (-2, -1, 1, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -381,6 +376,11 @@ def run_gradient(config: dict) -> GradientTable:
                 f"({quotient.order} after {prev_order})"
             )
         prev_order = quotient.order
+        if len(quotient.generator_images) != ranks[1]:
+            raise ConfigError(
+                f"level {idx}: {len(quotient.generator_images)} generator "
+                f"images for a {family} resolution on {ranks[1]} generators"
+            )
         space = LevelSpace(quotient)
         try:
             induced = induce_resolution(space, ranks, matrices,
@@ -388,7 +388,14 @@ def run_gradient(config: dict) -> GradientTable:
         except (IndexError, ValueError) as exc:
             raise ConfigError(f"level {idx}: {exc}") from None
         dims, mats = coinvariants_complex(induced)
-        homology = homology_of_complex(dims, mats)
+        try:
+            homology = homology_of_complex(dims, mats)
+        except ValueError as exc:
+            # the boundaries compose to zero wherever the images satisfy
+            # the family's relations
+            raise ConfigError(f"level {idx}: the generator images break a "
+                              f"relation of the {family} family: {exc}"
+                              ) from None
         betti_p = betti_mod_p(homology, p)
 
         target = induced

@@ -1,6 +1,7 @@
-"""Builders shared by the test modules."""
+"""Builders shared by the test modules, and the free group ring
+arithmetic that the Fox calculus oracle needs."""
 
-from torgrad.groups import parse_word
+from torgrad.groups import fox_derivative, parse_word, reduce_word
 from torgrad.crossring import (
     Augmentation,
     MarkedModule,
@@ -19,6 +20,57 @@ def mat_mul(a, b):
 
 def w(s):
     return parse_word(s)
+
+
+# integral group ring of the free group: {reduced word: nonzero coeff}
+
+def word_mul(u, v):
+    return reduce_word(tuple(u) + tuple(v))
+
+
+def ring_from_word(word, coeff=1):
+    return {tuple(word): coeff} if coeff else {}
+
+
+def ring_one():
+    return {(): 1}
+
+
+def ring_add(x, y):
+    out = dict(x)
+    for word, c in y.items():
+        s = out.get(word, 0) + c
+        if s:
+            out[word] = s
+        else:
+            out.pop(word, None)
+    return out
+
+
+def ring_sub(x, y):
+    return ring_add(x, {word: -c for word, c in y.items()})
+
+
+def ring_mul(x, y):
+    out = {}
+    for u, cu in x.items():
+        for v, cv in y.items():
+            word = word_mul(u, v)
+            s = out.get(word, 0) + cu * cv
+            if s:
+                out[word] = s
+            else:
+                out.pop(word, None)
+    return out
+
+
+def fox_identity_defect(word, num_generators):
+    """sum_g d(word)/dg * (g - 1) - (word - 1); zero for every word."""
+    total = {}
+    for g in range(num_generators):
+        bracket = ring_add(ring_from_word(((g, 1),)), ring_from_word((), -1))
+        total = ring_add(total, ring_mul(fox_derivative(word, g), bracket))
+    return ring_sub(total, ring_sub(ring_from_word(word), ring_one()))
 
 
 def gm1(s):

@@ -4,14 +4,8 @@ from fractions import Fraction
 import pytest
 
 from torgrad.groups import FiniteQuotient, parse_word
-from torgrad.crossring import (
-    LevelSpace,
-    MarkedModule,
-    MarkedMorphism,
-    op_norm,
-)
+from torgrad.crossring import LevelSpace, MarkedMorphism
 from torgrad.complexes import (
-    MarkedComplex,
     check_chain_map,
     defect_report,
     induce_resolution,
@@ -29,14 +23,10 @@ from torgrad.constructions import (
     resolution_free_abelian,
     resolution_integers,
     resolution_surface,
-    ring_kappa,
-    ring_matrix_to_celts,
     rokhlin_level_contraction,
     rokhlin_partition,
     rokhlin_tower_boundary,
     rokhlin_tower_contraction,
-    supp1_chain_extend,
-    supp1_extend,
     surface_relator,
     tower_contract,
     tower_mul,
@@ -231,45 +221,3 @@ def test_integers_embedding_retract_inequalities():
     assert report.ok
     assert [h.betti for h in report.retract_homology] == [1, 1]
     assert all(a.betti >= 1 for a in report.ambient_homology)
-
-
-def test_supp1_extend_shapes_and_bounds():
-    space = SP33
-    mat = [[{w("a"): 2, (): 1}, {w("b-1"): -1}]]
-    kappa = ring_kappa(mat)
-    assert kappa == 3
-    codomain = MarkedModule(space, [frozenset({0, 1}), frozenset({2, 3, 4})])
-    lam = ring_matrix_to_celts(space, mat)
-    f = supp1_extend(space, lam, codomain)
-    assert f.codomain is codomain
-    assert f.domain.rank == 1
-    total = Fraction(len(codomain.carriers[0]) + len(codomain.carriers[1]),
-                     space.order)
-    assert f.domain.dim() <= kappa * total
-    assert op_norm(f) <= kappa * kappa * codomain.rank
-
-
-def test_supp1_chain_extend_recovers_koszul():
-    base = koszul2(SP33)
-    trunc = MarkedComplex(base.modules[:2], [base.boundary(1)], base.augmentation)
-    lam2 = [[{w("b"): -1, (): 1}, {w("a"): 1, (): -1}]]
-    out = supp1_chain_extend(trunc, [lam2])
-    assert out.top_degree == 2
-    assert out.module(2).carriers == base.module(2).carriers
-    assert out.boundary(2).entries == base.boundary(2).entries
-    assert defect_report(out).is_strict
-
-
-def test_supp1_chain_extend_rejects_non_syzygy():
-    base = koszul2(SP33)
-    trunc = MarkedComplex(base.modules[:2], [base.boundary(1)], base.augmentation)
-    with pytest.raises(ValueError):
-        supp1_chain_extend(trunc, [[[{(): 1}, {}]]])
-
-
-def test_supp1_chain_extend_zero_row():
-    base = koszul2(SP33)
-    trunc = MarkedComplex(base.modules[:2], [base.boundary(1)], base.augmentation)
-    out = supp1_chain_extend(trunc, [[[{}, {}]]])
-    assert out.module(2).carriers == (frozenset(),)
-    assert out.module(2).dim() == 0

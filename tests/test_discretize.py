@@ -25,9 +25,7 @@ from torgrad.discretize import (
     homology_of_complex,
     invariant_factors,
     mat_shape,
-    matrix_from_json,
     matrix_rank,
-    matrix_to_json,
     retract_inequality_check,
     shapiro_complex,
     shapiro_matrix,
@@ -356,17 +354,6 @@ def test_gradient_at_order_1024_within_budget():
     assert row.betti_q == row.betti_p == 1025
     assert row.logtors == 0
     assert elapsed < budget_s, f"took {elapsed:.1f}s"
-
-
-def test_matrix_json_round_trip():
-    a = [[1, -2, 0], [0, 3, 7]]
-    assert matrix_from_json(matrix_to_json(a)) == a
-    coo = {"rows": 2, "cols": 3, "entries": [[0, 1, -2], [1, 2, 7], [0, 0, 1], [1, 1, 3]]}
-    assert matrix_from_json(coo) == a
-    with pytest.raises(ValueError):
-        matrix_from_json({"rows": 1, "cols": 1, "entries": [[0, 2, 1]]})
-    with pytest.raises(ValueError):
-        matrix_from_json({"rows": 2, "cols": 2, "data": [[1, 2]]})
 
 
 def test_coinvariants_shapes_and_column_norm():

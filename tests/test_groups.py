@@ -6,19 +6,18 @@ from torgrad.groups import (
     OrderCapExceeded,
     Presentation,
     fox_derivative,
-    fox_identity_defect,
     parse_word,
     push_to_quotient,
     reduce_word,
+    word_to_str,
+)
+from helpers import (
+    fox_identity_defect,
     ring_add,
     ring_from_word,
     ring_mul,
     ring_one,
     ring_sub,
-    word_inv,
-    word_mul,
-    word_pow,
-    word_to_str,
 )
 
 words = st.builds(
@@ -60,11 +59,13 @@ def test_reduce_merges_through_cancellation():
 @given(words, words, words)
 @settings(deadline=None)
 def test_word_group_laws(u, v, w):
-    assert word_mul(word_mul(u, v), w) == word_mul(u, word_mul(v, w))
-    assert word_mul(u, word_inv(u)) == ()
-    assert word_mul(word_inv(u), u) == ()
-    assert word_pow(u, 3) == word_mul(u, word_mul(u, u))
-    assert word_pow(u, -2) == word_inv(word_mul(u, u))
+    # free reduction is associative and cancels a word against its inverse
+    assert (reduce_word(reduce_word(u + v) + w)
+            == reduce_word(u + reduce_word(v + w)))
+    inv = tuple((g, -e) for g, e in reversed(u))
+    assert reduce_word(u + inv) == ()
+    assert reduce_word(inv + u) == ()
+    assert reduce_word(u) == u
 
 
 ring_elts = st.builds(
@@ -162,8 +163,17 @@ def test_left_table_matches_mul(q):
     # tables come from the enumeration tree, mul from key arithmetic
     for g in range(q.order):
         assert q.left_table(g) == [q.mul(g, x) for x in range(q.order)]
+
+
+@given(st.one_of(abelian_quotients, permutation_quotients))
+@settings(deadline=None, max_examples=60)
+def test_quotient_words_are_reduced(q):
+    # each representative word extends its parent's by one letter, merged
+    # into the last; it must come out as free reduction would leave it
     for i in range(q.order):
-        assert q.evaluate_word(q.word_of(i)) == i
+        word = q.word_of(i)
+        assert reduce_word(word) == word
+        assert q.evaluate_word(word) == i
 
 
 def test_enumeration_order_frozen():

@@ -17,6 +17,7 @@ from torgrad.crossring import (
 )
 from torgrad.discretize import coinvariants_matrix, matrix_rank
 from torgrad.lognorm import (
+    EXACT_ATOM_CAP,
     LOG_SLACK,
     atom_norms,
     column_l1s,
@@ -85,11 +86,16 @@ def test_zero_and_unit_atoms_are_free():
 
 
 def test_exact_cap_enforced():
-    space = LevelSpace(FiniteQuotient.abelian([6]))
-    f = full_morphism(space, {0: {u: 2 for u in range(6)}})
-    with pytest.raises(ValueError):
-        lognorm_exact(f, max_atoms=4)
-    assert lognorm_exact(f, max_atoms=6) == pytest.approx(math.log(2))
+    # one atom per point, each mapping to twice itself: every partition
+    # of the atoms gives log 2
+    def doubling(order):
+        space = LevelSpace(FiniteQuotient.abelian([order]))
+        return full_morphism(space, {0: {u: 2 for u in range(order)}})
+
+    assert EXACT_ATOM_CAP == 10
+    assert lognorm_exact(doubling(10)) == pytest.approx(math.log(2))
+    with pytest.raises(ValueError, match="11 atoms exceed the exhaustive cap"):
+        lognorm_exact(doubling(11))
 
 
 def test_set_partitions_count():

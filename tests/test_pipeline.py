@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import copy
 import dataclasses
@@ -14,6 +15,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import torgrad
 from torgrad import pipeline
 from torgrad.complexes import induce_resolution
 from torgrad.crossring import LevelSpace
@@ -178,6 +180,32 @@ def test_gradient_cli_rejects_bad_values(tmp_path, capsys, breakage):
     assert err.startswith("config error:")
 
 
+S3_LEVEL = {"kind": "permutation", "degree": 3,
+            "images": [[1, 0, 2], [1, 2, 0]]}
+
+
+@pytest.mark.parametrize("config,reason", [
+    # three images for a two-generator family: F_2 maps onto only a
+    # subgroup of index 4, so the level is a disconnected cover
+    (dict(FREE_CHAIN, levels=[FREE_CHAIN["levels"][0],
+                              {"kind": "abelian", "moduli": [4, 4, 4]}]),
+     "3 generator images for a free resolution on 2 generators"),
+    # non-commuting images break the surface relator and the Koszul square
+    ({"family": "surface", "param": 1,
+      "levels": [FREE_CHAIN["levels"][0], S3_LEVEL]},
+     "break a relation of the surface family"),
+    ({"family": "free_abelian", "param": 2,
+      "levels": [FREE_CHAIN["levels"][0], S3_LEVEL]},
+     "break a relation of the free_abelian family"),
+], ids=["too_many_generators", "surface_over_s3", "free_abelian_over_s3"])
+def test_gradient_cli_refuses_levels_off_the_family(tmp_path, capsys, config,
+                                                    reason):
+    code, err = _gradient_cli_error(tmp_path, capsys, config)
+    assert code == 1
+    assert err.startswith("config error: level 2: ")
+    assert reason in err
+
+
 def test_gradient_cli_rejects_exact_strategy(tmp_path, capsys, monkeypatch):
     # refused before any level is built
     monkeypatch.setattr(FiniteQuotient, "from_json", None)
@@ -273,6 +301,32 @@ def test_module_start_runs_once():
     assert proc.returncode == 0
     assert proc.stdout == "suite gabber: trials=0 failures=0 PASS\n"
     assert proc.stderr == ""
+
+
+# The paper's constructions, exported though no command calls them.
+KEPT_CONSTRUCTIONS = frozenset({
+    "mapping_cone", "tensor_complex", "strictify_map", "make_surjective",
+    "degree0_cheap", "shapiro_complex", "lognorm_of_decomposition",
+    "Presentation"})
+
+
+def test_exported_names_have_a_caller():
+    # every other name in torgrad.__all__ is used somewhere in the package
+    # outside its own definition and __init__.py, so the public API does
+    # not grow helpers that only tests reach
+    used = set()
+    for path in Path(torgrad.__file__).parent.glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        for stmt in ast.parse(path.read_text()).body:
+            names = {node.id if isinstance(node, ast.Name) else node.attr
+                     for node in ast.walk(stmt)
+                     if isinstance(node, (ast.Name, ast.Attribute))}
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                names.discard(stmt.name)
+            used |= names
+    unused = set(torgrad.__all__) - used - KEPT_CONSTRUCTIONS
+    assert not unused, f"exported but used only by tests: {sorted(unused)}"
 
 
 def _bench_workloads():
@@ -380,6 +434,15 @@ def test_lognorm_cli_certificate(tmp_path, capsys):
         assert abs(float(value_line) - value) < 1e-9
         blocks = [[tuple(atom) for atom in block] for block in cert["blocks"]]
         assert abs(lognorm_of_decomposition(f, blocks) - value) < 1e-9
+    # coefficients are integers: char 0 reads as no char, any other is refused
+    main(["lognorm", "--input", str(path)])
+    expected = capsys.readouterr().out
+    path.write_text(json.dumps(dict(f.to_json(), char=0)))
+    assert main(["lognorm", "--input", str(path)]) == 0
+    assert capsys.readouterr().out == expected
+    path.write_text(json.dumps(dict(f.to_json(), char=2)))
+    assert main(["lognorm", "--input", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("config error:")
     assert main(["lognorm", "--input", str(tmp_path / "gone.json")]) == 1
     capsys.readouterr()
 

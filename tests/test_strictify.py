@@ -8,6 +8,8 @@ from torgrad.crossring import (
     LevelSpace,
     MarkedMorphism,
     celt_indicator,
+    marked_inclusion,
+    marked_projection,
     morphism_stats,
     op_norm,
     vector_stats,
@@ -16,9 +18,7 @@ from torgrad.complexes import (
     GHWitness,
     check_chain_map,
     defect_report,
-    gh_transport_vector,
     gh_verify,
-    kappa_stats,
     witness_report,
 )
 from torgrad.strictify import (
@@ -235,8 +235,11 @@ def test_transported_witness_bounds():
     eps = max(eps_candidates)
     assert eps > 0
 
+    # move z across the witness: project the inclusion of z to other_0
     z = cx.module(0).basis_vector(0)
-    zt = gh_transport_vector(cx, other, probe, z)
+    iota = marked_inclusion(cx.module(0), probe.ambients[0], assignments[0])
+    pi = marked_projection(probe.ambients[0], other.module(0), assignments[0])
+    zt = pi.apply(iota.apply(z))
     old = vector_stats(SP33, z)
     new = vector_stats(SP33, zt)
     assert new.n1 <= old.n1 and new.n2 <= old.n2 and new.linf <= old.linf
@@ -244,5 +247,6 @@ def test_transported_witness_bounds():
     # the input witness is exact, so the transported defect is at most
     # N_1(z) * eps, and the almost complex defect at most (1 + nu) * eps
     assert witness_report(other, zt).defect_size <= old.n1 * eps
-    nu = kappa_stats(cx).nu
+    nu = max([cx.augmentation.linf()]
+             + [morphism_stats(d).n1 for d in cx.boundaries()])
     assert defect_report(other).max_size <= (1 + nu) * eps
