@@ -21,13 +21,13 @@ from typing import Optional, Sequence
 
 from .crossring import (
     Augmentation,
-    CElt,
     LevelSpace,
     MarkedModule,
     MarkedMorphism,
     Vector,
     celt_from_json,
     celt_to_json,
+    fn_sub,
     marked_inclusion,
     marked_projection,
     morphism_stats,
@@ -80,9 +80,6 @@ class MarkedComplex:
 
     def boundaries(self):
         return self._boundaries
-
-    def dims(self) -> list[Fraction]:
-        return [m.dim() for m in self.modules]
 
     def __repr__(self) -> str:
         ranks = ",".join(str(m.rank) for m in self.modules)
@@ -184,13 +181,12 @@ def witness_report(cx: MarkedComplex, z: Vector) -> WitnessReport:
         raise ValueError("witness reports need an augmented complex")
     space = cx.space
     value = cx.augmentation.apply(z)
-    one = space.indicator(range(space.order))
-    diff = space.fn_sub(value, one)
+    diff = fn_sub(value, dict.fromkeys(range(space.order), 1))
     stats = vector_stats(space, z)
     return WitnessReport(
         defect_support=frozenset(diff),
         defect_size=space.measure(set(diff)),
-        defect_linf=space.fn_linf(diff),
+        defect_linf=max(map(abs, diff.values()), default=0),
         n1=stats.n1,
         n2=stats.n2,
         linf=stats.linf,
@@ -287,13 +283,10 @@ def induce_resolution(
                 )
             out_row = []
             for elt in row:
+                # push_to_quotient keeps nonzero coefficients only
                 pushed = push_to_quotient(elt, q, gen_images)
-                celt: CElt = {}
-                for g, c in pushed.items():
-                    fn = space.fn_normalize({u: c for u in full})
-                    if fn:
-                        celt[g] = fn
-                out_row.append(celt)
+                out_row.append({g: dict.fromkeys(full, c)
+                                for g, c in pushed.items()})
             entries.append(out_row)
         boundaries.append(
             MarkedMorphism(modules[r], modules[r - 1], entries, normalize=False)
@@ -302,7 +295,7 @@ def induce_resolution(
     if augmented:
         if ranks[0] != 1:
             raise ValueError("augmented induction expects a rank 1 degree 0")
-        aug = Augmentation(modules[0], [space.indicator(full)])
+        aug = Augmentation(modules[0], [dict.fromkeys(full, 1)])
     return MarkedComplex(modules, boundaries, aug)
 
 
@@ -447,11 +440,8 @@ def tensor_complex(left: MarkedComplex, right: MarkedComplex) -> TensorResult:
         for (p, i, j) in summands[0]:
             vi = left.augmentation.values[i]
             vj = right.augmentation.values[j]
-            values.append(
-                space.fn_normalize(
-                    {u: vi[u] * vj[u] for u in vi.keys() & vj.keys()}
-                )
-            )
+            # augmentation values are nonzero, so are their products
+            values.append({u: vi[u] * vj[u] for u in vi.keys() & vj.keys()})
         aug = Augmentation(modules[0], values)
     return TensorResult(MarkedComplex(modules, boundaries, aug), tuple(summands))
 

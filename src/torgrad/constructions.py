@@ -29,7 +29,6 @@ from .crossring import (
     celt_add,
     celt_indicator,
     celt_mul,
-    celt_normalize,
     celt_sub,
     op_norm,
 )
@@ -211,12 +210,12 @@ def degree0_cheap(space: LevelSpace, translates: Sequence[int],
             pieces.append((g, chunk))
 
     module = MarkedModule(space, [frozenset(base), frozenset(remainder)])
-    aug = Augmentation(module, [space.indicator(base),
-                                space.indicator(remainder)])
+    aug = Augmentation(module, [dict.fromkeys(base, 1),
+                                dict.fromkeys(remainder, 1)])
     first = {}
     for g, chunk in pieces:
-        first = celt_add(space, first, celt_indicator(space, chunk, g))
-    witness = (first, celt_indicator(space, remainder))
+        first = celt_add(first, celt_indicator(chunk, g))
+    witness = (first, celt_indicator(remainder))
     cx = MarkedComplex([module], [], aug)
     return Degree0Result(
         complex=cx,
@@ -282,18 +281,17 @@ def rokhlin_partition(modulus: int, tile: int) -> RokhlinResult:
                          for r in range(M) if point[r] in res_set)
 
     module = MarkedModule(space, [carrier])
-    aug = Augmentation(module, [space.indicator(carrier)])
+    aug = Augmentation(module, [dict.fromkeys(carrier, 1)])
 
     x = {}
     for j in range(N):
-        x = celt_add(space, x, celt_indicator(space, shifted(base, j), point[j]))
-    x = celt_add(space, x, celt_indicator(space, remainder))
+        x = celt_add(x, celt_indicator(shifted(base, j), point[j]))
+    x = celt_add(x, celt_indicator(remainder))
 
-    entry = celt_indicator(space, carrier)
-    entry = celt_sub(space, entry,
-                     celt_indicator(space, shifted(base, N), point[N % M]))
-    entry = celt_sub(space, entry,
-                     celt_indicator(space, shifted(remainder, 1), point[1 % M]))
+    entry = celt_indicator(carrier)
+    entry = celt_sub(entry, celt_indicator(shifted(base, N), point[N % M]))
+    entry = celt_sub(entry,
+                     celt_indicator(shifted(remainder, 1), point[1 % M]))
     boundary = MarkedMorphism(module, module, [[entry]])
     cx = MarkedComplex([module, module], [boundary], aug)
     return RokhlinResult(
@@ -403,8 +401,8 @@ def rokhlin_level_contraction(result: RokhlinResult) -> bool:
             for u, c in fn.items():
                 for j in range(m):
                     if u in shifts[j]:
-                        out = celt_add(space, out, {point[j]: {u: -c}})
-        return celt_normalize(space, out)
+                        out = celt_add(out, {point[j]: {u: -c}})
+        return out
 
     for m in range(M):
         g = point[m]
@@ -412,7 +410,7 @@ def rokhlin_level_contraction(result: RokhlinResult) -> bool:
             z = {g: {u: 1}}
             lhs = d1.apply((c0(z),))[0]
             eta = aug.apply((z,))
-            rhs = celt_sub(space, z, celt_mul(space, {0: eta}, x))
+            rhs = celt_sub(z, celt_mul(space, {0: eta}, x))
             if lhs != rhs:
                 return False
     return True
@@ -454,12 +452,12 @@ def integers_embedding(modulus: int, tile: int) -> EmbeddingResult:
     # resolution of Z with the degree-1 generator oriented so that
     # d_1 = 1 - t; this matches the sign of the Rokhlin boundary
     full = MarkedModule(space, [space.full_carrier()])
-    d_entry = celt_sub(space, celt_indicator(space, range(M)),
-                       celt_indicator(space, range(M), point[1 % M]))
+    d_entry = celt_sub(celt_indicator(range(M)),
+                       celt_indicator(range(M), point[1 % M]))
     source = MarkedComplex(
         [full, full],
         [MarkedMorphism(full, full, [[d_entry]])],
-        Augmentation(full, [space.indicator(range(M))]),
+        Augmentation(full, [dict.fromkeys(range(M), 1)]),
     )
 
     rok_exp = {point[m]: m for m in range(M)}
@@ -473,21 +471,19 @@ def integers_embedding(modulus: int, tile: int) -> EmbeddingResult:
     f0 = MarkedMorphism(source.module(0), rok.complex.module(0),
                         [[rok.witness[0]]])
     f1 = MarkedMorphism(source.module(1), rok.complex.module(1),
-                        [[celt_indicator(space, rok.carrier)]])
+                        [[celt_indicator(rok.carrier)]])
     r0 = MarkedMorphism(rok.complex.module(0), source.module(0),
-                        [[celt_indicator(space, rok.carrier)]])
+                        [[celt_indicator(rok.carrier)]])
     x_tilde = {}
     for j in range(N):
-        x_tilde = celt_add(space, x_tilde,
-                           celt_indicator(space, tile_top, point[j]))
-    x_tilde = celt_add(space, x_tilde, celt_indicator(space, rem_up))
+        x_tilde = celt_add(x_tilde, celt_indicator(tile_top, point[j]))
+    x_tilde = celt_add(x_tilde, celt_indicator(rem_up))
     r1 = MarkedMorphism(rok.complex.module(1), source.module(1), [[x_tilde]])
     h_entry = {}
     for j in range(N):
         piece = shifted(rok.base, j)
         for k in range(j):
-            h_entry = celt_sub(space, h_entry,
-                               celt_indicator(space, piece, point[k]))
+            h_entry = celt_sub(h_entry, celt_indicator(piece, point[k]))
     h0 = MarkedMorphism(source.module(0), source.module(1), [[h_entry]])
     return EmbeddingResult(
         source=source,

@@ -19,6 +19,11 @@ The counting statistics N_1, N_2 of a tuple are joint across summands
 (a point's count adds contributions from every (summand, group element)
 pair); |.|_inf takes the max and supp_1 the union.  On one summand they
 reduce to the plain element statistics.
+
+Sparse functions and ring elements are plain dicts, and the coefficient
+helpers (fn_add, celt_add, celt_indicator, vector_l1, ...) are plain
+functions on them.  A helper takes the LevelSpace only when it reads the
+group (products, actions, words) or the measure (normalised statistics).
 """
 
 from __future__ import annotations
@@ -43,7 +48,9 @@ _FRACTION_MEMO = 4096
 class LevelSpace:
     """A finite quotient with integer coefficients.
 
-    The measure is the normalised counting measure on the quotient.
+    The measure is the normalised counting measure on the quotient.  The
+    space holds the group and the measure only; coefficient arithmetic is
+    done by the module-level helpers.
     """
 
     def __init__(self, quotient: FiniteQuotient):
@@ -75,7 +82,7 @@ class LevelSpace:
                              f"char must be absent or 0, got {char!r}")
         return LevelSpace(FiniteQuotient.from_json(data["quotient"]))
 
-    # measure and coefficients ----------------------------------------------
+    # measure ---------------------------------------------------------------
 
     def fraction(self, n: int) -> Fraction:
         """n / |G|; small n are memoised, as statistics build these in
@@ -94,68 +101,40 @@ class LevelSpace:
     def full_carrier(self) -> frozenset:
         return frozenset(range(self.order))
 
-    # sparse functions -------------------------------------------------------
 
-    def fn_normalize(self, f: Fn) -> Fn:
-        return {u: c for u, c in f.items() if c}
+# ---------------------------------------------------------------------------
+# sparse functions
 
-    def fn_add(self, f: Fn, g: Fn) -> Fn:
-        out = dict(f)
-        for u, c in g.items():
-            s = out.get(u, 0) + c
-            if s:
-                out[u] = s
-            else:
-                out.pop(u, None)
-        return out
 
-    def fn_neg(self, f: Fn) -> Fn:
-        return {u: -c for u, c in f.items()}
+def fn_add(f: Fn, g: Fn) -> Fn:
+    out = dict(f)
+    for u, c in g.items():
+        s = out.get(u, 0) + c
+        if s:
+            out[u] = s
+        else:
+            out.pop(u, None)
+    return out
 
-    def fn_sub(self, f: Fn, g: Fn) -> Fn:
-        return self.fn_add(f, self.fn_neg(g))
 
-    def fn_scale(self, a: int, f: Fn) -> Fn:
-        return self.fn_normalize({u: a * c for u, c in f.items()})
-
-    def fn_restrict(self, f: Fn, carrier) -> Fn:
-        return {u: c for u, c in f.items() if u in carrier}
-
-    def translate(self, g: int, f: Fn) -> Fn:
-        """(g.f)(x) = f(g^-1 x); the support moves to g * supp(f)."""
-        table = self.quotient.left_table(g)
-        return {table[u]: c for u, c in f.items()}
-
-    def indicator(self, points: Iterable[int]) -> Fn:
-        return {int(u): 1 for u in points}
-
-    def fn_linf(self, f: Fn) -> int:
-        return max((abs(c) for c in f.values()), default=0)
+def fn_sub(f: Fn, g: Fn) -> Fn:
+    return fn_add(f, {u: -c for u, c in g.items()})
 
 
 # ---------------------------------------------------------------------------
 # ring elements
 
 
-def celt_normalize(space: LevelSpace, z: CElt) -> CElt:
-    out = {}
-    for g, f in z.items():
-        f = space.fn_normalize(f)
-        if f:
-            out[g] = f
-    return out
-
-
-def celt_indicator(space: LevelSpace, points: Iterable[int], g: int = 0) -> CElt:
-    """(chi_S, g); the multiplicative unit is celt_indicator(space, all, e)."""
-    f = space.indicator(points)
+def celt_indicator(points: Iterable[int], g: int = 0) -> CElt:
+    """(chi_S, g); the multiplicative unit is celt_indicator(all, e)."""
+    f = dict.fromkeys(points, 1)
     return {g: f} if f else {}
 
 
-def celt_add(space: LevelSpace, x: CElt, y: CElt) -> CElt:
+def celt_add(x: CElt, y: CElt) -> CElt:
     out = {g: dict(f) for g, f in x.items()}
     for g, f in y.items():
-        merged = space.fn_add(out.get(g, {}), f)
+        merged = fn_add(out.get(g, {}), f)
         if merged:
             out[g] = merged
         else:
@@ -163,21 +142,12 @@ def celt_add(space: LevelSpace, x: CElt, y: CElt) -> CElt:
     return out
 
 
-def celt_neg(space: LevelSpace, x: CElt) -> CElt:
-    return {g: space.fn_neg(f) for g, f in x.items()}
+def celt_neg(x: CElt) -> CElt:
+    return {g: {u: -c for u, c in f.items()} for g, f in x.items()}
 
 
-def celt_sub(space: LevelSpace, x: CElt, y: CElt) -> CElt:
-    return celt_add(space, x, celt_neg(space, y))
-
-
-def celt_scale(space: LevelSpace, a: int, x: CElt) -> CElt:
-    out = {}
-    for g, f in x.items():
-        f = space.fn_scale(a, f)
-        if f:
-            out[g] = f
-    return out
+def celt_sub(x: CElt, y: CElt) -> CElt:
+    return celt_add(x, celt_neg(y))
 
 
 def celt_mul(space: LevelSpace, x: CElt, y: CElt) -> CElt:
@@ -195,7 +165,7 @@ def celt_mul(space: LevelSpace, x: CElt, y: CElt) -> CElt:
                 if fv is not None:
                     prod[gu] = fv * c
             if prod:
-                merged = space.fn_add(out.get(gk, {}), prod)
+                merged = fn_add(out.get(gk, {}), prod)
                 if merged:
                     out[gk] = merged
                 else:
@@ -229,15 +199,28 @@ class ElementStats(NamedTuple):
     supp1: frozenset
 
 
-def _element_stats(space: LevelSpace, components) -> ElementStats:
-    """Statistics of the celts in ``components``, counted jointly."""
+# ---------------------------------------------------------------------------
+# vectors (elements of a direct sum)
+
+
+def vector_supp1(x: Vector) -> frozenset:
+    """Union of the fibre supports; chi_supp1(x_i) * x_i = x_i."""
+    out: set = set()
+    for z in x:
+        for f in z.values():
+            out.update(f)
+    return frozenset(out)
+
+
+def vector_stats(space: LevelSpace, x: Vector) -> ElementStats:
+    """Joint statistics: counts aggregate over (summand, group element)."""
     q = space.quotient
     counts1: dict = {}
     counts2: dict = {}
     supp: set = set()
     total = 0
     linf = 0
-    for z in components:
+    for z in x:
         for g, f in z.items():
             back = q.left_table(q.inv(g))
             for u, c in f.items():
@@ -259,25 +242,7 @@ def _element_stats(space: LevelSpace, components) -> ElementStats:
     )
 
 
-# ---------------------------------------------------------------------------
-# vectors (elements of a direct sum)
-
-
-def vector_supp1(x: Vector) -> frozenset:
-    """Union of the fibre supports; chi_supp1(x_i) * x_i = x_i."""
-    out: set = set()
-    for z in x:
-        for f in z.values():
-            out.update(f)
-    return frozenset(out)
-
-
-def vector_stats(space: LevelSpace, x: Vector) -> ElementStats:
-    """Joint statistics: counts aggregate over (summand, group element)."""
-    return _element_stats(space, x)
-
-
-def vector_l1(space: LevelSpace, x: Vector) -> int:
+def vector_l1(x: Vector) -> int:
     """The unnormalised l1 mass |G| * vector_stats(space, x).l1, for
     callers that read nothing else."""
     return sum(abs(c) for z in x for f in z.values() for c in f.values())
@@ -313,15 +278,11 @@ class MarkedModule:
     def full(cls, space: LevelSpace, rank: int) -> "MarkedModule":
         return cls(space, [space.full_carrier()] * rank)
 
-    def basis_vector(self, i: int) -> Vector:
-        """chi_{A_i} e_i, the marked generator of the i-th summand."""
-        return self.element(i, celt_indicator(self.space, self.carriers[i]))
-
     def atom(self, i: int, u: int) -> Vector:
         """(chi_u, e) e_i; atoms run over i and u in A_i."""
         if u not in self.carriers[i]:
             raise ValueError(f"point {u} is not in carrier {i}")
-        return self.element(i, celt_indicator(self.space, [u]))
+        return self.element(i, celt_indicator([u]))
 
     def element(self, i: int, z: CElt) -> Vector:
         out = [{}] * self.rank
@@ -402,7 +363,7 @@ def celt_from_json(space: LevelSpace, terms: list) -> CElt:
     for term in terms:
         g = space.quotient.evaluate_word(parse_word(term["word"]))
         f = {int(u): int(c) for u, c in term["coeffs"]}
-        out = celt_add(space, out, {g: f} if f else {})
+        out = celt_add(out, {g: f} if f else {})
     return out
 
 
@@ -438,19 +399,12 @@ class MarkedMorphism:
         self.entries = tuple(rows)
 
     def _normalize_entry(self, i: int, j: int, z: CElt) -> CElt:
-        space = self.space
-        q = space.quotient
         A = self.domain.carriers[i]
-        B = self.codomain.carriers[j]
         out = {}
-        for g, f in z.items():
-            table = q.left_table(g)
-            gB = {table[u] for u in B}
-            f = space.fn_normalize(
-                {u: c for u, c in f.items() if u in A and u in gB}
-            )
-            if f:
-                out[g] = f
+        for g, f in self.codomain.normalize_component(j, z).items():
+            kept = {u: c for u, c in f.items() if u in A}
+            if kept:
+                out[g] = kept
         return out
 
     # constructors -----------------------------------------------------------
@@ -468,19 +422,12 @@ class MarkedMorphism:
     def identity(cls, module: MarkedModule) -> "MarkedMorphism":
         entries = [
             [
-                celt_indicator(module.space, module.carriers[i]) if i == j else {}
+                celt_indicator(module.carriers[i]) if i == j else {}
                 for j in range(module.rank)
             ]
             for i in range(module.rank)
         ]
         return cls(module, module, entries)
-
-    @classmethod
-    def from_rows(cls, domain: MarkedModule, codomain: MarkedModule,
-                  rows: Sequence[Sequence[CElt]]) -> "MarkedMorphism":
-        """Build from the images of the marked generators; rows[i] is a
-        codomain vector prescribing f(chi_{A_i} e_i)."""
-        return cls(domain, codomain, [list(row) for row in rows])
 
     # algebra ----------------------------------------------------------------
 
@@ -502,7 +449,7 @@ class MarkedMorphism:
                 e = self.entries[i][j]
                 if e:
                     prod = celt_mul(space, z, e)
-                    out[j] = celt_add(space, out[j], prod) if out[j] else prod
+                    out[j] = celt_add(out[j], prod) if out[j] else prod
         return tuple(out)
 
     def then(self, other: "MarkedMorphism") -> "MarkedMorphism":
@@ -519,7 +466,7 @@ class MarkedMorphism:
                     a = self.entries[i][j]
                     b = other.entries[j][k]
                     if a and b:
-                        acc = celt_add(space, acc, celt_mul(space, a, b))
+                        acc = celt_add(acc, celt_mul(space, a, b))
                 row.append(acc)
             entries.append(row)
         # entries are automatically normalised; skip the projection pass
@@ -527,25 +474,18 @@ class MarkedMorphism:
 
     def add(self, other: "MarkedMorphism") -> "MarkedMorphism":
         self._check_same_shape(other)
-        space = self.space
         entries = [
-            [celt_add(space, a, b) for a, b in zip(ra, rb)]
+            [celt_add(a, b) for a, b in zip(ra, rb)]
             for ra, rb in zip(self.entries, other.entries)
         ]
         return MarkedMorphism(self.domain, self.codomain, entries, normalize=False)
 
     def neg(self) -> "MarkedMorphism":
-        space = self.space
-        entries = [[celt_neg(space, a) for a in row] for row in self.entries]
+        entries = [[celt_neg(a) for a in row] for row in self.entries]
         return MarkedMorphism(self.domain, self.codomain, entries, normalize=False)
 
     def sub(self, other: "MarkedMorphism") -> "MarkedMorphism":
         return self.add(other.neg())
-
-    def scale(self, a: int) -> "MarkedMorphism":
-        space = self.space
-        entries = [[celt_scale(space, a, z) for z in row] for row in self.entries]
-        return MarkedMorphism(self.domain, self.codomain, entries, normalize=False)
 
     def is_zero(self) -> bool:
         return all(not z for row in self.entries for z in row)
@@ -622,20 +562,32 @@ def morphism_stats(f: MarkedMorphism) -> MorphismStats:
                          n2_max=n2_max, linf=linf)
 
 
-def op_norm(f: MarkedMorphism) -> int:
-    """max over atoms (i, u in A_i) of the l1 mass of the image of the atom,
-    renormalised by the measure of the atom; an integer."""
-    best = 0
-    for i, A in enumerate(f.domain.carriers):
-        per_point: dict[int, int] = {}
-        for j in range(f.codomain.rank):
-            for g, fn in f.entries[i][j].items():
+def _point_masses(f: MarkedMorphism) -> list:
+    """One pass over the nonzeros of f: for each domain summand i, the l1
+    mass of the image of atom (i, u), by u, for the atoms f does not kill.
+    Entries are normalised, so only points of A_i occur."""
+    out = []
+    for row in f.entries:
+        masses: dict = {}
+        for z in row:
+            for fn in z.values():
                 for u, c in fn.items():
-                    per_point[u] = per_point.get(u, 0) + abs(c)
-        # entries are normalised, so per_point only sees points of A_i
-        if per_point:
-            best = max(best, max(per_point.values()))
-    return best
+                    masses[u] = masses.get(u, 0) + abs(c)
+        out.append(masses)
+    return out
+
+
+def atom_norms(f: MarkedMorphism) -> dict:
+    """The l1 mass of the image of each domain atom (i, u in A_i), an
+    integer, keyed in atom order."""
+    masses = _point_masses(f)
+    return {(i, u): masses[i].get(u, 0) for i, u in f.domain.atoms()}
+
+
+def op_norm(f: MarkedMorphism) -> int:
+    """The largest atom norm: the l1 mass of the image of an atom,
+    renormalised by the measure of the atom; an integer."""
+    return max((c for m in _point_masses(f) for c in m.values()), default=0)
 
 
 # ---------------------------------------------------------------------------
@@ -666,7 +618,7 @@ def marked_inclusion(sub: MarkedModule, ambient: MarkedModule,
     _check_assignment(sub, ambient, assignment)
     entries = [[{} for _ in range(ambient.rank)] for _ in range(sub.rank)]
     for i, j in enumerate(assignment):
-        entries[i][j] = celt_indicator(sub.space, sub.carriers[i])
+        entries[i][j] = celt_indicator(sub.carriers[i])
     return MarkedMorphism(sub, ambient, entries)
 
 
@@ -677,7 +629,7 @@ def marked_projection(ambient: MarkedModule, sub: MarkedModule,
     _check_assignment(sub, ambient, assignment)
     entries = [[{} for _ in range(sub.rank)] for _ in range(ambient.rank)]
     for i, j in enumerate(assignment):
-        entries[j][i] = celt_indicator(sub.space, sub.carriers[i])
+        entries[j][i] = celt_indicator(sub.carriers[i])
     return MarkedMorphism(ambient, sub, entries)
 
 
@@ -702,26 +654,19 @@ class Augmentation:
         self.domain = domain
         self.space = domain.space
         self.values = tuple(
-            self.space.fn_normalize(
-                self.space.fn_restrict(v, domain.carriers[i])
-            )
-            for i, v in enumerate(values)
+            {u: c for u, c in v.items() if c and u in A}
+            for v, A in zip(values, domain.carriers)
         )
-
-    @classmethod
-    def zero(cls, domain: MarkedModule) -> "Augmentation":
-        return cls(domain, [{}] * domain.rank)
 
     def apply(self, vec: Sequence[CElt]) -> Fn:
         if len(vec) != self.domain.rank:
             raise ValueError(
                 f"vector has {len(vec)} components, expected {self.domain.rank}"
             )
-        space = self.space
         out: Fn = {}
         for z, xi in zip(vec, self.values):
             if z and xi:
-                out = space.fn_add(out, celt_apply_l(space, z, xi))
+                out = fn_add(out, celt_apply_l(self.space, z, xi))
         return out
 
     def after(self, f: MarkedMorphism) -> "Augmentation":
@@ -736,12 +681,13 @@ class Augmentation:
             raise ValueError("augmentations have different domains")
         return Augmentation(
             self.domain,
-            [self.space.fn_sub(a, b) for a, b in zip(self.values, other.values)],
+            [fn_sub(a, b) for a, b in zip(self.values, other.values)],
         )
 
     def linf(self) -> int:
         """Exact operator norm, and also the bound K_eta."""
-        return max((self.space.fn_linf(v) for v in self.values), default=0)
+        return max((abs(c) for v in self.values for c in v.values()),
+                   default=0)
 
     def size1(self) -> Fraction:
         """Sum over summands of the measure of the value support."""

@@ -222,11 +222,6 @@ def _core_invariant_factors(a: Matrix) -> tuple:
     return tuple(diag)
 
 
-def cokernel_log_torsion(a: Matrix) -> float:
-    """log of the torsion order of coker(a)."""
-    return sum(math.log(d) for d in invariant_factors(a) if d > 1)
-
-
 # ---------------------------------------------------------------------------
 # coinvariants
 
@@ -328,10 +323,6 @@ class HomologyResult:
     @property
     def log_torsion(self) -> float:
         return sum(math.log(d) for d in self.torsion)
-
-    @property
-    def torsion_free(self) -> bool:
-        return not self.torsion
 
 
 def homology_of_complex(dims: Sequence[int], mats: Sequence[Matrix]) -> tuple:

@@ -423,9 +423,6 @@ class FiniteQuotient:
     def word_of(self, i: int) -> Word:
         return self._words[i]
 
-    def element_label(self, i: int) -> str:
-        return str(self._keys[i])
-
     def __repr__(self) -> str:
         return f"FiniteQuotient({self.spec}, order={self.order})"
 

@@ -25,10 +25,10 @@ import math
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .crossring import MarkedMorphism
+from .crossring import MarkedMorphism, atom_norms
 from .discretize import (
     coinvariants_matrix,
-    cokernel_log_torsion,
+    invariant_factors,
     mat_shape,
     matrix_rank,
 )
@@ -39,22 +39,6 @@ EXACT_ATOM_CAP = 10
 
 def log_plus(x) -> float:
     return math.log(x) if x > 1 else 0.0
-
-
-def atom_norms(f: MarkedMorphism) -> dict:
-    """l1 mass of the image of each domain atom, as integers."""
-    out = {}
-    for i in range(f.domain.rank):
-        row = f.entries[i]
-        for u in sorted(f.domain.carriers[i]):
-            total = 0
-            for j in range(f.codomain.rank):
-                for fn in row[j].values():
-                    c = fn.get(u)
-                    if c:
-                        total += abs(c)
-            out[(i, u)] = total
-    return out
 
 
 class _BlockContext:
@@ -307,4 +291,4 @@ def gabber_split_bound(a, blocks: Optional[Iterable] = None) -> float:
 
 def gabber_exact(a) -> float:
     """Exact log torsion of the cokernel, from its invariant factors."""
-    return cokernel_log_torsion(a)
+    return sum(math.log(d) for d in invariant_factors(a) if d > 1)

@@ -172,10 +172,9 @@ def random_int_matrix(rng: random.Random, max_size: int = 8,
 
 def brute_force_op_norm(f: MarkedMorphism) -> int:
     """Max over atom inputs of the unnormalised l1 mass of the image."""
-    space = f.space
     best = 0
     for i, u in f.domain.atoms():
-        best = max(best, vector_l1(space, f.apply(f.domain.atom(i, u))))
+        best = max(best, vector_l1(f.apply(f.domain.atom(i, u))))
     return best
 
 
@@ -194,8 +193,7 @@ def _perturb_cell(rng: random.Random, f: MarkedMorphism,
         return f
     u = pts[rng.randrange(len(pts))]
     entries = [list(row) for row in f.entries]
-    entries[i][j] = celt_add(f.space, entries[i][j],
-                             {g: {u: rng.choice(coeffs)}})
+    entries[i][j] = celt_add(entries[i][j], {g: {u: rng.choice(coeffs)}})
     return MarkedMorphism(f.domain, f.codomain, entries)
 
 
@@ -470,10 +468,10 @@ def _suite_opnorm(rng: random.Random, trials: int) -> list:
         if ok:
             for _ in range(20):
                 z = random_vector(rng, f.domain)
-                mass = vector_l1(f.space, z)
+                mass = vector_l1(z)
                 if mass == 0:
                     continue
-                if vector_l1(f.space, f.apply(z)) > norm * mass:
+                if vector_l1(f.apply(z)) > norm * mass:
                     ok = False
                     break
         if not ok:
@@ -800,22 +798,22 @@ def run_verify(suite: str, seed: int = 0,
 # command handlers
 
 
-def cmd_gradient(args) -> int:
+def _read_json_object(path: str) -> dict:
+    """The JSON object stored at path; anything else is a ConfigError."""
     try:
-        with open(args.config) as fh:
-            config = json.load(fh)
+        with open(path) as fh:
+            data = json.load(fh)
     except OSError as exc:
-        print(f"config error: cannot read {args.config}: {exc}",
-              file=sys.stderr)
-        return 1
-    except json.JSONDecodeError as exc:
-        print(f"config error: {args.config} is not valid JSON: {exc}",
-              file=sys.stderr)
-        return 1
-    if not isinstance(config, dict):
-        print("config error: top level must be a JSON object",
-              file=sys.stderr)
-        return 1
+        raise ConfigError(f"cannot read {path}: {exc}") from None
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{path} is not valid JSON: {exc}") from None
+    if not isinstance(data, dict):
+        raise ConfigError("top level must be a JSON object")
+    return data
+
+
+def cmd_gradient(args) -> int:
+    config = _read_json_object(args.config)
     out_path = args.output or config.get("output")
     # open() raises ValueError, not OSError, on a NUL in the path
     if out_path is not None and (not isinstance(out_path, str)
@@ -882,17 +880,7 @@ def cmd_rokhlin(args) -> int:
 
 
 def cmd_lognorm(args) -> int:
-    try:
-        with open(args.input) as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        print(f"config error: cannot read {args.input}: {exc}",
-              file=sys.stderr)
-        return 1
-    except json.JSONDecodeError as exc:
-        print(f"config error: {args.input} is not valid JSON: {exc}",
-              file=sys.stderr)
-        return 1
+    data = _read_json_object(args.input)
     try:
         f = MarkedMorphism.from_json(data)
         value, blocks = lognorm_certificate(f, args.strategy)
@@ -992,7 +980,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 "strictify-demo": cmd_strictify_demo}
     try:
         return handlers[args.command](args)
-    except ConfigError as exc:
+    except (ConfigError, OrderCapExceeded) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
 

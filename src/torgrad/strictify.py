@@ -29,6 +29,7 @@ from .crossring import (
     Vector,
     celt_indicator,
     celt_neg,
+    fn_sub,
     vector_supp1,
 )
 from .complexes import (
@@ -75,10 +76,6 @@ class SurjectiveResult:
     patch_dim: Fraction
     patch_norm: int
 
-    @property
-    def patched(self) -> bool:
-        return bool(self.patch_carrier)
-
 
 def make_surjective(cx: MarkedComplex, z: Vector) -> SurjectiveResult:
     """Append <B>, B = supp(eta(z) - 1), send its generator to 1 - eta(z).
@@ -95,8 +92,8 @@ def make_surjective(cx: MarkedComplex, z: Vector) -> SurjectiveResult:
         return SurjectiveResult(cx, tuple(z), frozenset(), Fraction(0), 0)
     B = report.defect_support
     value = cx.augmentation.apply(z)
-    one = space.indicator(range(space.order))
-    patch_value = space.fn_sub(one, value)  # supported exactly on B
+    # supported exactly on B
+    patch_value = fn_sub(dict.fromkeys(range(space.order), 1), value)
 
     new_zero = cx.module(0).direct_sum(MarkedModule(space, [B]))
     aug = Augmentation(new_zero, list(cx.augmentation.values) + [patch_value])
@@ -105,7 +102,7 @@ def make_surjective(cx: MarkedComplex, z: Vector) -> SurjectiveResult:
         boundaries[0] = _pad_codomain(cx.boundary(1), new_zero)
     modules = [new_zero] + list(cx.modules[1:])
     new_cx = MarkedComplex(modules, boundaries, aug)
-    new_witness = tuple(z) + (celt_indicator(space, B),)
+    new_witness = tuple(z) + (celt_indicator(B),)
     return SurjectiveResult(
         complex=new_cx,
         witness=new_witness,
@@ -172,7 +169,7 @@ def strictify_complex(cx: MarkedComplex) -> StrictifyComplexResult:
     error_modules.append(E0)
     error_dims.append(E0.dim())
 
-    tilde = _corrected_map(space, cx.boundary(1), zero_hat, slots, supports)
+    tilde = _corrected_map(cx.boundary(1), zero_hat, slots, supports)
 
     for r in range(1, top):
         comp = cx.boundary(r + 1).then(tilde)
@@ -183,14 +180,11 @@ def strictify_complex(cx: MarkedComplex) -> StrictifyComplexResult:
         rows = [list(row) for row in tilde.entries] + [
             list(comp.entries[i]) for i in sorted(slots, key=slots.get)
         ]
-        new_boundaries[r - 1] = MarkedMorphism.from_rows(
-            r_hat, new_modules[r - 1], rows
-        )
+        new_boundaries[r - 1] = MarkedMorphism(r_hat, new_modules[r - 1], rows)
         new_modules[r] = r_hat
         error_modules.append(Er)
         error_dims.append(Er.dim())
-        tilde = _corrected_map(space, cx.boundary(r + 1), r_hat, slots,
-                               supports)
+        tilde = _corrected_map(cx.boundary(r + 1), r_hat, slots, supports)
 
     new_modules[top] = cx.module(top)
     new_boundaries[top - 1] = tilde
@@ -304,7 +298,7 @@ def strictify_map(
         + [delta0.values[i] for i in sorted(slots, key=slots.get)],
     )
     new_modules[0] = zero_hat
-    new_maps[0] = _corrected_map(space, maps[0], zero_hat, slots, supports)
+    new_maps[0] = _corrected_map(maps[0], zero_hat, slots, supports)
     error_modules.append(E0)
     error_dims.append(E0.dim())
     diff_sizes.append(E0.dim())
@@ -329,8 +323,8 @@ def strictify_map(
         rows = [list(row) for row in d_pad.entries] + [
             list(delta.entries[i]) for i in sorted(slots, key=slots.get)
         ]
-        new_boundaries[r] = MarkedMorphism.from_rows(r_hat, new_modules[r], rows)
-        new_maps[r + 1] = _corrected_map(space, maps[r + 1], r_hat, slots, supports)
+        new_boundaries[r] = MarkedMorphism(r_hat, new_modules[r], rows)
+        new_maps[r + 1] = _corrected_map(maps[r + 1], r_hat, slots, supports)
         error_modules.append(Er)
         error_dims.append(Er.dim())
         diff_sizes.append(Er.dim())
@@ -347,7 +341,7 @@ def strictify_map(
     )
 
 
-def _corrected_map(space, f: MarkedMorphism, target_hat, slots, supports
+def _corrected_map(f: MarkedMorphism, target_hat, slots, supports
                    ) -> MarkedMorphism:
     """f with each row i pushed into the extended target, minus the
     indicator of its error summand."""
@@ -357,8 +351,6 @@ def _corrected_map(space, f: MarkedMorphism, target_hat, slots, supports
     for i in range(f.domain.rank):
         row = list(f.entries[i]) + [{}] * extra
         if i in slots:
-            row[base_rank + slots[i]] = celt_neg(
-                space, celt_indicator(space, supports[i])
-            )
+            row[base_rank + slots[i]] = celt_neg(celt_indicator(supports[i]))
         rows.append(row)
-    return MarkedMorphism.from_rows(f.domain, target_hat, rows)
+    return MarkedMorphism(f.domain, target_hat, rows)

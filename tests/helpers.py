@@ -7,6 +7,7 @@ from torgrad.crossring import (
     MarkedModule,
     MarkedMorphism,
     celt_add,
+    fn_add,
 )
 from torgrad.complexes import MarkedComplex, induce_resolution
 
@@ -131,11 +132,11 @@ def restricted_copy(cx, degree, summand, removed):
 def with_boundary_extra(cx, r, i, j, extra):
     """Copy with ``extra`` added to entry (i, j) of the degree r boundary."""
     entries = [list(row) for row in cx.boundary(r).entries]
-    entries[i][j] = celt_add(cx.space, entries[i][j], extra)
+    entries[i][j] = celt_add(entries[i][j], extra)
     return rebuild(cx, entries_patch={r: entries})
 
 
 def with_aug_extra(cx, i, delta_fn):
     values = list(cx.augmentation.values)
-    values[i] = cx.space.fn_add(values[i], delta_fn)
+    values[i] = fn_add(values[i], delta_fn)
     return rebuild(cx, aug_values=values)

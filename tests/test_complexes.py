@@ -58,7 +58,7 @@ def test_induced_free_resolution_is_strict():
     rep = defect_report(cx)
     assert rep.is_strict
     assert rep.aug_size == 0
-    assert cx.dims() == [Fraction(1), Fraction(2)]
+    assert [m.dim() for m in cx.modules] == [Fraction(1), Fraction(2)]
 
 
 def test_koszul_is_strict_only_after_commuting_quotient():
@@ -76,12 +76,13 @@ def test_kappa_stats():
     assert max(op_norm(d) for d in cx.boundaries()) == 4
     stats = [morphism_stats(d) for d in cx.boundaries()]
     assert max(s.n1 for s in stats) >= max(s.n1_max for s in stats) >= 2
-    assert cx.dims() == [Fraction(1), Fraction(2), Fraction(1)]
+    assert [m.dim() for m in cx.modules] == [Fraction(1), Fraction(2),
+                                             Fraction(1)]
 
 
 def test_witness_report():
     cx = koszul_complex(SP33)
-    z = cx.module(0).basis_vector(0)
+    z = cx.module(0).element(0, celt_indicator(cx.module(0).carriers[0]))
     rep = witness_report(cx, z)
     assert rep.defect_size == 0
     assert rep.linf == 1 and rep.n1 == 1 and rep.n2 == 1
@@ -102,8 +103,8 @@ def test_chain_map_defect_is_measured():
     # shave one point off the degree 1 identity
     m1 = cx.module(1)
     bad = [
-        [celt_indicator(SP33, sorted(m1.carriers[0])[1:]), {}],
-        [{}, celt_indicator(SP33, m1.carriers[1])],
+        [celt_indicator(sorted(m1.carriers[0])[1:]), {}],
+        [{}, celt_indicator(m1.carriers[1])],
     ]
     maps[1] = MarkedMorphism(m1, m1, bad)
     rep = check_chain_map(maps, cx, cx)
@@ -119,13 +120,15 @@ def test_mapping_cone_of_identity():
     assert cone.complex.augmentation is None
     assert defect_report(cone.complex).is_strict
     # dim Cone_n = dim C_{n-1} + dim D_n
-    assert cone.complex.dims() == [Fraction(1), Fraction(3), Fraction(2)]
+    assert [m.dim() for m in cone.complex.modules] == [Fraction(1),
+                                                       Fraction(3),
+                                                       Fraction(2)]
 
 
 def test_mapping_cone_rejects_nonstrict_maps():
     cx = free2_complex(SP22)
     maps = [MarkedMorphism.identity(m) for m in cx.modules]
-    maps[1] = maps[1].scale(2)
+    maps[1] = maps[1].add(maps[1])  # twice the identity
     with pytest.raises(ValueError):
         mapping_cone(maps, cx, cx)
 
@@ -148,14 +151,17 @@ def test_tensor_matches_koszul():
     assert defect_report(tensor).is_strict
     assert tensor.augmentation is not None
     koszul = koszul_complex(space)
-    assert tensor.dims() == koszul.dims()
+    assert ([m.dim() for m in tensor.modules]
+            == [m.dim() for m in koszul.modules])
     # the boundaries agree up to the summand order recorded in the layout
     maps = [MarkedMorphism.identity(m) for m in tensor.modules]
     rep = check_chain_map(maps, tensor, tensor)
     assert rep.is_strict
     # the product augmentation is 1 on the product of the two generators
-    unit = tensor.augmentation.apply(tensor.module(0).basis_vector(0))
-    assert unit == space.indicator(range(space.order))
+    m0 = tensor.module(0)
+    unit = tensor.augmentation.apply(
+        m0.element(0, celt_indicator(m0.carriers[0])))
+    assert unit == dict.fromkeys(range(space.order), 1)
 
 
 def restricted_copy(cx, degree, summand, removed):

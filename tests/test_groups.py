@@ -123,7 +123,7 @@ def test_permutation_quotient_s3():
     a, b = q.generator_images
     # conjugation a b a^-1 is the other 3-cycle
     conj = q.evaluate_word(parse_word("aba-1"))
-    assert q.element_label(conj) == "(2, 0, 1)"
+    assert conj == q.inv(b) != b
     assert q.mul(a, a) == q.identity
     assert q.power(b, 3) == q.identity
     assert q.inv(b) == q.power(b, 2)
@@ -178,18 +178,17 @@ def test_quotient_words_are_reduced(q):
 
 def test_enumeration_order_frozen():
     # element indices and representative words are part of the output
+    # (a word list pins the order: evaluate_word sends word i back to i)
     q = s3_quotient()
-    assert [q.word_of(i) for i in range(q.order)] == [
-        (), ((0, 1),), ((1, 1),), ((1, -1),), ((0, 1), (1, 1)),
-        ((0, 1), (1, -1))]
-    assert [q.element_label(i) for i in range(q.order)] == [
-        "(0, 1, 2)", "(1, 0, 2)", "(1, 2, 0)", "(2, 0, 1)", "(0, 2, 1)",
-        "(2, 1, 0)"]
+    words = [(), ((0, 1),), ((1, 1),), ((1, -1),), ((0, 1), (1, 1)),
+             ((0, 1), (1, -1))]
+    assert [q.word_of(i) for i in range(q.order)] == words
+    assert [q.evaluate_word(w) for w in words] == list(range(q.order))
     q = FiniteQuotient.abelian([3, 2], images=[[1, 1], [2, 0]])
-    assert [q.word_of(i) for i in range(q.order)] == [
-        (), ((0, 1),), ((0, -1),), ((1, 1),), ((1, -1),), ((0, 1), (1, 1))]
-    assert [q.element_label(i) for i in range(q.order)] == [
-        "(0, 0)", "(1, 1)", "(2, 1)", "(2, 0)", "(1, 0)", "(0, 1)"]
+    words = [(), ((0, 1),), ((0, -1),), ((1, 1),), ((1, -1),),
+             ((0, 1), (1, 1))]
+    assert [q.word_of(i) for i in range(q.order)] == words
+    assert [q.evaluate_word(w) for w in words] == list(range(q.order))
 
 
 def test_abelian_quotient_defaults():

@@ -10,6 +10,7 @@ from torgrad.crossring import (
     LevelSpace,
     MarkedModule,
     MarkedMorphism,
+    atom_norms,
     marked_inclusion,
     marked_projection,
     morphism_stats,
@@ -19,7 +20,6 @@ from torgrad.discretize import coinvariants_matrix, matrix_rank
 from torgrad.lognorm import (
     EXACT_ATOM_CAP,
     LOG_SLACK,
-    atom_norms,
     column_l1s,
     gabber_column_bound,
     gabber_exact,

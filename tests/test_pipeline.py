@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 import torgrad
 from torgrad import pipeline
 from torgrad.complexes import induce_resolution
-from torgrad.crossring import LevelSpace
+from torgrad.crossring import LevelSpace, MarkedModule, MarkedMorphism
 from torgrad.discretize import coinvariants_complex, homology_of_complex
 from torgrad.groups import FiniteQuotient
 from torgrad.lognorm import lognorm_exact, lognorm_of_decomposition, lognorm_upper
@@ -329,6 +329,46 @@ def test_exported_names_have_a_caller():
     assert not unused, f"exported but used only by tests: {sorted(unused)}"
 
 
+# The JSON readers and writers stay without a caller: failing verify cases
+# are printed as JSON so that they can be read back and replayed.
+REPLAY_METHODS = frozenset({"to_json", "from_json"})
+
+
+def test_public_methods_have_a_caller():
+    # every public method or property of a class in the package is used as
+    # an attribute somewhere in the package outside its own definition.  A
+    # use C.name with C a class of the package counts for C only; any other
+    # x.name counts for every class with a method of that name.
+    trees = {path: ast.parse(path.read_text())
+             for path in Path(torgrad.__file__).parent.glob("*.py")}
+    classes = set()
+    methods = {}  # (class, name) -> (path, first line, last line)
+    for path, tree in trees.items():
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            classes.add(cls.name)
+            for item in cls.body:
+                if (isinstance(item, ast.FunctionDef)
+                        and not item.name.startswith("_")
+                        and item.name not in REPLAY_METHODS):
+                    methods[cls.name, item.name] = (path, item.lineno,
+                                                    item.end_lineno)
+    uses = [(node.attr, getattr(node.value, "id", None), path, node.lineno)
+            for path, tree in trees.items() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)]
+
+    def has_caller(cls, name, home, first, last):
+        return any(attr == name and (owner == cls or owner not in classes)
+                   and not (path == home and first <= line <= last)
+                   for attr, owner, path, line in uses)
+
+    unused = sorted(f"{cls}.{name}"
+                    for (cls, name), where in methods.items()
+                    if not has_caller(cls, name, *where))
+    assert not unused, f"methods used only by tests: {unused}"
+
+
 def _bench_workloads():
     """perfbench/workloads.py, read only: its configs and golden CSVs."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
@@ -456,6 +496,46 @@ def test_lognorm_cli_exact_small(tmp_path, capsys):
     assert main(["lognorm", "--input", str(path), "--strategy", "exact"]) == 0
     value_line = capsys.readouterr().out.strip().split("\n")[0]
     assert abs(float(value_line) - lognorm_exact(f)) < 1e-9
+
+
+@pytest.mark.parametrize("command, flag", [("gradient", "--config"),
+                                           ("lognorm", "--input")],
+                         ids=["gradient", "lognorm"])
+@pytest.mark.parametrize("content, message", [
+    (None, "cannot read "),
+    ("{not json", "is not valid JSON: "),
+    (b"\xff{}", "is not valid JSON: "),
+    ("[1, 2]", "top level must be a JSON object"),
+], ids=["missing", "invalid", "not_utf8", "list"])
+def test_cli_json_input_errors(tmp_path, capsys, command, flag, content,
+                               message):
+    path = tmp_path / "input.json"
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    elif content is not None:
+        path.write_text(content)
+    assert main([command, flag, str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert message in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["lognorm", "--input"],
+    ["rokhlin", "--modulus", "20", "--tile", "3"],
+    ["strictify-demo", "--order", "20"],
+], ids=["lognorm", "rokhlin", "strictify-demo"])
+def test_cli_order_cap(tmp_path, capsys, monkeypatch, argv):
+    if argv[0] == "lognorm":
+        space = LevelSpace(FiniteQuotient.abelian([20]))
+        f = MarkedMorphism.identity(MarkedModule.full(space, 1))
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(f.to_json()))
+        argv = argv + [str(path)]
+    monkeypatch.setenv("TORGRAD_ORDER_CAP", "10")
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: quotient enumeration exceeded 10")
 
 
 def test_strictify_demo_cli(capsys):

@@ -38,9 +38,9 @@ SP4 = LevelSpace(FiniteQuotient.abelian([4]))
 
 def test_make_surjective_noop_on_exact_witness():
     cx = koszul2(SP33)
-    z = cx.module(0).basis_vector(0)
+    z = cx.module(0).element(0, celt_indicator(cx.module(0).carriers[0]))
     res = make_surjective(cx, z)
-    assert not res.patched
+    assert not res.patch_carrier
     assert res.complex is cx
     assert res.patch_dim == 0
 
@@ -50,13 +50,13 @@ def test_make_surjective_patches_defect():
     # witness missing two points of the level
     hole = {0, 4}
     z = cx.module(0).element(
-        0, celt_indicator(SP33, set(range(SP33.order)) - hole)
+        0, celt_indicator(set(range(SP33.order)) - hole)
     )
     before = witness_report(cx, z)
     assert before.defect_size == Fraction(2, 9)
 
     res = make_surjective(cx, z)
-    assert res.patched
+    assert res.patch_carrier
     assert res.patch_carrier == frozenset(hole)
     assert res.patch_dim == Fraction(2, 9)
     assert res.patch_norm == 1
@@ -76,7 +76,7 @@ def test_make_surjective_patches_defect():
 
 def test_make_surjective_keeps_higher_degrees():
     cx = koszul2(SP33)
-    z = cx.module(0).element(0, celt_indicator(SP33, range(1, SP33.order)))
+    z = cx.module(0).element(0, celt_indicator(range(1, SP33.order)))
     res = make_surjective(cx, z)
     assert res.complex.module(1) == cx.module(1)
     assert res.complex.module(2) == cx.module(2)
@@ -236,7 +236,7 @@ def test_transported_witness_bounds():
     assert eps > 0
 
     # move z across the witness: project the inclusion of z to other_0
-    z = cx.module(0).basis_vector(0)
+    z = cx.module(0).element(0, celt_indicator(cx.module(0).carriers[0]))
     iota = marked_inclusion(cx.module(0), probe.ambients[0], assignments[0])
     pi = marked_projection(probe.ambients[0], other.module(0), assignments[0])
     zt = pi.apply(iota.apply(z))
