@@ -25,8 +25,10 @@ from .crossring import (
     MarkedModule,
     MarkedMorphism,
     Vector,
+    carriers_from_json,
     celt_from_json,
     celt_to_json,
+    fn_from_json,
     fn_sub,
     marked_inclusion,
     marked_projection,
@@ -102,16 +104,15 @@ class MarkedComplex:
     def from_json(data: dict, space: Optional[LevelSpace] = None) -> "MarkedComplex":
         if space is None:
             space = LevelSpace.from_json(data)
-        modules = [MarkedModule(space, cs) for cs in data["degrees"]]
+        modules = [MarkedModule(space, carriers_from_json(cs))
+                   for cs in data["degrees"]]
         boundaries = []
         for r, rows in enumerate(data["boundaries"], start=1):
             entries = [[celt_from_json(space, t) for t in row] for row in rows]
             boundaries.append(MarkedMorphism(modules[r], modules[r - 1], entries))
         aug = None
         if data.get("augmentation") is not None:
-            values = [
-                {int(u): int(c) for u, c in pairs} for pairs in data["augmentation"]
-            ]
+            values = [fn_from_json(pairs) for pairs in data["augmentation"]]
             aug = Augmentation(modules[0], values)
         return MarkedComplex(modules, boundaries, aug)
 

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .groups import FiniteQuotient, parse_word, word_to_str
+from .groups import FiniteQuotient, _as_int, parse_word, word_to_str
 
 # Sparse function on the level: {point index: nonzero coefficient}.
 Fn = dict
@@ -119,6 +119,17 @@ def fn_add(f: Fn, g: Fn) -> Fn:
 
 def fn_sub(f: Fn, g: Fn) -> Fn:
     return fn_add(f, {u: -c for u, c in g.items()})
+
+
+def fn_from_json(pairs: list) -> Fn:
+    """[[point, coeff], ...] as a sparse function; a point or coefficient
+    that is not an integer is refused rather than rounded."""
+    return {_as_int(u, "point"): _as_int(c, "coefficient") for u, c in pairs}
+
+
+def carriers_from_json(carriers: list) -> list:
+    """Carrier point lists as read from JSON; every point an integer."""
+    return [[_as_int(u, "carrier point") for u in A] for A in carriers]
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +348,7 @@ class MarkedModule:
     def from_json(data: dict, space: Optional[LevelSpace] = None) -> "MarkedModule":
         if space is None:
             space = LevelSpace.from_json(data)
-        return MarkedModule(space, data["carriers"])
+        return MarkedModule(space, carriers_from_json(data["carriers"]))
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +373,7 @@ def celt_from_json(space: LevelSpace, terms: list) -> CElt:
     out: CElt = {}
     for term in terms:
         g = space.quotient.evaluate_word(parse_word(term["word"]))
-        f = {int(u): int(c) for u, c in term["coeffs"]}
+        f = fn_from_json(term["coeffs"])
         out = celt_add(out, {g: f} if f else {})
     return out
 
@@ -524,8 +535,8 @@ class MarkedMorphism:
     def from_json(data: dict, space: Optional[LevelSpace] = None) -> "MarkedMorphism":
         if space is None:
             space = LevelSpace.from_json(data)
-        domain = MarkedModule(space, data["domain"])
-        codomain = MarkedModule(space, data["codomain"])
+        domain = MarkedModule(space, carriers_from_json(data["domain"]))
+        codomain = MarkedModule(space, carriers_from_json(data["codomain"]))
         entries = [
             [celt_from_json(space, t) for t in row] for row in data["entries"]
         ]
@@ -717,5 +728,5 @@ class Augmentation:
     @staticmethod
     def from_json(data: dict, space: Optional[LevelSpace] = None) -> "Augmentation":
         domain = MarkedModule.from_json(data, space)
-        values = [{int(u): int(c) for u, c in pairs} for pairs in data["values"]]
+        values = [fn_from_json(pairs) for pairs in data["values"]]
         return Augmentation(domain, values)

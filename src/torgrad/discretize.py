@@ -11,19 +11,24 @@ The integer linear algebra lives here too, as one sparse elimination
 kernel (Dumas, Saunders, Villard, J. Symbolic Comput. 32, 2001;
 Kaczynski, Mischaikow, Mrozek, Computational Homology, 2004).  It takes
 sparse rows; a dense matrix is read into them once, transposed if it has
-more rows than columns, since a pivot clears its whole column.  Pivots
-are taken in Markowitz order from a cost queue.  Over Z only +-1 entries
-are pivots, each contributing an invariant factor 1, and the residual
-core, usually empty since these matrices are very sparse with unit
-entries, goes to a dense Smith loop.  Rank over Q takes every nonzero
-entry as a pivot and leaves no core.  Homology needs nothing more:
-C_n / ker d_n embeds in the free group C_{n-1}, so Tors H_n =
-Tors coker d_{n+1} and b_n = dim C_n - rk d_n - rk d_{n+1}.  The complex
-is reduced from the top boundary down, each boundary eliminated once:
-the generators of C_n that d_{n+1}'s unit pivots pair off are deleted
-from d_n first, which leaves the image of d_n as it was.  Betti numbers
-over F_p come from the same factors by universal coefficients, with no
-second elimination.
+more rows than columns, since a pivot clears its whole column.  Over Z an
+incidence matrix, each column one +1 and one -1 or a single +-1, is not
+eliminated at all: it is totally unimodular, so every invariant factor is
+1, and the edges of a spanning forest of its graph are the unit pivots.
+Most boundaries of the resolutions here are incidence matrices of Cayley
+graphs: d_1 = (g_s - 1) of every family and, transposed, the genus-2 d_2
+and the Koszul d_3.  Any other matrix has its pivots taken in Markowitz
+order from a cost queue.  Over Z only +-1 entries are pivots, each
+contributing an invariant factor 1, and the residual core, usually empty
+since these matrices are very sparse with unit entries, goes to a dense
+Smith loop.  Rank over Q takes every nonzero entry as a pivot and leaves
+no core.  Homology needs nothing more: C_n / ker d_n embeds in the free
+group C_{n-1}, so Tors H_n = Tors coker d_{n+1} and
+b_n = dim C_n - rk d_n - rk d_{n+1}.  The complex is reduced from the top
+boundary down, each boundary eliminated once: the generators of C_n that
+d_{n+1}'s unit pivots pair off are deleted from d_n first, which leaves
+the image of d_n as it was.  Betti numbers over F_p come from the same
+factors by universal coefficients, with no second elimination.
 """
 
 from __future__ import annotations
@@ -83,23 +88,81 @@ def _oriented(a: Matrix) -> tuple:
     return rows, width
 
 
+def _forest_pivots(rows: list, width: int) -> Optional[list]:
+    """Unit pivots of an incidence matrix, or None if rows is not one.
+
+    The sparse rows are an incidence matrix when every column is empty,
+    holds one +1 and one -1, or holds a single +-1: rows are vertices,
+    and a column is an edge between its two rows or from its one row to a
+    ground vertex.  Such a matrix is totally unimodular, so every invariant
+    factor is 1 and the rank is the size of a spanning forest of the graph
+    with the ground added.  The forest is grown breadth first, from the
+    ground and then from each vertex not yet reached, and each tree edge
+    is the pivot (child, edge).  Listed in that order, the pivots form an
+    upper triangular block with diagonal +-1, since an edge's other
+    nonzero lies in its parent's row, an earlier pivot or a root: the
+    block is unimodular, as the pairing in homology_of_complex needs.  The
+    scan stops at the first entry that rules the matrix out.
+    """
+    head, tail, sign = [-1] * width, [-1] * width, [0] * width
+    for i, row in enumerate(rows):
+        for j, v in row.items():
+            if head[j] < 0:
+                if v != 1 and v != -1:
+                    return None
+                head[j], sign[j] = i, v
+            elif tail[j] < 0 and v == -sign[j]:
+                tail[j] = i
+            else:
+                return None
+    ground = len(rows)
+    adjacent = [[] for _ in range(ground + 1)]
+    for j, (a, b) in enumerate(zip(head, tail)):
+        if a >= 0:
+            if b < 0:
+                b = ground
+            adjacent[a].append((j, b))
+            adjacent[b].append((j, a))
+    seen = [False] * (ground + 1)
+    pivots = []
+    for root in (ground, *range(ground)):
+        if seen[root]:
+            continue
+        seen[root] = True
+        queue = [root]
+        for v in queue:  # appended to while it is read: breadth first
+            for j, u in adjacent[v]:
+                if not seen[u]:
+                    seen[u] = True
+                    pivots.append((u, j))
+                    queue.append(u)
+    return pivots
+
+
 def _eliminate(rows: list, width: int, over_q: bool = False) -> tuple:
     """Sparse elimination over Z, or over Q if over_q, of the matrix with
     the given sparse rows (consumed) and width.
 
-    Over Z a pivot is an entry +-1, whose row and column unimodular row
-    and column operations clear, so the matrix is equivalent to I_k + S, S
-    the Schur complement left when no unit pivot remains.  Over Q every
-    nonzero entry is a pivot and nothing is left; a row cleared by a pivot
-    u other than +-1 is first multiplied by u (the rank stays) and then
-    divided by the gcd of its entries.
+    Over Z an incidence matrix takes its pivots from a spanning forest
+    (_forest_pivots) and leaves no core.  Otherwise a pivot over Z is an
+    entry +-1, whose row and column unimodular row and column operations
+    clear, so the matrix is equivalent to I_k + S, S the Schur complement
+    left when no unit pivot remains.  Over Q every nonzero entry is a pivot
+    and nothing is left; a row cleared by a pivot u other than +-1 is first
+    multiplied by u (the rank stays) and then divided by the gcd of its
+    entries.
 
     Rows are pivoted cheapest first by the Markowitz cost (row length - 1)
     * (column length - 1) of their best pivot, from a heap: a row is queued
     again whenever elimination changes it, and an older entry is still
     used while its pivot is.  Returns the pivots as (row, column) pairs,
     k of them, and S as a dense matrix over the rows and columns left.
+    Over Z, on either path, the pivots' block of the matrix is unimodular.
     """
+    if not over_q:
+        pivots = _forest_pivots(rows, width)
+        if pivots is not None:
+            return pivots, []
     cols = [set() for _ in range(width)]  # column j -> rows nonzero there
     for i, row in enumerate(rows):
         for j in row:
@@ -226,13 +289,22 @@ def _core_invariant_factors(a: Matrix) -> tuple:
 # coinvariants
 
 
-def coinv_basis(module: MarkedModule) -> list:
-    """Atoms (summand, point) in storage order; one Z generator each."""
-    return list(module.atoms())
-
-
 def coinvariants_rank(module: MarkedModule) -> int:
     return sum(len(A) for A in module.carriers)
+
+
+def _atom_positions(module: MarkedModule) -> list:
+    """positions[i][u]: the index of atom (i, u) in atom order, for u in
+    A_i: summand i's carrier in sorted order, after the atoms of the
+    summands before it."""
+    positions, offset = [], 0
+    for A in module.carriers:
+        index = [0] * module.space.order
+        for k, u in enumerate(sorted(A), offset):
+            index[u] = k
+        positions.append(index)
+        offset += len(A)
+    return positions
 
 
 def coinvariants_matrix(f: MarkedMorphism) -> Matrix:
@@ -240,22 +312,21 @@ def coinvariants_matrix(f: MarkedMorphism) -> Matrix:
 
     Entry at (codomain atom (j, v), domain atom (i, u)) is the sum of
     f_g^{ij}(u) over group elements g with g^{-1} u = v.  Columns have l1
-    norm at most the operator norm of f.
+    norm at most the operator norm of f.  Rows and columns are the atoms
+    of the codomain and the domain in atom order, addressed by position.
     """
-    space = f.space
-    q = space.quotient
-    dom = coinv_basis(f.domain)
-    cod = coinv_basis(f.codomain)
-    col_index = {atom: k for k, atom in enumerate(dom)}
-    row_index = {atom: k for k, atom in enumerate(cod)}
-    out = zeros(len(cod), len(dom))
-    for i in range(f.domain.rank):
-        for j in range(f.codomain.rank):
-            for g, fn in f.entries[i][j].items():
+    q = f.space.quotient
+    cols = _atom_positions(f.domain)
+    rows = _atom_positions(f.codomain)
+    out = zeros(coinvariants_rank(f.codomain), coinvariants_rank(f.domain))
+    for i, entry_row in enumerate(f.entries):
+        col = cols[i]
+        for row, entry in zip(rows, entry_row):
+            for g, fn in entry.items():
                 back = q.left_table(q.inv(g))
                 for u, c in fn.items():
                     # supp(f_g) <= g B_j, so g^-1 u lies in the carrier
-                    out[row_index[(j, back[u])]][col_index[(i, u)]] += c
+                    out[row[back[u]]][col[u]] += c
     return out
 
 
@@ -337,7 +408,11 @@ def homology_of_complex(dims: Sequence[int], mats: Sequence[Matrix]) -> tuple:
 
     A unit pivot of d_{n+1} pairs a generator a of C_n with a generator b
     of C_{n+1}; d_n d_{n+1} b = 0 puts d_n a in the span of d_n on the
-    other generators, and the same holds in every Schur complement.  So the
+    other generators, and the same holds in every Schur complement.  The
+    pivots of a spanning forest pair off the same way all at once: with P
+    their rows and Q their columns, d_n[:, P] d_{n+1}[P, Q] =
+    -d_n[:, not P] d_{n+1}[not P, Q], and the block d_{n+1}[P, Q] is
+    triangular with diagonal +-1, so it has an integer inverse.  So the
     columns of d_n that d_{n+1}'s unit pivots pair off are deleted before
     d_n is eliminated, which leaves its image, hence its rank and nonzero
     invariant factors, as they were.  Each boundary is eliminated in the

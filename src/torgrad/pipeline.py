@@ -55,7 +55,7 @@ from .discretize import (
     retract_inequality_check,
     shapiro_complex,
 )
-from .groups import FiniteQuotient, OrderCapExceeded
+from .groups import FiniteQuotient, OrderCapExceeded, order_cap
 from .lognorm import (
     LOG_SLACK,
     gabber_column_bound,
@@ -979,6 +979,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 "rokhlin": cmd_rokhlin, "lognorm": cmd_lognorm,
                 "strictify-demo": cmd_strictify_demo}
     try:
+        try:  # a malformed cap is refused before any command runs
+            order_cap()
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         return handlers[args.command](args)
     except (ConfigError, OrderCapExceeded) as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -310,6 +310,28 @@ def test_augmentation_json_round_trip():
     assert again.sub(eta).is_zero()
 
 
+@pytest.mark.parametrize("value", [1.5, 1.0, "1", True],
+                         ids=["1.5", "1.0", "string", "bool"])
+def test_json_readers_refuse_non_integer_numbers(value):
+    dom, _ = spaces_modules()
+    eta = Augmentation(dom, [{0: 1, 1: -3}, {1: 2}])
+    # the module reader checks carrier points, the augmentation reader also
+    # its values' points and coefficients
+    cases = [(MarkedModule.from_json, dom.to_json(), ("carriers", 0, 0)),
+             (Augmentation.from_json, eta.to_json(), ("carriers", 1, 0)),
+             (Augmentation.from_json, eta.to_json(), ("values", 0, 0, 0)),
+             (Augmentation.from_json, eta.to_json(), ("values", 0, 1, 1))]
+    for reader, data, path in cases:
+        assert reader(data).to_json() == data
+        *head, last = path
+        target = data
+        for key in head:
+            target = target[key]
+        target[last] = value
+        with pytest.raises(ValueError, match="must be an integer"):
+            reader(data)
+
+
 def test_char_p_coefficients():
     # coefficients are integers: a serialized char must be absent or 0
     data = LevelSpace(FiniteQuotient.abelian([4])).to_json()

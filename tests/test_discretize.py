@@ -17,7 +17,6 @@ from torgrad.crossring import (
 )
 from torgrad.discretize import (
     betti_mod_p,
-    coinv_basis,
     coinvariants_complex,
     coinvariants_matrix,
     coinvariants_rank,
@@ -30,6 +29,10 @@ from torgrad.discretize import (
     shapiro_matrix,
     zeros,
     _core_invariant_factors,
+    _eliminate,
+    _forest_pivots,
+    _oriented,
+    _sparse_rows,
 )
 from torgrad.lognorm import gabber_exact
 from torgrad.pipeline import run_gradient
@@ -339,6 +342,144 @@ def test_kernel_empty_shapes():
         assert gf_rank(a, 2) == 0
 
 
+# The incidence path: over Z a matrix whose columns each hold one +1 and one
+# -1, or a single +-1, takes its unit pivots from a spanning forest.
+
+
+@st.composite
+def incidence_matrices(draw, max_vertices=7, max_edges=10):
+    """The vertices x edges incidence matrix of a random directed multigraph
+    with loops (zero columns), parallel edges, edges to a ground vertex
+    (a single +-1) and isolated vertices."""
+    n = draw(st.integers(1, max_vertices))
+    vertex = st.integers(0, n - 1)
+    edge = st.one_of(st.tuples(vertex, vertex),
+                     st.tuples(vertex, st.sampled_from(["+", "-"])))
+    edges = draw(st.lists(edge, min_size=1, max_size=max_edges))
+    a = zeros(n, len(edges))
+    for j, (tail, head) in enumerate(edges):
+        if head in ("+", "-"):
+            a[tail][j] = 1 if head == "+" else -1
+        else:
+            a[tail][j] -= 1
+            a[head][j] += 1
+    return a
+
+
+def transpose(a):
+    return [list(col) for col in zip(*a)]
+
+
+def check_forest_pivots(a):
+    """The forest path fires on a, vertices x edges, and its pivots sit on
+    +-1 entries in distinct rows and columns, one per invariant factor,
+    forming a block of determinant +-1."""
+    pivots, core = _eliminate(_sparse_rows(a), len(a[0]))
+    assert core == []
+    assert pivots == _forest_pivots(_sparse_rows(a), len(a[0]))
+    rows = [i for i, _ in pivots]
+    cols = [j for _, j in pivots]
+    assert len(set(rows)) == len(rows) and len(set(cols)) == len(cols)
+    assert all(a[i][j] in (1, -1) for i, j in pivots)
+    assert len(pivots) == len(sympy_factors(a))
+    if pivots:
+        block = SymMatrix([[a[i][j] for j in cols] for i in rows])
+        assert block.det() in (1, -1)
+
+
+@given(incidence_matrices())
+@settings(deadline=None, max_examples=150)
+def test_incidence_path_against_sympy(a):
+    check_forest_pivots(a)
+    for m in (a, transpose(a)):
+        expected = sympy_factors(m)
+        assert set(expected) <= {1}
+        assert invariant_factors(m) == expected
+        assert matrix_rank(m) == len(expected)
+        dims = [len(m), len(m[0])]
+        homology = homology_of_complex(dims, [m])
+        assert [(h.betti, h.torsion, h.boundary_rank) for h in homology] == [
+            (dims[0] - len(expected), (), len(expected)),
+            (dims[1] - len(expected), (), 0)]
+
+
+@given(incidence_matrices(),
+       st.sampled_from(["same_sign", "two", "three_entries"]),
+       st.booleans())
+@settings(deadline=None, max_examples=150)
+def test_incidence_near_misses_take_the_kernel(a, miss, flip):
+    # one new column breaks the pattern, on two new vertices so that every
+    # kind of column fits; the rest stays an incidence matrix
+    width = len(a[0]) + 1
+    a = [row + [0] for row in a] + [[0] * width, [0] * width]
+    n = len(a)
+    entries = {"same_sign": [(0, 1), (n - 1, 1)],
+               "two": [(n - 1, 2)],
+               "three_entries": [(0, 1), (n - 2, -1), (n - 1, 1)]}[miss]
+    for i, v in entries:
+        a[i][-1] = -v if flip else v
+    assert _forest_pivots(_sparse_rows(a), len(a[0])) is None
+    for m in (a, transpose(a)):
+        expected = sympy_factors(m)
+        assert invariant_factors(m) == expected
+        assert matrix_rank(m) == SymMatrix(m).rank()
+        dims = [len(m), len(m[0])]
+        h0 = homology_of_complex(dims, [m])[0]
+        assert (h0.betti, h0.torsion) == (
+            dims[0] - len(expected), tuple(d for d in expected if d > 1))
+
+
+@st.composite
+def incidence_over_torsion(draw):
+    """A complex C_2 -> C_1 -> C_0 whose top boundary d_2 is an incidence
+    matrix in its elimination orientation (d_2 = D, or D transposed, with
+    more edges than vertices), and whose d_1 = M F has torsion: the rows of
+    F are an integer basis of the left kernel of d_2, and M = P diag Q with
+    P, Q random unimodular."""
+    a = draw(incidence_matrices(max_vertices=5))
+    # two vertices joined by parallel edges, and nothing else: a component
+    # off the ground with a cycle, so the left kernel is never zero
+    n, e = len(a), len(a[0])
+    extra = max(2, n + 3 - e)
+    a = [row + [0] * extra for row in a]
+    a += [[0] * e + [-1] * extra, [0] * e + [1] * extra]
+    rng = draw(st.randoms(use_true_random=False))
+    rng.shuffle(a)
+    d2 = draw(st.sampled_from([a, transpose(a)]))
+    kernel = SymMatrix(d2).T.nullspace()
+    F = []
+    for vec in kernel:
+        scale = math.lcm(*(int(x.q) for x in vec))
+        F.append([int(x * scale) for x in vec])
+    diag = draw(st.lists(st.sampled_from([0, 1, 2, 3, 4, 6]),
+                         min_size=len(F), max_size=len(F)))
+    diag[0] = draw(st.sampled_from([2, 3, 4, 6]))
+    P, _ = random_unimodular(rng, len(F))
+    Q, _ = random_unimodular(rng, len(F))
+    M = mat_mul(mat_mul(P, [[d if i == j else 0 for j, d in enumerate(diag)]
+                            for i in range(len(F))]), Q)
+    d1 = mat_mul(M, F)
+    return [len(d1), len(d2), len(d2[0])], [d1, d2]
+
+
+@given(incidence_over_torsion())
+@settings(deadline=None, max_examples=80)
+def test_forest_pairing_over_torsion(case):
+    dims, mats = case
+    assert mat_mul(*mats) == zeros(dims[0], dims[2])
+    top = _oriented(mats[1])
+    assert _forest_pivots(*top) is not None
+    # the oracle: each whole boundary by the dense Smith loop
+    factors = [_core_invariant_factors(m) for m in mats] + [()]
+    rank = [0] + [len(f) for f in factors]
+    oracle = [(dims[k] - rank[k] - rank[k + 1],
+               tuple(d for d in factors[k] if d > 1), rank[k + 1])
+              for k in range(len(dims))]
+    homology = homology_of_complex(dims, mats)
+    assert [(h.betti, h.torsion, h.boundary_rank) for h in homology] == oracle
+    assert homology[0].torsion
+
+
 def test_gradient_at_order_1024_within_budget():
     # free rank 2 over (Z/32)^2: H_1 of the index 1024 subgroup is free of
     # rank 1 + 1024; the budget leaves a wide margin on a 2-core machine
@@ -362,7 +503,7 @@ def test_coinvariants_shapes_and_column_norm():
     mat = coinvariants_matrix(d1)
     assert mat_shape(mat) == (4, 8)
     assert coinvariants_rank(d1.domain) == 8
-    assert len(coinv_basis(d1.domain)) == 8
+    assert len(list(d1.domain.atoms())) == 8
     bound = op_norm(d1)
     for col in range(8):
         assert sum(abs(mat[r][col]) for r in range(4)) <= bound
@@ -373,6 +514,47 @@ def test_coinvariants_respects_carriers():
     mat = coinvariants_matrix(cx.boundary(1))
     assert mat_shape(mat) == (4, 6)
     assert coinvariants_rank(cx.module(1)) == 6
+
+
+def coinvariants_by_atom_keys(f):
+    """The coinvariants matrix with atoms addressed by (summand, point)
+    keys in the order of module.atoms(): the reference for the positional
+    lookup in coinvariants_matrix."""
+    q = f.space.quotient
+    col = {atom: k for k, atom in enumerate(f.domain.atoms())}
+    row = {atom: k for k, atom in enumerate(f.codomain.atoms())}
+    out = zeros(len(row), len(col))
+    for i, entry_row in enumerate(f.entries):
+        for j, entry in enumerate(entry_row):
+            for g, fn in entry.items():
+                back = q.left_table(q.inv(g))
+                for u, c in fn.items():
+                    out[row[j, back[u]]][col[i, u]] += c
+    return out
+
+
+@given(st.data())
+@settings(deadline=None, max_examples=60)
+def test_coinvariants_by_position_match_atom_keys(data):
+    sp = data.draw(st.sampled_from([SP22, SPS3]))
+    point = st.integers(0, sp.order - 1)
+
+    def module():
+        # several summands with partial carriers, one of them empty
+        carriers = data.draw(st.lists(st.sets(point, min_size=1),
+                                      min_size=1, max_size=3))
+        carriers.insert(data.draw(st.integers(0, len(carriers))), set())
+        return MarkedModule(sp, carriers)
+
+    dom, cod = module(), module()
+    entry = st.dictionaries(
+        point, st.dictionaries(point, st.integers(-3, 3), max_size=4),
+        max_size=4)
+    f = MarkedMorphism(dom, cod, [[data.draw(entry) for _ in cod.carriers]
+                                  for _ in dom.carriers])
+    mat = coinvariants_matrix(f)
+    assert mat == coinvariants_by_atom_keys(f)
+    assert mat_shape(mat) == (coinvariants_rank(cod), coinvariants_rank(dom))
 
 
 @given(st.data())

@@ -538,6 +538,61 @@ def test_cli_order_cap(tmp_path, capsys, monkeypatch, argv):
     assert err.startswith("config error: quotient enumeration exceeded 10")
 
 
+@pytest.mark.parametrize("value", ["abc", "0"])
+@pytest.mark.parametrize("argv", [
+    ["gradient", "--config", "unread.json"],
+    ["verify", "opnorm", "--trials", "1"],
+    ["rokhlin", "--modulus", "7", "--tile", "2"],
+    ["lognorm", "--input", "unread.json"],
+    ["strictify-demo"],
+], ids=["gradient", "verify", "rokhlin", "lognorm", "strictify-demo"])
+def test_cli_malformed_order_cap(capsys, monkeypatch, argv, value):
+    # checked before the command runs: no input file is read
+    monkeypatch.setenv("TORGRAD_ORDER_CAP", value)
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: TORGRAD_ORDER_CAP must be")
+
+
+def _one_atom_morphism() -> dict:
+    space = LevelSpace(FiniteQuotient.abelian([4]))
+    module = MarkedModule(space, [[0]])
+    return MarkedMorphism.identity(module).to_json()
+
+
+def _set_coeff(data, value):
+    data["entries"][0][0][0]["coeffs"][0][1] = value
+
+
+def _set_point(data, value):
+    data["entries"][0][0][0]["coeffs"][0][0] = value
+
+
+def _set_carrier(data, value):
+    data["domain"][0][0] = value
+
+
+@pytest.mark.parametrize("mutate", [_set_coeff, _set_point, _set_carrier],
+                         ids=["coefficient", "point", "carrier"])
+@pytest.mark.parametrize("value", [2.9, 0.5, 1.0, "3", True, None],
+                         ids=["2.9", "0.5", "1.0", "string", "bool", "null"])
+def test_lognorm_cli_refuses_non_integer_numbers(tmp_path, capsys, mutate,
+                                                 value):
+    data = _one_atom_morphism()
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(data))
+    assert main(["lognorm", "--input", str(path)]) == 0
+    capsys.readouterr()
+    mutate(data, value)
+    path.write_text(json.dumps(data))
+    assert main(["lognorm", "--input", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error:")
+    assert "must be an integer" in captured.err
+
+
 def test_strictify_demo_cli(capsys):
     assert main(["strictify-demo", "--order", "6", "--seed", "1"]) == 0
     out = capsys.readouterr().out
