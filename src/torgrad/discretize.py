@@ -410,9 +410,10 @@ def homology_of_complex(dims: Sequence[int], mats: Sequence[Matrix]) -> tuple:
     of C_{n+1}; d_n d_{n+1} b = 0 puts d_n a in the span of d_n on the
     other generators, and the same holds in every Schur complement.  The
     pivots of a spanning forest pair off the same way all at once: with P
-    their rows and Q their columns, d_n[:, P] d_{n+1}[P, Q] =
-    -d_n[:, not P] d_{n+1}[not P, Q], and the block d_{n+1}[P, Q] is
-    triangular with diagonal +-1, so it has an integer inverse.  So the
+    their generators in C_n and Q theirs in C_{n+1}, d_n[:, P]
+    d_{n+1}[P, Q] = -d_n[:, not P] d_{n+1}[not P, Q], and the block
+    d_{n+1}[P, Q] is triangular with diagonal +-1, so it has an integer
+    inverse.  So the
     columns of d_n that d_{n+1}'s unit pivots pair off are deleted before
     d_n is eliminated, which leaves its image, hence its rank and nonzero
     invariant factors, as they were.  Each boundary is eliminated in the
