@@ -123,16 +123,15 @@ class MarkedComplex:
 
 @dataclass(frozen=True)
 class DefectReport:
-    """Sizes of d_{r-1} o d_r (keyed by r) and of eta o d_1 if augmented."""
+    """Sizes of the composites or squares keyed by degree, and of the
+    collapsed augmentation row if there is one."""
 
-    composite_sizes: dict
-    composite_norms: dict
+    sizes: dict
     aug_size: Optional[Fraction]
-    aug_linf: Optional[int]
 
     @property
     def max_size(self) -> Fraction:
-        sizes = list(self.composite_sizes.values())
+        sizes = list(self.sizes.values())
         if self.aug_size is not None:
             sizes.append(self.aug_size)
         return max(sizes, default=Fraction(0))
@@ -143,18 +142,15 @@ class DefectReport:
 
 
 def defect_report(cx: MarkedComplex) -> DefectReport:
+    """Sizes of d_{r-1} o d_r (keyed by r) and of eta o d_1 if augmented."""
     sizes = {}
-    norms = {}
     for r in range(2, cx.top_degree + 1):
         comp = cx.boundary(r).then(cx.boundary(r - 1))
         sizes[r] = morphism_stats(comp).size1
-        norms[r] = op_norm(comp)
-    aug_size = aug_linf = None
+    aug_size = None
     if cx.augmentation is not None and cx.top_degree >= 1:
-        comp = cx.augmentation.after(cx.boundary(1))
-        aug_size = comp.size1()
-        aug_linf = comp.linf()
-    return DefectReport(sizes, norms, aug_size, aug_linf)
+        aug_size = cx.augmentation.after(cx.boundary(1)).size1()
+    return DefectReport(sizes, aug_size)
 
 
 @dataclass(frozen=True)
@@ -198,30 +194,11 @@ def witness_report(cx: MarkedComplex, z: Vector) -> WitnessReport:
 # chain maps
 
 
-@dataclass(frozen=True)
-class ChainMapReport:
-    square_sizes: dict
-    square_norms: dict
-    aug_size: Optional[Fraction]
-    aug_linf: Optional[int]
-
-    @property
-    def max_size(self) -> Fraction:
-        sizes = list(self.square_sizes.values())
-        if self.aug_size is not None:
-            sizes.append(self.aug_size)
-        return max(sizes, default=Fraction(0))
-
-    @property
-    def is_strict(self) -> bool:
-        return self.max_size == 0
-
-
 def check_chain_map(
     maps: Sequence[MarkedMorphism],
     source: MarkedComplex,
     target: MarkedComplex,
-) -> ChainMapReport:
+) -> DefectReport:
     """Measure the commutation defects of maps[r]: source_r -> target_r.
 
     Squares are d^T_r o f_r - f_{r-1} o d^S_r for r >= 1; if both ends are
@@ -232,19 +209,15 @@ def check_chain_map(
         if maps[r].domain != source.module(r) or maps[r].codomain != target.module(r):
             raise ValueError(f"chain map degree {r} has mismatched modules")
     sizes = {}
-    norms = {}
     for r in range(1, top + 1):
         left = maps[r].then(target.boundary(r))
         right = source.boundary(r).then(maps[r - 1])
-        diff = left.sub(right)
-        sizes[r] = morphism_stats(diff).size1
-        norms[r] = op_norm(diff)
-    aug_size = aug_linf = None
+        sizes[r] = morphism_stats(left.sub(right)).size1
+    aug_size = None
     if source.augmentation is not None and target.augmentation is not None:
-        diff = target.augmentation.after(maps[0]).sub(source.augmentation)
-        aug_size = diff.size1()
-        aug_linf = diff.linf()
-    return ChainMapReport(sizes, norms, aug_size, aug_linf)
+        aug_size = target.augmentation.after(maps[0]).sub(
+            source.augmentation).size1()
+    return DefectReport(sizes, aug_size)
 
 
 # ---------------------------------------------------------------------------
@@ -304,92 +277,63 @@ def induce_resolution(
 # mapping cones
 
 
-@dataclass(frozen=True)
-class ConeResult:
-    complex: MarkedComplex
-    # layout[n] lists ("shift", i) for C_{n-1} summands and ("target", j)
-    # for D_n summands, in storage order
-    layout: tuple
-
-
 def mapping_cone(
     maps: Sequence[MarkedMorphism],
     source: MarkedComplex,
     target: MarkedComplex,
-) -> ConeResult:
+) -> MarkedComplex:
     """Cone of a strict chain map phi: C -> D.
 
-    Cone_n = C_{n-1} + D_n with d(c, d) = (-d^C c, d^D d + phi c).  The
-    result carries no augmentation: the degree 0 part is D_0 but eta_D o
-    d_1^Cone is nonzero whenever phi_0 hits eta, so an augmented cone would
-    not even be an almost complex for small delta.
+    Cone_n = C_{n-1} + D_n, stored with the C_{n-1} summands first, and
+    d(c, d) = (-d^C c, d^D d + phi c).  The result carries no
+    augmentation: the degree 0 part is D_0 but eta_D o d_1^Cone is nonzero
+    whenever phi_0 hits eta, so an augmented cone would not even be an
+    almost complex for small delta.
     """
     report = check_chain_map(maps, source, target)
     if not report.is_strict:
         raise ValueError(
-            f"mapping cone needs a strict chain map, defects {report.square_sizes}"
+            f"mapping cone needs a strict chain map, defects {report.sizes}"
         )
     if source.top_degree != target.top_degree:
         raise ValueError("cone expects equal top degrees")
     top = target.top_degree
-    space = target.space
-    modules = []
-    layout = []
-    for n in range(top + 2):
-        parts = []
-        tags = []
-        if 1 <= n <= top + 1:
-            shifted = source.module(n - 1)
-            parts.extend(shifted.carriers)
-            tags.extend(("shift", i) for i in range(shifted.rank))
-        if n <= top:
-            parts.extend(target.module(n).carriers)
-            tags.extend(("target", j) for j in range(target.module(n).rank))
-        modules.append(MarkedModule(space, parts))
-        layout.append(tuple(tags))
+    modules = [
+        MarkedModule(target.space,
+                     (source.module(n - 1).carriers if n >= 1 else ())
+                     + (target.module(n).carriers if n <= top else ()))
+        for n in range(top + 2)
+    ]
 
     boundaries = []
     for n in range(1, top + 2):
-        dom, cod = modules[n], modules[n - 1]
-        entries = [[{} for _ in range(cod.rank)] for _ in range(dom.rank)]
-        dom_tags, cod_tags = layout[n], layout[n - 1]
-        cod_pos = {tag: t for t, tag in enumerate(cod_tags)}
-        neg_dC = source.boundary(n - 1).neg() if n - 1 >= 1 else None
-        for s, (kind, i) in enumerate(dom_tags):
-            if kind == "shift":
-                # -d^C into the shifted block, phi into the target block
-                if neg_dC is not None:
-                    for j in range(neg_dC.codomain.rank):
-                        entries[s][cod_pos[("shift", j)]] = neg_dC.entries[i][j]
-                phi = maps[n - 1]
-                for j in range(phi.codomain.rank):
-                    entries[s][cod_pos[("target", j)]] = phi.entries[i][j]
-            else:
-                dD = target.boundary(n)
-                for j in range(dD.codomain.rank):
-                    entries[s][cod_pos[("target", j)]] = dD.entries[i][j]
-        boundaries.append(MarkedMorphism(dom, cod, entries, normalize=False))
-    return ConeResult(MarkedComplex(modules, boundaries, None), tuple(layout))
+        # the C_{n-2} summands of Cone_{n-1} come before its D_{n-1} block
+        shift = source.module(n - 2).rank if n >= 2 else 0
+        neg_dC = source.boundary(n - 1).neg() if n >= 2 else None
+        entries = []
+        for i, phi_row in enumerate(maps[n - 1].entries):
+            # -d^C into the shifted block, phi into the target block
+            left = list(neg_dC.entries[i]) if neg_dC is not None else []
+            entries.append(left + list(phi_row))
+        if n <= top:
+            entries.extend([{}] * shift + list(row)
+                           for row in target.boundary(n).entries)
+        boundaries.append(MarkedMorphism(modules[n], modules[n - 1], entries,
+                                         normalize=False))
+    return MarkedComplex(modules, boundaries, None)
 
 
 # ---------------------------------------------------------------------------
 # tensor products
 
 
-@dataclass(frozen=True)
-class TensorResult:
-    complex: MarkedComplex
-    # summands[n] lists (p, i, j): degree p factor summand i with degree
-    # n-p factor summand j, in storage order
-    summands: tuple
-
-
-def tensor_complex(left: MarkedComplex, right: MarkedComplex) -> TensorResult:
+def tensor_complex(left: MarkedComplex, right: MarkedComplex) -> MarkedComplex:
     """Degreewise tensor product with intersected carriers.
 
-    (L @ R)_n sums <A_i intersect B_j> over p + q = n; the boundary acts by
-    d_L on the left index and by (-1)^p d_R on the right index, entries
-    restricted to the intersected carriers by the morphism normalisation.
+    (L @ R)_n sums <A_i intersect B_j> over p + q = n, stored by p, then
+    i, then j; the boundary acts by d_L on the left index and by (-1)^p d_R
+    on the right index, entries restricted to the intersected carriers by
+    the morphism normalisation.
     The restriction is exact when entries do not distinguish the two factor
     carriers (full carriers, e.g. induced resolutions); in general the
     output is a well formed sequence whose defect_report measures the loss.
@@ -409,7 +353,7 @@ def tensor_complex(left: MarkedComplex, right: MarkedComplex) -> TensorResult:
                 for j, B in enumerate(right.module(q).carriers):
                     tags.append((p, i, j))
                     carriers.append(A & B)
-        summands.append(tuple(tags))
+        summands.append(tags)
         modules.append(MarkedModule(space, carriers))
 
     boundaries = []
@@ -444,7 +388,7 @@ def tensor_complex(left: MarkedComplex, right: MarkedComplex) -> TensorResult:
             # augmentation values are nonzero, so are their products
             values.append({u: vi[u] * vj[u] for u in vi.keys() & vj.keys()})
         aug = Augmentation(modules[0], values)
-    return TensorResult(MarkedComplex(modules, boundaries, aug), tuple(summands))
+    return MarkedComplex(modules, boundaries, aug)
 
 
 # ---------------------------------------------------------------------------
@@ -480,16 +424,22 @@ class GHReport:
     k: int
 
     @property
-    def within(self) -> bool:
-        vals = list(self.symdiff) + list(self.map_sizes)
+    def max_size(self) -> Fraction:
+        sizes = list(self.symdiff) + list(self.map_sizes)
         if self.aug_size is not None:
-            vals.append(self.aug_size)
+            sizes.append(self.aug_size)
+        return max(sizes, default=Fraction(0))
+
+    @property
+    def max_norm(self) -> int:
         norms = list(self.map_norms)
         if self.aug_linf is not None:
             norms.append(self.aug_linf)
-        return all(v < self.delta for v in vals) and all(
-            n <= self.k for n in norms
-        )
+        return max(norms, default=0)
+
+    @property
+    def within(self) -> bool:
+        return self.max_size < self.delta and self.max_norm <= self.k
 
 
 def _comparison_map(cx: MarkedComplex, witness_side, ambients, r: int

@@ -258,6 +258,13 @@ def _residue_points(quotient: FiniteQuotient):
     return tuple(quotient.power(t, r) for r in range(quotient.order))
 
 
+def _shifted(point: tuple, points: frozenset, shift: int) -> frozenset:
+    """t^shift points, where point[r] is the element index of t^r."""
+    M = len(point)
+    return frozenset(point[(r + shift) % M]
+                     for r in range(M) if point[r] in points)
+
+
 def rokhlin_partition(modulus: int, tile: int) -> RokhlinResult:
     """The two-term complex of the tile {0, N, ..., (q-1)N} in Z/M.
 
@@ -275,23 +282,19 @@ def rokhlin_partition(modulus: int, tile: int) -> RokhlinResult:
     base = frozenset(point[j * N] for j in range(q))
     remainder = frozenset(point[k] for k in range(q * N, M))
     carrier = base | remainder
-
-    def shifted(res_set, shift):
-        return frozenset(point[(r + shift) % M]
-                         for r in range(M) if point[r] in res_set)
-
     module = MarkedModule(space, [carrier])
     aug = Augmentation(module, [dict.fromkeys(carrier, 1)])
 
     x = {}
     for j in range(N):
-        x = celt_add(x, celt_indicator(shifted(base, j), point[j]))
+        x = celt_add(x, celt_indicator(_shifted(point, base, j), point[j]))
     x = celt_add(x, celt_indicator(remainder))
 
+    tile_top = _shifted(point, base, N)      # t^N A
+    rem_up = _shifted(point, remainder, 1)   # t B
     entry = celt_indicator(carrier)
-    entry = celt_sub(entry, celt_indicator(shifted(base, N), point[N % M]))
-    entry = celt_sub(entry,
-                     celt_indicator(shifted(remainder, 1), point[1 % M]))
+    entry = celt_sub(entry, celt_indicator(tile_top, point[N % M]))
+    entry = celt_sub(entry, celt_indicator(rem_up, point[1 % M]))
     boundary = MarkedMorphism(module, module, [[entry]])
     cx = MarkedComplex([module, module], [boundary], aug)
     return RokhlinResult(
@@ -423,10 +426,14 @@ def rokhlin_level_contraction(result: RokhlinResult) -> bool:
 @dataclass(frozen=True)
 class EmbeddingResult:
     source: MarkedComplex   # induced resolution of Z, full carriers
-    target: MarkedComplex   # Rokhlin complex
+    rokhlin: RokhlinResult  # the tile whose complex is the target
     forward: tuple          # f_r: source_r -> target_r
     backward: tuple         # r_r: target_r -> source_r
     homotopies: tuple       # h_0: source_0 -> source_1
+
+    @property
+    def target(self) -> MarkedComplex:
+        return self.rokhlin.complex
 
     @property
     def norms(self) -> dict:
@@ -439,14 +446,13 @@ class EmbeddingResult:
         }
 
 
-def integers_embedding(modulus: int, tile: int) -> EmbeddingResult:
+def integers_embedding(rok: RokhlinResult) -> EmbeddingResult:
     """Chain maps both ways between the induced resolution of Z at Z/M and
-    the Rokhlin complex of the tile, with a homotopy making the induced
+    the Rokhlin complex rok of a tile, with a homotopy making the induced
     resolution a retract.  Norms stay bounded by the tile: f, r0 by 1, r1
     by N and h0 by N - 1.
     """
-    rok = rokhlin_partition(modulus, tile)
-    M, N = modulus, tile
+    M, N = rok.modulus, rok.tile
     space = rok.complex.space
     point = rok.point
     # resolution of Z with the degree-1 generator oriented so that
@@ -460,13 +466,8 @@ def integers_embedding(modulus: int, tile: int) -> EmbeddingResult:
         Augmentation(full, [dict.fromkeys(range(M), 1)]),
     )
 
-    rok_exp = {point[m]: m for m in range(M)}
-
-    def shifted(res_set, shift):
-        return frozenset(point[(rok_exp[p] + shift) % M] for p in res_set)
-
-    tile_top = shifted(rok.base, N)      # t^N A
-    rem_up = shifted(rok.remainder, 1)   # t B
+    tile_top = _shifted(point, rok.base, N)      # t^N A
+    rem_up = _shifted(point, rok.remainder, 1)   # t B
 
     f0 = MarkedMorphism(source.module(0), rok.complex.module(0),
                         [[rok.witness[0]]])
@@ -481,13 +482,13 @@ def integers_embedding(modulus: int, tile: int) -> EmbeddingResult:
     r1 = MarkedMorphism(rok.complex.module(1), source.module(1), [[x_tilde]])
     h_entry = {}
     for j in range(N):
-        piece = shifted(rok.base, j)
+        piece = _shifted(point, rok.base, j)
         for k in range(j):
             h_entry = celt_sub(h_entry, celt_indicator(piece, point[k]))
     h0 = MarkedMorphism(source.module(0), source.module(1), [[h_entry]])
     return EmbeddingResult(
         source=source,
-        target=rok.complex,
+        rokhlin=rok,
         forward=(f0, f1),
         backward=(r0, r1),
         homotopies=(h0,),

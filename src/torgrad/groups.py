@@ -80,6 +80,8 @@ def parse_word(text: str, num_generators: Optional[int] = None) -> Word:
     0, 1, 2, ...; an optional integer exponent (with optional ``^``) follows
     each letter.  ``""`` and ``"1"`` both denote the identity.
     """
+    if not isinstance(text, str):
+        raise ValueError(f"a word must be a string, got {text!r}")
     stripped = text.replace("*", " ").strip()
     if stripped in ("", "1"):
         return ()
@@ -354,6 +356,8 @@ class FiniteQuotient:
 
     @staticmethod
     def from_json(spec: dict) -> "FiniteQuotient":
+        if not isinstance(spec, dict):
+            raise ValueError(f"a quotient must be a JSON object, got {spec!r}")
         kind = spec.get("kind")
         if kind == "abelian":
             return FiniteQuotient.abelian(spec["moduli"], spec.get("images"))

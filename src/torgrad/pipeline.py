@@ -27,6 +27,8 @@ from .complexes import (
     witness_report,
 )
 from .constructions import (
+    EmbeddingResult,
+    RokhlinResult,
     integers_embedding,
     koszul_complex,
     resolution_by_name,
@@ -405,7 +407,7 @@ def run_gradient(config: dict) -> GradientTable:
                     "(abelian, one modulus)"
                 )
             try:
-                target = integers_embedding(quotient.order, tile).target
+                target = rokhlin_partition(quotient.order, tile).complex
             except ValueError as exc:
                 raise ConfigError(f"level {idx}: {exc}") from None
 
@@ -540,10 +542,11 @@ def _suite_strictify(rng: random.Random, trials: int) -> list:
     return failures
 
 
-def rokhlin_checks(modulus: int, tile: int, embedding: bool = True,
-                   tower_span: Optional[range] = None) -> dict:
-    """Identity-check ledger for one (modulus, tile) pair."""
-    res = rokhlin_partition(modulus, tile)
+def rokhlin_checks(res: RokhlinResult,
+                   emb: Optional[EmbeddingResult] = None) -> dict:
+    """Identity-check ledger for one Rokhlin tile complex, and for the
+    embedding of the integers built from it when one is given."""
+    modulus, tile = res.modulus, res.tile
     cx = res.complex
     out = {"complex_strict": defect_report(cx).is_strict,
            "witness_exact": witness_report(cx, res.witness).defect_size == 0}
@@ -552,17 +555,19 @@ def rokhlin_checks(modulus: int, tile: int, embedding: bool = True,
                         and cx.module(0).dim() <= bound)
     expected = 2 if tile < modulus else 0
     out["boundary_norm"] = res.boundary_norm == expected
+    # the full +-2M window on small tiles, a fixed spot window on big ones
+    half = min(2 * modulus, 24)
     out["tower_contraction"] = rokhlin_tower_contraction(
-        modulus, tile, span=tower_span)
+        modulus, tile, span=range(-half, half + 1))
     out["level_contraction"] = rokhlin_level_contraction(res)
-    if embedding and tile < modulus:
-        emb = integers_embedding(modulus, tile)
-        out.update(embedding_checks(emb, tile))
+    if emb is not None:
+        out.update(embedding_checks(emb))
     return out
 
 
-def embedding_checks(emb, tile: int) -> dict:
+def embedding_checks(emb: EmbeddingResult) -> dict:
     """The six exact identities plus the norm table for one embedding."""
+    tile = emb.rokhlin.tile
     out = {}
     out["forward_chain_map"] = check_chain_map(
         emb.forward, emb.source, emb.target).is_strict
@@ -583,12 +588,6 @@ def embedding_checks(emb, tile: int) -> dict:
     return out
 
 
-def _rokhlin_span(modulus: int) -> range:
-    # full +-2M window on small tiles, a fixed spot window on big ones
-    half = min(2 * modulus, 24)
-    return range(-half, half + 1)
-
-
 def _suite_rokhlin(rng: random.Random, trials: int) -> list:
     failures = []
     pairs = list(ROKHLIN_GRID)
@@ -596,10 +595,10 @@ def _suite_rokhlin(rng: random.Random, trials: int) -> list:
         modulus = rng.randint(2, 30)
         pairs.append((modulus, rng.randint(1, modulus)))
     for modulus, tile in pairs:
-        checks = rokhlin_checks(modulus, tile,
-                                tower_span=_rokhlin_span(modulus))
-        if modulus <= 16 and tile < modulus:
-            emb = integers_embedding(modulus, tile)
+        res = rokhlin_partition(modulus, tile)
+        emb = integers_embedding(res) if tile < modulus else None
+        checks = rokhlin_checks(res, emb)
+        if modulus <= 16 and emb is not None:
             checks["retract_inequalities"] = retract_inequality_check(
                 emb.source, emb.target, emb.forward, emb.backward,
                 emb.homotopies).ok
@@ -684,7 +683,7 @@ def _suite_retract(rng: random.Random, trials: int) -> list:
         if rng.random() < 0.4:
             modulus = rng.randint(3, 16)
             tile = rng.randint(1, modulus - 1)
-            emb = integers_embedding(modulus, tile)
+            emb = integers_embedding(rokhlin_partition(modulus, tile))
             report = retract_inequality_check(
                 emb.source, emb.target, emb.forward, emb.backward,
                 emb.homotopies)
@@ -861,9 +860,8 @@ def cmd_rokhlin(args) -> int:
         return 1
     try:
         res = rokhlin_partition(args.modulus, args.tile)
-        checks = rokhlin_checks(args.modulus, args.tile,
-                                embedding=args.embedding,
-                                tower_span=_rokhlin_span(args.modulus))
+        emb = integers_embedding(res) if args.embedding else None
+        checks = rokhlin_checks(res, emb)
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
@@ -872,8 +870,8 @@ def cmd_rokhlin(args) -> int:
           f"dim={res.dim} boundary_norm={res.boundary_norm}")
     for name in sorted(checks):
         print(f"{'ok' if checks[name] else 'FAIL'} {name}")
-    if args.embedding:
-        norms = integers_embedding(args.modulus, args.tile).norms
+    if emb is not None:
+        norms = emb.norms
         print("norms " + " ".join(f"{k}={norms[k]}"
                                   for k in ("f0", "f1", "r0", "r1", "h0")))
     return 0 if all(checks.values()) else 2
@@ -911,7 +909,7 @@ def cmd_strictify_demo(args) -> int:
     after = defect_report(res.complex)
     print(f"level order {space.order}, degrees 0..{base.top_degree}")
     for r in range(base.top_degree):
-        defect = before.aug_size if r == 0 else before.composite_sizes[r + 1]
+        defect = before.aug_size if r == 0 else before.sizes[r + 1]
         print(f"degree {r}: input defect {defect}, "
               f"error dim {res.error_dims[r]}")
     report = gh_verify(pert, res.complex, res.witness)

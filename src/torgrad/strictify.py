@@ -12,15 +12,17 @@ Three constructions, all at a fixed level and all exact-output:
   complexes, enlarging only the target; the repaired map commutes exactly
   and covers the original augmentation on the nose.
 
-Every output is compared against its input by measured support sizes, so
-callers can check the advertised bounds instead of trusting them.
+Each result records the dimension of the error summands added per degree,
+and strictify_complex also an ambient witness whose bounds are measured
+against its input, so callers can check the advertised bounds instead of
+trusting them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .crossring import (
     Augmentation,
@@ -33,7 +35,6 @@ from .crossring import (
     vector_supp1,
 )
 from .complexes import (
-    DefectReport,
     GHWitness,
     MarkedComplex,
     defect_report,
@@ -42,16 +43,12 @@ from .complexes import (
 )
 
 
-def _error_module(space, supports: Sequence[frozenset]):
-    """Module of the nonempty supports; slots maps the originating summand
-    index to the position of its error summand."""
-    slots = {}
-    carriers = []
-    for i, B in enumerate(supports):
-        if B:
-            slots[i] = len(carriers)
-            carriers.append(B)
-    return MarkedModule(space, carriers), slots
+def _extend(module: MarkedModule, supports: Sequence[frozenset]):
+    """module followed by one error summand <B> per nonempty support B,
+    and the indices of those supports in the order of their summands."""
+    kept = [i for i, B in enumerate(supports) if B]
+    errors = MarkedModule(module.space, [supports[i] for i in kept])
+    return module.direct_sum(errors), kept
 
 
 def _pad_codomain(f: MarkedMorphism, big: MarkedModule) -> MarkedMorphism:
@@ -119,9 +116,7 @@ def make_surjective(cx: MarkedComplex, z: Vector) -> SurjectiveResult:
 @dataclass(frozen=True)
 class StrictifyComplexResult:
     complex: MarkedComplex
-    error_modules: tuple
     error_dims: tuple
-    input_defects: DefectReport
     witness: GHWitness
 
     @property
@@ -144,59 +139,40 @@ def strictify_complex(cx: MarkedComplex) -> StrictifyComplexResult:
     """
     if cx.augmentation is None:
         raise ValueError("strictification needs an augmented complex")
-    space = cx.space
     top = cx.top_degree
-    input_defects = defect_report(cx)
     if top == 0:
-        witness = _strictify_witness(cx, cx)
-        return StrictifyComplexResult(cx, (), (), input_defects, witness)
-
-    new_modules: list[Optional[MarkedModule]] = [None] * (top + 1)
-    new_boundaries: list[Optional[MarkedMorphism]] = [None] * top
-    error_modules = []
-    error_dims = []
+        return StrictifyComplexResult(cx, (), _strictify_witness(cx, cx))
 
     # degree 0: the corrected degree 0 map is the augmentation itself
     comp_aug = cx.augmentation.after(cx.boundary(1))
     supports = [frozenset(v) for v in comp_aug.values]
-    E0, slots = _error_module(space, supports)
-    zero_hat = cx.module(0).direct_sum(E0)
-    aug_values = list(cx.augmentation.values) + [
-        comp_aug.values[i] for i in sorted(slots, key=slots.get)
-    ]
-    aug_hat = Augmentation(zero_hat, aug_values)
-    new_modules[0] = zero_hat
-    error_modules.append(E0)
-    error_dims.append(E0.dim())
-
-    tilde = _corrected_map(cx.boundary(1), zero_hat, slots, supports)
+    zero_hat, kept = _extend(cx.module(0), supports)
+    aug_hat = Augmentation(zero_hat, list(cx.augmentation.values)
+                           + [comp_aug.values[i] for i in kept])
+    new_modules = [zero_hat]
+    new_boundaries = []
+    tilde = _corrected_map(cx.boundary(1), zero_hat, kept, supports)
 
     for r in range(1, top):
         comp = cx.boundary(r + 1).then(tilde)
         supports = [frozenset(vector_supp1(comp.row(i)))
                     for i in range(comp.domain.rank)]
-        Er, slots = _error_module(space, supports)
-        r_hat = cx.module(r).direct_sum(Er)
+        r_hat, kept = _extend(cx.module(r), supports)
         rows = [list(row) for row in tilde.entries] + [
-            list(comp.entries[i]) for i in sorted(slots, key=slots.get)
+            list(comp.entries[i]) for i in kept
         ]
-        new_boundaries[r - 1] = MarkedMorphism(r_hat, new_modules[r - 1], rows)
-        new_modules[r] = r_hat
-        error_modules.append(Er)
-        error_dims.append(Er.dim())
-        tilde = _corrected_map(cx.boundary(r + 1), r_hat, slots, supports)
+        new_boundaries.append(MarkedMorphism(r_hat, new_modules[r - 1], rows))
+        new_modules.append(r_hat)
+        tilde = _corrected_map(cx.boundary(r + 1), r_hat, kept, supports)
 
-    new_modules[top] = cx.module(top)
-    new_boundaries[top - 1] = tilde
-
+    new_modules.append(cx.module(top))
+    new_boundaries.append(tilde)
     out = MarkedComplex(new_modules, new_boundaries, aug_hat)
-    witness = _strictify_witness(cx, out)
     return StrictifyComplexResult(
         complex=out,
-        error_modules=tuple(error_modules),
-        error_dims=tuple(error_dims),
-        input_defects=input_defects,
-        witness=witness,
+        error_dims=tuple(new_modules[r].dim() - cx.module(r).dim()
+                         for r in range(top)),
+        witness=_strictify_witness(cx, out),
     )
 
 
@@ -204,34 +180,17 @@ def _strictify_witness(before: MarkedComplex, after: MarkedComplex) -> GHWitness
     """Ambient comparison witness: the output modules contain the input
     modules as their first summand blocks.  delta is the measured maximum
     plus half an atom, k the measured norm maximum."""
-    left = tuple(
-        tuple(range(before.module(r).rank)) for r in range(before.top_degree + 1)
-    )
-    right = tuple(
-        tuple(range(after.module(r).rank)) for r in range(after.top_degree + 1)
-    )
     probe = GHWitness(
         ambients=tuple(after.modules),
-        left_assignments=left,
-        right_assignments=right,
+        left_assignments=tuple(tuple(range(m.rank)) for m in before.modules),
+        right_assignments=tuple(tuple(range(m.rank)) for m in after.modules),
         delta=Fraction(1),
         k=0,
     )
     rep = gh_verify(before, after, probe)
-    sizes = list(rep.symdiff) + list(rep.map_sizes)
-    if rep.aug_size is not None:
-        sizes.append(rep.aug_size)
-    norms = list(rep.map_norms)
-    if rep.aug_linf is not None:
-        norms.append(rep.aug_linf)
-    delta = max(sizes, default=Fraction(0)) + Fraction(1, 2 * before.space.order)
-    return GHWitness(
-        ambients=probe.ambients,
-        left_assignments=left,
-        right_assignments=right,
-        delta=delta,
-        k=max(norms, default=0),
-    )
+    return replace(probe,
+                   delta=rep.max_size + Fraction(1, 2 * before.space.order),
+                   k=rep.max_norm)
 
 
 # ---------------------------------------------------------------------------
@@ -242,10 +201,7 @@ def _strictify_witness(before: MarkedComplex, after: MarkedComplex) -> GHWitness
 class StrictifyMapResult:
     target: MarkedComplex
     maps: tuple
-    error_modules: tuple
     error_dims: tuple
-    map_diff_sizes: tuple
-    map_diff_norms: tuple
 
     @property
     def total_error_dim(self) -> Fraction:
@@ -278,31 +234,15 @@ def strictify_map(
     if len(maps) != top + 1:
         raise ValueError(f"{len(maps)} maps for degrees 0..{top}")
 
-    space = source.space
-    new_modules: list[Optional[MarkedModule]] = [None] * (top + 1)
-    new_boundaries: list[Optional[MarkedMorphism]] = [None] * top
-    new_maps: list[Optional[MarkedMorphism]] = [None] * (top + 1)
-    error_modules = []
-    error_dims = []
-    diff_sizes = []
-    diff_norms = []
-
     # degree 0: defect of the augmentation row
     delta0 = target.augmentation.after(maps[0]).sub(source.augmentation)
     supports = [frozenset(v) for v in delta0.values]
-    E0, slots = _error_module(space, supports)
-    zero_hat = target.module(0).direct_sum(E0)
-    aug_hat = Augmentation(
-        zero_hat,
-        list(target.augmentation.values)
-        + [delta0.values[i] for i in sorted(slots, key=slots.get)],
-    )
-    new_modules[0] = zero_hat
-    new_maps[0] = _corrected_map(maps[0], zero_hat, slots, supports)
-    error_modules.append(E0)
-    error_dims.append(E0.dim())
-    diff_sizes.append(E0.dim())
-    diff_norms.append(1 if slots else 0)
+    zero_hat, kept = _extend(target.module(0), supports)
+    aug_hat = Augmentation(zero_hat, list(target.augmentation.values)
+                           + [delta0.values[i] for i in kept])
+    new_modules = [zero_hat]
+    new_boundaries = []
+    new_maps = [_corrected_map(maps[0], zero_hat, kept, supports)]
 
     for r in range(top):
         # Delta: C_{r+1} -> target-hat_r, the square defect against the
@@ -314,43 +254,32 @@ def strictify_map(
         delta = through_target.sub(through_source)
         supports = [frozenset(vector_supp1(delta.row(i)))
                     for i in range(delta.domain.rank)]
-        Er, slots = _error_module(space, supports)
-        r_hat = target.module(r + 1).direct_sum(Er)
-        new_modules[r + 1] = r_hat
+        r_hat, kept = _extend(target.module(r + 1), supports)
         # boundary: original target boundary on the first block, the defect
         # on the error block
         d_pad = _pad_codomain(target.boundary(r + 1), new_modules[r])
         rows = [list(row) for row in d_pad.entries] + [
-            list(delta.entries[i]) for i in sorted(slots, key=slots.get)
+            list(delta.entries[i]) for i in kept
         ]
-        new_boundaries[r] = MarkedMorphism(r_hat, new_modules[r], rows)
-        new_maps[r + 1] = _corrected_map(maps[r + 1], r_hat, slots, supports)
-        error_modules.append(Er)
-        error_dims.append(Er.dim())
-        diff_sizes.append(Er.dim())
-        diff_norms.append(1 if slots else 0)
+        new_boundaries.append(MarkedMorphism(r_hat, new_modules[r], rows))
+        new_modules.append(r_hat)
+        new_maps.append(_corrected_map(maps[r + 1], r_hat, kept, supports))
 
-    out = MarkedComplex(new_modules, new_boundaries, aug_hat)
     return StrictifyMapResult(
-        target=out,
+        target=MarkedComplex(new_modules, new_boundaries, aug_hat),
         maps=tuple(new_maps),
-        error_modules=tuple(error_modules),
-        error_dims=tuple(error_dims),
-        map_diff_sizes=tuple(diff_sizes),
-        map_diff_norms=tuple(diff_norms),
+        error_dims=tuple(m.dim() - t.dim()
+                         for m, t in zip(new_modules, target.modules)),
     )
 
 
-def _corrected_map(f: MarkedMorphism, target_hat, slots, supports
+def _corrected_map(f: MarkedMorphism, target_hat, kept, supports
                    ) -> MarkedMorphism:
-    """f with each row i pushed into the extended target, minus the
-    indicator of its error summand."""
+    """f pushed into the extended target, each row kept[k] minus the
+    indicator of its support on error summand k."""
     base_rank = f.codomain.rank
     extra = target_hat.rank - base_rank
-    rows = []
-    for i in range(f.domain.rank):
-        row = list(f.entries[i]) + [{}] * extra
-        if i in slots:
-            row[base_rank + slots[i]] = celt_neg(celt_indicator(supports[i]))
-        rows.append(row)
+    rows = [list(row) + [{}] * extra for row in f.entries]
+    for k, i in enumerate(kept):
+        rows[i][base_rank + k] = celt_neg(celt_indicator(supports[i]))
     return MarkedMorphism(f.domain, target_hat, rows)

@@ -21,7 +21,11 @@ from torgrad.crossring import (
     vector_l1,
 )
 from torgrad.complexes import defect_report, gh_verify, induce_resolution
-from torgrad.constructions import integers_embedding, resolution_by_name
+from torgrad.constructions import (
+    integers_embedding,
+    resolution_by_name,
+    rokhlin_partition,
+)
 from torgrad.discretize import (
     coinvariants_complex,
     coinvariants_matrix,
@@ -48,7 +52,6 @@ from torgrad.pipeline import (
     random_vector,
     rokhlin_checks,
     strictify_error_bound,
-    _rokhlin_span,
 )
 
 
@@ -98,14 +101,21 @@ def test_criterion_2_surface_group_gradients():
                               "rk H2 = 1 for n = 2..8")
 
 
+ROKHLIN_LEDGER = frozenset({
+    "complex_strict", "witness_exact", "dim_bound", "boundary_norm",
+    "tower_contraction", "level_contraction", "forward_chain_map",
+    "backward_chain_map", "homotopy_degree0", "homotopy_degree1",
+    "norm_table"})
+
+
 def test_criterion_3_rokhlin_identities():
     started = time.monotonic()
     for modulus, tile in ROKHLIN_GRID:
-        checks = rokhlin_checks(modulus, tile,
-                                tower_span=_rokhlin_span(modulus))
+        emb = integers_embedding(rokhlin_partition(modulus, tile))
+        checks = rokhlin_checks(emb.rokhlin, emb)
+        assert set(checks) == ROKHLIN_LEDGER
         bad = sorted(k for k, v in checks.items() if not v)
         assert not bad, f"({modulus},{tile}): {bad}"
-        emb = integers_embedding(modulus, tile)
         target = emb.target
         bound = Fraction(1, tile) + Fraction(modulus % tile, modulus)
         assert target.module(0).dim() == target.module(1).dim() <= bound
@@ -207,7 +217,7 @@ def test_criterion_8_cheap_embeddings():
     for eps in (Fraction(1, 2), Fraction(1, 4), Fraction(1, 8)):
         tile = math.ceil(2 / eps)
         for modulus in (2 * tile, 4 * tile):
-            emb = integers_embedding(modulus, tile)
+            emb = integers_embedding(rokhlin_partition(modulus, tile))
             for r in (0, 1):
                 assert emb.target.module(r).dim() < eps
             assert op_norm(emb.target.boundary(1)) <= 2

@@ -64,7 +64,7 @@ def test_induced_free_resolution_is_strict():
 def test_koszul_is_strict_only_after_commuting_quotient():
     cx = koszul_complex(SP33)
     rep = defect_report(cx)
-    assert rep.composite_sizes[2] == 0
+    assert rep.sizes[2] == 0
     assert rep.aug_size == 0
     assert rep.is_strict
 
@@ -108,7 +108,7 @@ def test_chain_map_defect_is_measured():
     ]
     maps[1] = MarkedMorphism(m1, m1, bad)
     rep = check_chain_map(maps, cx, cx)
-    assert rep.square_sizes[1] > 0
+    assert rep.sizes[1] > 0
     assert not rep.is_strict
 
 
@@ -116,13 +116,12 @@ def test_mapping_cone_of_identity():
     cx = free2_complex(SP22)
     maps = [MarkedMorphism.identity(m) for m in cx.modules]
     cone = mapping_cone(maps, cx, cx)
-    assert cone.complex.top_degree == 2
-    assert cone.complex.augmentation is None
-    assert defect_report(cone.complex).is_strict
+    assert cone.top_degree == 2
+    assert cone.augmentation is None
+    assert defect_report(cone).is_strict
     # dim Cone_n = dim C_{n-1} + dim D_n
-    assert [m.dim() for m in cone.complex.modules] == [Fraction(1),
-                                                       Fraction(3),
-                                                       Fraction(2)]
+    assert [m.dim() for m in cone.modules] == [Fraction(1), Fraction(3),
+                                               Fraction(2)]
 
 
 def test_mapping_cone_rejects_nonstrict_maps():
@@ -145,15 +144,14 @@ def test_tensor_matches_koszul():
     t1, t2 = space.quotient.generator_images
     C = one_generator_complex(space, t1)
     D = one_generator_complex(space, t2)
-    result = tensor_complex(C, D)
-    tensor = result.complex
+    tensor = tensor_complex(C, D)
     assert [m.rank for m in tensor.modules] == [1, 2, 1]
     assert defect_report(tensor).is_strict
     assert tensor.augmentation is not None
     koszul = koszul_complex(space)
     assert ([m.dim() for m in tensor.modules]
             == [m.dim() for m in koszul.modules])
-    # the boundaries agree up to the summand order recorded in the layout
+    # the boundaries agree up to the summand order
     maps = [MarkedMorphism.identity(m) for m in tensor.modules]
     rep = check_chain_map(maps, tensor, tensor)
     assert rep.is_strict
@@ -238,6 +236,6 @@ def test_complex_json_round_trip():
 
     cone = mapping_cone(
         [MarkedMorphism.identity(m) for m in cx.modules], cx, cx
-    ).complex
+    )
     assert cone.to_json()["augmentation"] is None
     assert MarkedComplex.from_json(cone.to_json()).augmentation is None

@@ -198,7 +198,8 @@ def test_rokhlin_level_contraction():
 
 @pytest.mark.parametrize("modulus,tile", [(7, 2), (12, 4)])
 def test_integers_embedding_identities(modulus, tile):
-    emb = integers_embedding(modulus, tile)
+    emb = integers_embedding(rokhlin_partition(modulus, tile))
+    assert emb.target is emb.rokhlin.complex
     assert check_chain_map(list(emb.forward), emb.source, emb.target).is_strict
     assert check_chain_map(list(emb.backward), emb.target, emb.source).is_strict
     d1 = emb.source.boundary(1)
@@ -213,7 +214,7 @@ def test_integers_embedding_identities(modulus, tile):
 
 
 def test_integers_embedding_retract_inequalities():
-    emb = integers_embedding(7, 2)
+    emb = integers_embedding(rokhlin_partition(7, 2))
     report = retract_inequality_check(
         emb.source, emb.target,
         list(emb.forward), list(emb.backward), list(emb.homotopies),

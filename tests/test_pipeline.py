@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import torgrad
-from torgrad import pipeline
+from torgrad import constructions, pipeline
 from torgrad.complexes import induce_resolution
 from torgrad.crossring import LevelSpace, MarkedModule, MarkedMorphism
 from torgrad.discretize import coinvariants_complex, homology_of_complex
@@ -26,6 +26,7 @@ from torgrad.pipeline import (
     ConfigError,
     DEFAULT_TRIALS,
     GRADIENT_COLUMNS,
+    ROKHLIN_GRID,
     SUITE_RUNNERS,
     VERIFY_SUITES,
     main,
@@ -369,6 +370,34 @@ def test_public_methods_have_a_caller():
     assert not unused, f"methods used only by tests: {unused}"
 
 
+def _is_dataclass_decorator(node) -> bool:
+    if isinstance(node, ast.Call):
+        node = node.func
+    return getattr(node, "id", getattr(node, "attr", None)) == "dataclass"
+
+
+def test_dataclass_fields_are_read():
+    # every annotated field of a dataclass in the package is read as an
+    # attribute somewhere in the package or the tests, so results do not
+    # carry values that no caller looks at
+    package = sorted(Path(torgrad.__file__).parent.glob("*.py"))
+    trees = [ast.parse(path.read_text())
+             for path in package + sorted(Path(__file__).parent.glob("*.py"))]
+    loaded = {node.attr for tree in trees for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute)
+              and isinstance(node.ctx, ast.Load)}
+    unread = sorted(
+        f"{cls.name}.{item.target.id}"
+        for tree in trees[:len(package)] for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        and any(map(_is_dataclass_decorator, cls.decorator_list))
+        for item in cls.body
+        if isinstance(item, ast.AnnAssign)
+        and isinstance(item.target, ast.Name)
+        and item.target.id not in loaded)
+    assert not unread, f"dataclass fields that nothing reads: {unread}"
+
+
 def _bench_workloads():
     """perfbench/workloads.py, read only: its configs and golden CSVs."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
@@ -458,6 +487,28 @@ def test_rokhlin_cli(capsys):
     assert main(["rokhlin", "--modulus", "4", "--tile", "5"]) == 1
     assert main(["rokhlin", "--modulus", "4", "--tile", "4",
                  "--embedding"]) == 1
+    capsys.readouterr()
+
+
+def test_rokhlin_checks_build_each_tile_once(monkeypatch, capsys):
+    # one counter on both bindings of rokhlin_partition
+    calls = []
+    build = constructions.rokhlin_partition
+
+    def counted(modulus, tile):
+        calls.append((modulus, tile))
+        return build(modulus, tile)
+
+    monkeypatch.setattr(constructions, "rokhlin_partition", counted)
+    monkeypatch.setattr(pipeline, "rokhlin_partition", counted)
+    assert run_verify("rokhlin", 0, 6) == []
+    # the grid plus one random pair per trial, one partition each
+    assert len(calls) == len(ROKHLIN_GRID) + 6
+    assert calls[:len(ROKHLIN_GRID)] == list(ROKHLIN_GRID)
+    calls.clear()
+    assert main(["rokhlin", "--modulus", "7", "--tile", "2",
+                 "--embedding"]) == 0
+    assert calls == [(7, 2)]
     capsys.readouterr()
 
 
@@ -591,6 +642,31 @@ def test_lognorm_cli_refuses_non_integer_numbers(tmp_path, capsys, mutate,
     assert captured.out == ""
     assert captured.err.startswith("config error:")
     assert "must be an integer" in captured.err
+
+
+def _set_word(data, value):
+    data["entries"][0][0][0]["word"] = value
+
+
+def _set_quotient(data, value):
+    data["quotient"] = value
+
+
+@pytest.mark.parametrize("mutate, value", [
+    (_set_word, 5), (_set_word, None), (_set_word, ["a"]),
+    (_set_quotient, []), (_set_quotient, "abelian"), (_set_quotient, None),
+], ids=["word-number", "word-null", "word-list", "quotient-list",
+        "quotient-string", "quotient-null"])
+def test_lognorm_cli_refuses_malformed_words_and_quotients(
+        tmp_path, capsys, mutate, value):
+    data = _one_atom_morphism()
+    mutate(data, value)
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(data))
+    assert main(["lognorm", "--input", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error:")
 
 
 def test_strictify_demo_cli(capsys):

@@ -121,7 +121,7 @@ def test_strictify_repairs_almost_complex():
     # rank(D_{r+1}) * dim E_{r-1} * N_1max(d_{r+1})
     deltas = {0: before.aug_size}
     for r in range(2, bad.top_degree + 1):
-        deltas[r - 1] = before.composite_sizes[r]
+        deltas[r - 1] = before.sizes[r]
     prev = Fraction(0)
     for r, dim_e in enumerate(res.error_dims):
         n1m = morphism_stats(bad.boundary(r + 1)).n1_max
