@@ -10,7 +10,6 @@ from .groups import (
 )
 from .crossring import (
     Augmentation,
-    LevelSpace,
     MarkedModule,
     MarkedMorphism,
     marked_inclusion,
@@ -60,7 +59,7 @@ __version__ = "0.1.0"
 __all__ = [
     "FiniteQuotient", "Presentation", "fox_derivative", "parse_word",
     "push_to_quotient", "reduce_word",
-    "Augmentation", "LevelSpace", "MarkedModule", "MarkedMorphism",
+    "Augmentation", "MarkedModule", "MarkedMorphism",
     "marked_inclusion", "marked_projection", "morphism_stats", "op_norm",
     "vector_stats",
     "MarkedComplex", "check_chain_map", "defect_report", "gh_verify",

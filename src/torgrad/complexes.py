@@ -21,7 +21,6 @@ from typing import Optional, Sequence
 
 from .crossring import (
     Augmentation,
-    LevelSpace,
     MarkedModule,
     MarkedMorphism,
     Vector,
@@ -30,13 +29,16 @@ from .crossring import (
     celt_to_json,
     fn_from_json,
     fn_sub,
+    level_from_json,
+    level_to_json,
     marked_inclusion,
     marked_projection,
+    measure,
     morphism_stats,
     op_norm,
     vector_stats,
 )
-from .groups import push_to_quotient
+from .groups import FiniteQuotient, push_to_quotient
 
 
 class MarkedComplex:
@@ -89,7 +91,7 @@ class MarkedComplex:
 
     def to_json(self) -> dict:
         return {
-            **self.space.to_json(),
+            **level_to_json(self.space),
             "degrees": [[sorted(A) for A in m.carriers] for m in self.modules],
             "boundaries": [
                 [[celt_to_json(self.space, z) for z in row] for row in d.entries]
@@ -101,9 +103,8 @@ class MarkedComplex:
         }
 
     @staticmethod
-    def from_json(data: dict, space: Optional[LevelSpace] = None) -> "MarkedComplex":
-        if space is None:
-            space = LevelSpace.from_json(data)
+    def from_json(data: dict) -> "MarkedComplex":
+        space = level_from_json(data)
         modules = [MarkedModule(space, carriers_from_json(cs))
                    for cs in data["degrees"]]
         boundaries = []
@@ -182,7 +183,7 @@ def witness_report(cx: MarkedComplex, z: Vector) -> WitnessReport:
     stats = vector_stats(space, z)
     return WitnessReport(
         defect_support=frozenset(diff),
-        defect_size=space.measure(set(diff)),
+        defect_size=measure(space, len(diff)),
         defect_linf=max(map(abs, diff.values()), default=0),
         n1=stats.n1,
         n2=stats.n2,
@@ -225,7 +226,7 @@ def check_chain_map(
 
 
 def induce_resolution(
-    space: LevelSpace,
+    space: FiniteQuotient,
     ranks: Sequence[int],
     matrices: Sequence[Sequence[Sequence[dict]]],
     gen_images: Optional[Sequence[int]] = None,
@@ -242,7 +243,6 @@ def induce_resolution(
     """
     if len(matrices) != len(ranks) - 1:
         raise ValueError(f"{len(matrices)} matrices for {len(ranks)} ranks")
-    q = space.quotient
     modules = [MarkedModule.full(space, n) for n in ranks]
     full = range(space.order)
     boundaries = []
@@ -258,7 +258,7 @@ def induce_resolution(
             out_row = []
             for elt in row:
                 # push_to_quotient keeps nonzero coefficients only
-                pushed = push_to_quotient(elt, q, gen_images)
+                pushed = push_to_quotient(elt, space, gen_images)
                 out_row.append({g: dict.fromkeys(full, c)
                                 for g, c in pushed.items()})
             entries.append(out_row)
@@ -476,7 +476,7 @@ def gh_verify(left: MarkedComplex, right: MarkedComplex, witness: GHWitness
         for t in range(P.rank):
             S = left_at.get(t, frozenset())
             T = right_at.get(t, frozenset())
-            total += space.measure(S ^ T)
+            total += measure(space, len(S ^ T))
         symdiff.append(total)
 
     map_sizes = []

@@ -23,13 +23,13 @@ from .groups import (
 )
 from .crossring import (
     Augmentation,
-    LevelSpace,
     MarkedModule,
     MarkedMorphism,
     celt_add,
     celt_indicator,
     celt_mul,
     celt_sub,
+    measure,
     op_norm,
 )
 from .complexes import MarkedComplex
@@ -163,7 +163,7 @@ class Degree0Result:
         return self.complex.module(0).dim()
 
 
-def degree0_cheap(space: LevelSpace, translates: Sequence[int],
+def degree0_cheap(space: FiniteQuotient, translates: Sequence[int],
                   epsilon: Fraction) -> Degree0Result:
     """Greedy cover of the level by translates of a small base set.
 
@@ -172,16 +172,15 @@ def degree0_cheap(space: LevelSpace, translates: Sequence[int],
     base has measure epsilon/2.  Fails if base plus remainder is not
     smaller than epsilon.
     """
-    q = space.quotient
     translates = list(dict.fromkeys(translates))
     if not translates:
         raise ValueError("need at least one translate")
-    tables = [q.left_table(g) for g in translates]
+    tables = [space.left_table(g) for g in translates]
     everything = set(range(space.order))
     base: set = set()
     covered: set = set()
     half = Fraction(epsilon, 2)
-    while covered != everything and Fraction(len(base), space.order) < half:
+    while covered != everything and measure(space, len(base)) < half:
         best_gain, best_point = 0, None
         for u in range(space.order):
             if u in base:
@@ -195,11 +194,10 @@ def degree0_cheap(space: LevelSpace, translates: Sequence[int],
         for tab in tables:
             covered.add(tab[best_point])
     remainder = everything - covered
-    if Fraction(len(base) + len(remainder), space.order) >= epsilon:
-        raise ValueError(
-            f"cover of measure {Fraction(len(base) + len(remainder), space.order)} "
-            f"is not below epsilon = {epsilon}"
-        )
+    size = measure(space, len(base) + len(remainder))
+    if size >= epsilon:
+        raise ValueError(f"cover of measure {size} is not below epsilon = "
+                         f"{epsilon}")
 
     pieces = []
     spoken = set()
@@ -275,9 +273,8 @@ def rokhlin_partition(modulus: int, tile: int) -> RokhlinResult:
     M, N = modulus, tile
     if not 1 <= N <= M:
         raise ValueError("need 1 <= tile <= modulus")
-    quotient = FiniteQuotient.abelian([M])
-    space = LevelSpace(quotient)
-    point = _residue_points(quotient)
+    space = FiniteQuotient.abelian([M])
+    point = _residue_points(space)
     q = M // N
     base = frozenset(point[j * N] for j in range(q))
     remainder = frozenset(point[k] for k in range(q * N, M))
@@ -457,7 +454,7 @@ def integers_embedding(rok: RokhlinResult) -> EmbeddingResult:
     point = rok.point
     # resolution of Z with the degree-1 generator oriented so that
     # d_1 = 1 - t; this matches the sign of the Rokhlin boundary
-    full = MarkedModule(space, [space.full_carrier()])
+    full = MarkedModule.full(space, 1)
     d_entry = celt_sub(celt_indicator(range(M)),
                        celt_indicator(range(M), point[1 % M]))
     source = MarkedComplex(

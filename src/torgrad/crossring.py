@@ -20,17 +20,19 @@ The counting statistics N_1, N_2 of a tuple are joint across summands
 pair); |.|_inf takes the max and supp_1 the union.  On one summand they
 reduce to the plain element statistics.
 
-Sparse functions and ring elements are plain dicts, and the coefficient
-helpers (fn_add, celt_add, celt_indicator, vector_l1, ...) are plain
-functions on them.  A helper takes the LevelSpace only when it reads the
-group (products, actions, words) or the measure (normalised statistics).
+The level is the FiniteQuotient itself, measured by the normalised
+counting measure (``measure``).  Sparse functions and ring elements are
+plain dicts, and the coefficient helpers (fn_add, celt_add, celt_indicator,
+vector_l1, ...) are plain functions on them.  A helper takes the level only
+when it reads the group (products, actions, words) or the measure
+(normalised statistics).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .groups import FiniteQuotient, _as_int, parse_word, word_to_str
 
@@ -41,65 +43,35 @@ CElt = dict
 # Module element: tuple of CElt, one per summand.
 Vector = tuple
 
-# LevelSpace.fraction memoises n / |G| for 0 <= n below this.
+# measure memoises n / |G| for 0 <= n below this.
 _FRACTION_MEMO = 4096
+_fractions: dict = {}
 
 
-class LevelSpace:
-    """A finite quotient with integer coefficients.
+def measure(space: FiniteQuotient, n: int) -> Fraction:
+    """n / |G|, the normalised counting measure of n points of the level;
+    small n are memoised, as statistics build these in hot loops."""
+    key = (n, space.order)
+    out = _fractions.get(key)
+    if out is None:
+        out = Fraction(n, space.order)
+        if 0 <= n < _FRACTION_MEMO:
+            _fractions[key] = out
+    return out
 
-    The measure is the normalised counting measure on the quotient.  The
-    space holds the group and the measure only; coefficient arithmetic is
-    done by the module-level helpers.
-    """
 
-    def __init__(self, quotient: FiniteQuotient):
-        self.quotient = quotient
-        self.order = quotient.order
-        self._fractions: dict[int, Fraction] = {}
+def level_to_json(space: FiniteQuotient) -> dict:
+    return {"quotient": space.to_json()}
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, LevelSpace)
-            and self.quotient.spec == other.quotient.spec
-        )
 
-    def __hash__(self):
-        return hash(self.order)
-
-    def __repr__(self) -> str:
-        return f"LevelSpace(order={self.order})"
-
-    def to_json(self) -> dict:
-        return {"quotient": self.quotient.to_json()}
-
-    @staticmethod
-    def from_json(data: dict) -> "LevelSpace":
-        """Coefficients are integers: a ``char`` key, if present, must be 0."""
-        char = data.get("char", 0)
-        if char != 0:
-            raise ValueError(f"only integer coefficients are supported; "
-                             f"char must be absent or 0, got {char!r}")
-        return LevelSpace(FiniteQuotient.from_json(data["quotient"]))
-
-    # measure ---------------------------------------------------------------
-
-    def fraction(self, n: int) -> Fraction:
-        """n / |G|; small n are memoised, as statistics build these in
-        hot loops."""
-        out = self._fractions.get(n)
-        if out is None:
-            out = Fraction(n, self.order)
-            if 0 <= n < _FRACTION_MEMO:
-                self._fractions[n] = out
-        return out
-
-    def measure(self, points: Iterable[int]) -> Fraction:
-        return self.fraction(
-            len(points if hasattr(points, "__len__") else set(points)))
-
-    def full_carrier(self) -> frozenset:
-        return frozenset(range(self.order))
+def level_from_json(data: dict) -> FiniteQuotient:
+    """The level of a serialised module, morphism or complex.  Coefficients
+    are integers: a ``char`` key, if present, must be 0."""
+    char = data.get("char", 0)
+    if char != 0:
+        raise ValueError(f"only integer coefficients are supported; "
+                         f"char must be absent or 0, got {char!r}")
+    return FiniteQuotient.from_json(data["quotient"])
 
 
 # ---------------------------------------------------------------------------
@@ -161,12 +133,11 @@ def celt_sub(x: CElt, y: CElt) -> CElt:
     return celt_add(x, celt_neg(y))
 
 
-def celt_mul(space: LevelSpace, x: CElt, y: CElt) -> CElt:
+def celt_mul(space: FiniteQuotient, x: CElt, y: CElt) -> CElt:
     """(f, g)(h, k) = (f * (g.h), g k), extended bilinearly."""
-    q = space.quotient
     out: CElt = {}
     for g, f in x.items():
-        table = q.left_table(g)
+        table = space.left_table(g)
         for k, h in y.items():
             gk = table[k]
             prod = {}
@@ -184,11 +155,11 @@ def celt_mul(space: LevelSpace, x: CElt, y: CElt) -> CElt:
     return out
 
 
-def celt_apply_l(space: LevelSpace, z: CElt, xi: Fn) -> Fn:
+def celt_apply_l(space: FiniteQuotient, z: CElt, xi: Fn) -> Fn:
     """Action on base functions: (f, g).xi = f * (g.xi)."""
     out: Fn = {}
     for g, f in z.items():
-        table = space.quotient.left_table(g)
+        table = space.left_table(g)
         for u, c in xi.items():
             gu = table[u]
             fv = f.get(gu)
@@ -223,9 +194,8 @@ def vector_supp1(x: Vector) -> frozenset:
     return frozenset(out)
 
 
-def vector_stats(space: LevelSpace, x: Vector) -> ElementStats:
+def vector_stats(space: FiniteQuotient, x: Vector) -> ElementStats:
     """Joint statistics: counts aggregate over (summand, group element)."""
-    q = space.quotient
     counts1: dict = {}
     counts2: dict = {}
     supp: set = set()
@@ -233,7 +203,7 @@ def vector_stats(space: LevelSpace, x: Vector) -> ElementStats:
     linf = 0
     for z in x:
         for g, f in z.items():
-            back = q.left_table(q.inv(g))
+            back = space.left_table(space.inv(g))
             for u, c in f.items():
                 a = c if c >= 0 else -c
                 total += a
@@ -244,11 +214,11 @@ def vector_stats(space: LevelSpace, x: Vector) -> ElementStats:
                 counts1[y] = counts1.get(y, 0) + 1
                 supp.add(u)
     return ElementStats(
-        l1=space.fraction(total),
+        l1=measure(space, total),
         linf=linf,
         n1=max(counts1.values(), default=0),
         n2=max(counts2.values(), default=0),
-        size1=space.fraction(len(supp)),
+        size1=measure(space, len(supp)),
         supp1=frozenset(supp),
     )
 
@@ -266,7 +236,7 @@ def vector_l1(x: Vector) -> int:
 class MarkedModule:
     """A direct sum of marked ideals <A_1> + ... + <A_r>."""
 
-    def __init__(self, space: LevelSpace, carriers: Sequence[Iterable[int]]):
+    def __init__(self, space: FiniteQuotient, carriers: Sequence[Iterable[int]]):
         self.space = space
         fixed = []
         for A in carriers:
@@ -283,11 +253,11 @@ class MarkedModule:
         return len(self.carriers)
 
     def dim(self) -> Fraction:
-        return sum((self.space.measure(A) for A in self.carriers), Fraction(0))
+        return measure(self.space, sum(len(A) for A in self.carriers))
 
     @classmethod
-    def full(cls, space: LevelSpace, rank: int) -> "MarkedModule":
-        return cls(space, [space.full_carrier()] * rank)
+    def full(cls, space: FiniteQuotient, rank: int) -> "MarkedModule":
+        return cls(space, [range(space.order)] * rank)
 
     def atom(self, i: int, u: int) -> Vector:
         """(chi_u, e) e_i; atoms run over i and u in A_i."""
@@ -306,7 +276,7 @@ class MarkedModule:
         for g, f in z.items():
             allowed = self._allowed.get((i, g))
             if allowed is None:
-                table = self.space.quotient.left_table(g)
+                table = self.space.left_table(g)
                 allowed = frozenset(table[u] for u in self.carriers[i])
                 self._allowed[i, g] = allowed
             kept = {u: c for u, c in f.items() if c and u in allowed}
@@ -340,14 +310,13 @@ class MarkedModule:
 
     def to_json(self) -> dict:
         return {
-            **self.space.to_json(),
+            **level_to_json(self.space),
             "carriers": [sorted(A) for A in self.carriers],
         }
 
     @staticmethod
-    def from_json(data: dict, space: Optional[LevelSpace] = None) -> "MarkedModule":
-        if space is None:
-            space = LevelSpace.from_json(data)
+    def from_json(data: dict) -> "MarkedModule":
+        space = level_from_json(data)
         return MarkedModule(space, carriers_from_json(data["carriers"]))
 
 
@@ -355,13 +324,12 @@ class MarkedModule:
 # marked morphisms
 
 
-def celt_to_json(space: LevelSpace, z: CElt) -> list:
-    q = space.quotient
+def celt_to_json(space: FiniteQuotient, z: CElt) -> list:
     terms = []
     for g in z:
         terms.append(
             {
-                "word": word_to_str(q.word_of(g)),
+                "word": word_to_str(space.word_of(g)),
                 "coeffs": [[u, z[g][u]] for u in sorted(z[g])],
             }
         )
@@ -369,10 +337,10 @@ def celt_to_json(space: LevelSpace, z: CElt) -> list:
     return terms
 
 
-def celt_from_json(space: LevelSpace, terms: list) -> CElt:
+def celt_from_json(space: FiniteQuotient, terms: list) -> CElt:
     out: CElt = {}
     for term in terms:
-        g = space.quotient.evaluate_word(parse_word(term["word"]))
+        g = space.evaluate_word(parse_word(term["word"]))
         f = fn_from_json(term["coeffs"])
         out = celt_add(out, {g: f} if f else {})
     return out
@@ -523,7 +491,7 @@ class MarkedMorphism:
 
     def to_json(self) -> dict:
         return {
-            **self.space.to_json(),
+            **level_to_json(self.space),
             "domain": [sorted(A) for A in self.domain.carriers],
             "codomain": [sorted(B) for B in self.codomain.carriers],
             "entries": [
@@ -532,9 +500,8 @@ class MarkedMorphism:
         }
 
     @staticmethod
-    def from_json(data: dict, space: Optional[LevelSpace] = None) -> "MarkedMorphism":
-        if space is None:
-            space = LevelSpace.from_json(data)
+    def from_json(data: dict) -> "MarkedMorphism":
+        space = level_from_json(data)
         domain = MarkedModule(space, carriers_from_json(data["domain"]))
         codomain = MarkedModule(space, carriers_from_json(data["codomain"]))
         entries = [
@@ -702,9 +669,7 @@ class Augmentation:
 
     def size1(self) -> Fraction:
         """Sum over summands of the measure of the value support."""
-        return sum(
-            (self.space.measure(set(v)) for v in self.values), Fraction(0)
-        )
+        return measure(self.space, sum(len(v) for v in self.values))
 
     def is_zero(self) -> bool:
         return all(not v for v in self.values)
@@ -726,7 +691,7 @@ class Augmentation:
         }
 
     @staticmethod
-    def from_json(data: dict, space: Optional[LevelSpace] = None) -> "Augmentation":
-        domain = MarkedModule.from_json(data, space)
+    def from_json(data: dict) -> "Augmentation":
+        domain = MarkedModule.from_json(data)
         values = [fn_from_json(pairs) for pairs in data["values"]]
         return Augmentation(domain, values)

@@ -315,7 +315,6 @@ def coinvariants_matrix(f: MarkedMorphism) -> Matrix:
     norm at most the operator norm of f.  Rows and columns are the atoms
     of the codomain and the domain in atom order, addressed by position.
     """
-    q = f.space.quotient
     cols = _atom_positions(f.domain)
     rows = _atom_positions(f.codomain)
     out = zeros(coinvariants_rank(f.codomain), coinvariants_rank(f.domain))
@@ -323,7 +322,7 @@ def coinvariants_matrix(f: MarkedMorphism) -> Matrix:
         col = cols[i]
         for row, entry in zip(rows, entry_row):
             for g, fn in entry.items():
-                back = q.left_table(q.inv(g))
+                back = f.space.left_table(f.space.inv(g))
                 for u, c in fn.items():
                     # supp(f_g) <= g B_j, so g^-1 u lies in the carrier
                     out[row[back[u]]][col[u]] += c

@@ -330,6 +330,10 @@ class FiniteQuotient:
         degree = _as_int(degree, "permutation degree")
         if degree < 1:
             raise ValueError("permutation degree must be >= 1")
+        # checked first, so nothing of size degree is built for a bad spec
+        if not images or any(len(p) != degree for p in images):
+            raise ValueError(f"a permutation level needs at least one image, "
+                             f"each with exactly {degree} entries")
         gen_keys = []
         for p in images:
             t = tuple(_as_int(x, "permutation entry") for x in p)
@@ -359,11 +363,24 @@ class FiniteQuotient:
         if not isinstance(spec, dict):
             raise ValueError(f"a quotient must be a JSON object, got {spec!r}")
         kind = spec.get("kind")
+        if kind not in ("abelian", "permutation"):
+            raise ValueError(f"unknown quotient kind {kind!r}")
+        size_key = "moduli" if kind == "abelian" else "degree"
+        for key in spec:
+            if key not in ("kind", size_key, "images"):
+                raise ValueError(f"unknown key {key!r} in a quotient of kind "
+                                 f"{kind!r}")
         if kind == "abelian":
             return FiniteQuotient.abelian(spec["moduli"], spec.get("images"))
-        if kind == "permutation":
-            return FiniteQuotient.permutation(spec["degree"], spec["images"])
-        raise ValueError(f"unknown quotient kind {kind!r}")
+        return FiniteQuotient.permutation(spec["degree"], spec["images"])
+
+    def __eq__(self, other) -> bool:
+        # JSON round trips compare levels built from different parses
+        return self is other or (isinstance(other, FiniteQuotient)
+                                 and self.spec == other.spec)
+
+    def __hash__(self):
+        return hash(self.order)  # equal specs give equal orders
 
     def to_json(self) -> dict:
         out = dict(self.spec)

@@ -37,7 +37,6 @@ from .constructions import (
     rokhlin_tower_contraction,
 )
 from .crossring import (
-    LevelSpace,
     MarkedModule,
     MarkedMorphism,
     celt_add,
@@ -94,9 +93,9 @@ QUOTIENT_SPECS = (
 )
 
 
-def random_space(rng: random.Random) -> LevelSpace:
+def random_space(rng: random.Random) -> FiniteQuotient:
     spec = QUOTIENT_SPECS[rng.randrange(len(QUOTIENT_SPECS))]
-    return LevelSpace(FiniteQuotient.from_json(spec))
+    return FiniteQuotient.from_json(spec)
 
 
 def random_carrier(rng: random.Random, order: int) -> list:
@@ -106,7 +105,7 @@ def random_carrier(rng: random.Random, order: int) -> list:
     return pts
 
 
-def random_module(rng: random.Random, space: LevelSpace,
+def random_module(rng: random.Random, space: FiniteQuotient,
                   max_rank: int = 3) -> MarkedModule:
     rank = rng.randint(1, max_rank)
     return MarkedModule(
@@ -114,8 +113,9 @@ def random_module(rng: random.Random, space: LevelSpace,
     )
 
 
-def random_celt(rng: random.Random, space: LevelSpace, pool: Sequence[int],
-                max_terms: int = 2, coeff_bound: int = 3) -> dict:
+def random_celt(rng: random.Random, space: FiniteQuotient,
+                pool: Sequence[int], max_terms: int = 2,
+                coeff_bound: int = 3) -> dict:
     celt: dict = {}
     pool = list(pool)
     for g in rng.sample(pool, rng.randint(1, min(max_terms, len(pool)))):
@@ -143,7 +143,8 @@ def random_vector(rng: random.Random, module: MarkedModule,
     return tuple(vec)
 
 
-def random_morphism(rng: random.Random, space: Optional[LevelSpace] = None,
+def random_morphism(rng: random.Random,
+                    space: Optional[FiniteQuotient] = None,
                     max_rank: int = 3,
                     max_group_elements: int = 4) -> MarkedMorphism:
     """Seeded morphism over a level of order <= 8, ranks <= max_rank, with
@@ -188,7 +189,7 @@ def _perturb_cell(rng: random.Random, f: MarkedMorphism,
     i = rng.randrange(f.domain.rank)
     j = rng.randrange(f.codomain.rank)
     g = rng.randrange(f.space.order)
-    table = f.space.quotient.left_table(g)
+    table = f.space.left_table(g)
     gb = {table[v] for v in f.codomain.carriers[j]}
     pts = sorted(u for u in f.domain.carriers[i] if u in gb)
     if not pts:
@@ -220,6 +221,8 @@ def perturb_morphism(rng: random.Random, f: MarkedMorphism) -> MarkedMorphism:
 
 
 GRADIENT_STRATEGIES = ("atoms", "greedy", "block")
+CONFIG_KEYS = ("family", "param", "levels", "degrees", "p", "strategy",
+               "embedding", "output")
 GRADIENT_COLUMNS = ("level", "|G|", "degree", "betti_q", "betti_p", "logtors",
                     "betti_q/|G|", "logtors/|G|", "dim_upper", "lognorm_upper")
 BOUND_COLUMNS = ("betti_bound", "torsion_bound", "verdict")
@@ -301,6 +304,11 @@ def _parse_embedding(config: dict, family: str):
         raise ConfigError(
             "rokhlin and cheap embeddings target the integers family only"
         )
+    size_key = "tile" if embedding["kind"] == "rokhlin" else "epsilon"
+    for key in embedding:
+        if key not in ("kind", size_key):
+            raise ConfigError(f"unknown key {key!r} in the "
+                              f"{embedding['kind']} embedding")
     return embedding
 
 
@@ -329,6 +337,10 @@ def run_gradient(config: dict) -> GradientTable:
     complex when an embedding is configured), together with the per-row
     bound columns and verdict.  On the induced target, lognorm's
     whole-block rank is the boundary rank the factorisation gave."""
+    for key in config:
+        if key not in CONFIG_KEYS:
+            raise ConfigError(f"unknown key {key!r} in the config; expected "
+                              f"one of {', '.join(CONFIG_KEYS)}")
     family = config.get("family")
     if not isinstance(family, str):
         raise ConfigError("config needs a resolution family under 'family'")
@@ -381,12 +393,8 @@ def run_gradient(config: dict) -> GradientTable:
                 f"level {idx}: {len(quotient.generator_images)} generator "
                 f"images for a {family} resolution on {ranks[1]} generators"
             )
-        space = LevelSpace(quotient)
-        try:
-            induced = induce_resolution(space, ranks, matrices,
-                                        augmented=False)
-        except (IndexError, ValueError) as exc:
-            raise ConfigError(f"level {idx}: {exc}") from None
+        induced = induce_resolution(quotient, ranks, matrices,
+                                    augmented=False)
         dims, mats = coinvariants_complex(induced)
         try:
             homology = homology_of_complex(dims, mats)
@@ -499,8 +507,7 @@ def _suite_gabber(rng: random.Random, trials: int) -> list:
 def random_base_complex(rng: random.Random) -> MarkedComplex:
     """A strict augmented complex of length <= 2 at a level of order <= 8:
     an induced free resolution, or a Koszul square with commuting images."""
-    space = random_space(rng)
-    q = space.quotient
+    q = random_space(rng)
     if rng.random() < 0.5:
         d = rng.randint(1, 3)
         ranks, mats = resolution_by_name("free", d)
@@ -509,7 +516,7 @@ def random_base_complex(rng: random.Random) -> MarkedComplex:
         ranks, mats = resolution_by_name("free_abelian", 2)
         h = rng.randrange(q.order)
         images = [q.power(h, rng.randint(0, q.order)) for _ in range(2)]
-    return induce_resolution(space, ranks, mats, gen_images=images)
+    return induce_resolution(q, ranks, mats, gen_images=images)
 
 
 def strictify_error_bound(cx: MarkedComplex, delta: Fraction) -> Fraction:
@@ -618,7 +625,7 @@ def _suite_lognorm(rng: random.Random, trials: int) -> list:
     failures = []
     for t in range(trials):
         spec = LOGNORM_SPECS[rng.randrange(len(LOGNORM_SPECS))]
-        space = LevelSpace(FiniteQuotient.from_json(spec))
+        space = FiniteQuotient.from_json(spec)
         f = random_morphism(rng, space, max_rank=2)
         exact = lognorm_exact(f)
         greedy = lognorm_upper(f, "greedy")
@@ -692,10 +699,9 @@ def _suite_retract(rng: random.Random, trials: int) -> list:
                                  "modulus": modulus, "tile": tile})
             continue
         space = random_space(rng)
-        q = space.quotient
         d = rng.randint(1, 2)
         ranks, mats = resolution_by_name("free", d)
-        images = [rng.randrange(q.order) for _ in range(d)]
+        images = [rng.randrange(space.order) for _ in range(d)]
         core = induce_resolution(space, ranks, mats, gen_images=images,
                                  augmented=False)
         junk_modules = [random_module(rng, space, 2)
@@ -755,7 +761,7 @@ def _suite_discretize(rng: random.Random, trials: int) -> list:
     failures = []
     for t in range(trials):
         q, ranks, mats, images = random_torsion_level(rng)
-        cx = induce_resolution(LevelSpace(q), ranks, mats,
+        cx = induce_resolution(q, ranks, mats,
                                gen_images=images, augmented=False)
         dims, level = coinvariants_complex(cx)
         routes = {
@@ -817,9 +823,7 @@ def cmd_gradient(args) -> int:
     # open() raises ValueError, not OSError, on a NUL in the path
     if out_path is not None and (not isinstance(out_path, str)
                                  or "\0" in out_path):
-        print(f"config error: output must be a path string, got "
-              f"{out_path!r}", file=sys.stderr)
-        return 1
+        raise ConfigError(f"output must be a path string, got {out_path!r}")
     table = run_gradient(config)
     csv_text = table.to_csv()
     try:
@@ -833,8 +837,7 @@ def cmd_gradient(args) -> int:
                 json.dump(table.to_json(), fh, indent=2, sort_keys=True)
                 fh.write("\n")
     except OSError as exc:
-        print(f"config error: cannot write output: {exc}", file=sys.stderr)
-        return 1
+        raise ConfigError(f"cannot write output: {exc}") from None
     if not table.all_pass:
         print("gradient table: bound inequality violated", file=sys.stderr)
         return 2
@@ -855,16 +858,13 @@ def cmd_verify(args) -> int:
 
 def cmd_rokhlin(args) -> int:
     if args.embedding and args.tile >= args.modulus:
-        print("config error: the embedding needs tile < modulus",
-              file=sys.stderr)
-        return 1
+        raise ConfigError("the embedding needs tile < modulus")
     try:
         res = rokhlin_partition(args.modulus, args.tile)
         emb = integers_embedding(res) if args.embedding else None
         checks = rokhlin_checks(res, emb)
     except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
+        raise ConfigError(str(exc)) from None
     print(f"rokhlin modulus={args.modulus} tile={args.tile} "
           f"base={len(res.base)} remainder={len(res.remainder)} "
           f"dim={res.dim} boundary_norm={res.boundary_norm}")
@@ -883,8 +883,7 @@ def cmd_lognorm(args) -> int:
         f = MarkedMorphism.from_json(data)
         value, blocks = lognorm_certificate(f, args.strategy)
     except (KeyError, TypeError, ValueError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
+        raise ConfigError(str(exc)) from None
     certificate = {"strategy": args.strategy, "value": value,
                    "blocks": [[list(atom) for atom in block]
                               for block in blocks]}
@@ -895,13 +894,11 @@ def cmd_lognorm(args) -> int:
 
 def cmd_strictify_demo(args) -> int:
     if args.order < 2:
-        print("config error: order must be >= 2", file=sys.stderr)
-        return 1
+        raise ConfigError("order must be >= 2")
     rng = random.Random(args.seed)
-    quotient = FiniteQuotient.abelian([args.order])
-    space = LevelSpace(quotient)
+    space = FiniteQuotient.abelian([args.order])
     ranks, mats = resolution_by_name("free_abelian", 2)
-    t = quotient.generator_images[0]
+    t = space.generator_images[0]
     base = induce_resolution(space, ranks, mats, gen_images=[t, t])
     pert = perturb_complex(rng, base, cells=max(0, args.cells))
     before = defect_report(pert)

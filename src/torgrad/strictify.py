@@ -32,6 +32,7 @@ from .crossring import (
     celt_indicator,
     celt_neg,
     fn_sub,
+    measure,
     vector_supp1,
 )
 from .complexes import (
@@ -104,7 +105,7 @@ def make_surjective(cx: MarkedComplex, z: Vector) -> SurjectiveResult:
         complex=new_cx,
         witness=new_witness,
         patch_carrier=B,
-        patch_dim=space.measure(B),
+        patch_dim=measure(space, len(B)),
         patch_norm=report.defect_linf,
     )
 

@@ -12,7 +12,6 @@ from fractions import Fraction
 
 from torgrad.groups import FiniteQuotient
 from torgrad.crossring import (
-    LevelSpace,
     MarkedModule,
     MarkedMorphism,
     marked_inclusion,
@@ -62,9 +61,8 @@ def _report(k: int, budget: float, started: float, detail: str) -> None:
 
 
 def _group_homology(quotient, family, param, degree):
-    space = LevelSpace(quotient)
     ranks, matrices = resolution_by_name(family, param)
-    cx = induce_resolution(space, ranks, matrices, augmented=False)
+    cx = induce_resolution(quotient, ranks, matrices, augmented=False)
     dims, mats = coinvariants_complex(cx)
     return homology_of_complex(dims, mats)[degree]
 
@@ -178,7 +176,7 @@ def test_criterion_6_torsion_growth_inequality():
     rng = random.Random(2026)
     for t in range(200):
         spec = TORSION_LEVELS[rng.randrange(len(TORSION_LEVELS))]
-        space = LevelSpace(FiniteQuotient.from_json(spec))
+        space = FiniteQuotient.from_json(spec)
         f = random_morphism(rng, space)
         lhs = gabber_exact(coinvariants_matrix(f))
         rhs = space.order * lognorm_upper(f, "atoms")
@@ -262,7 +260,7 @@ def test_criterion_9_lognorm_calculus():
     rng = random.Random(2029)
     for t in range(150):
         spec = SMALL_LEVELS[rng.randrange(len(SMALL_LEVELS))]
-        space = LevelSpace(FiniteQuotient.from_json(spec))
+        space = FiniteQuotient.from_json(spec)
         f = random_morphism(rng, space, max_rank=2)
         exact = lognorm_exact(f)
 
@@ -281,7 +279,7 @@ def test_criterion_9_lognorm_calculus():
 
         # marked-inclusion invariance
         ambient = f.codomain.direct_sum(
-            MarkedModule(space, [space.full_carrier()]))
+            MarkedModule.full(space, 1))
         incl = marked_inclusion(f.codomain, ambient,
                                 list(range(f.codomain.rank)))
         assert abs(lognorm_exact(f.then(incl)) - exact) <= 1e-9

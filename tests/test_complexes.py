@@ -4,7 +4,6 @@ import pytest
 
 from torgrad.groups import FiniteQuotient, parse_word
 from torgrad.crossring import (
-    LevelSpace,
     MarkedModule,
     MarkedMorphism,
     celt_indicator,
@@ -49,8 +48,8 @@ def koszul_complex(space):
     )
 
 
-SP22 = LevelSpace(FiniteQuotient.abelian([2, 2]))
-SP33 = LevelSpace(FiniteQuotient.abelian([3, 3]))
+SP22 = FiniteQuotient.abelian([2, 2])
+SP33 = FiniteQuotient.abelian([3, 3])
 
 
 def test_induced_free_resolution_is_strict():
@@ -141,7 +140,7 @@ def one_generator_complex(space, image):
 
 def test_tensor_matches_koszul():
     space = SP33
-    t1, t2 = space.quotient.generator_images
+    t1, t2 = space.generator_images
     C = one_generator_complex(space, t1)
     D = one_generator_complex(space, t2)
     tensor = tensor_complex(C, D)

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from torgrad.groups import FiniteQuotient, parse_word
-from torgrad.crossring import LevelSpace, MarkedMorphism
+from torgrad.crossring import MarkedMorphism
 from torgrad.complexes import (
     check_chain_map,
     defect_report,
@@ -33,7 +33,7 @@ from torgrad.constructions import (
 )
 from helpers import koszul2, w
 
-SP33 = LevelSpace(FiniteQuotient.abelian([3, 3]))
+SP33 = FiniteQuotient.abelian([3, 3])
 
 
 def ones(space):
@@ -85,10 +85,9 @@ def test_surface_relator_and_fox_row():
 
 def test_surface_homology_at_cyclic():
     q = FiniteQuotient.abelian([3])
-    space = LevelSpace(q)
     t = q.generator_images[0]
     ranks, mats = resolution_surface(2)
-    cx = induce_resolution(space, ranks, mats, gen_images=[t, 0, 0, 0])
+    cx = induce_resolution(q, ranks, mats, gen_images=[t, 0, 0, 0])
     assert defect_report(cx).is_strict
     dims, level = coinvariants_complex(cx)
     results = homology_of_complex(dims, level)
@@ -109,7 +108,7 @@ def test_free_abelian_matches_koszul():
 def test_free_abelian_cube():
     ranks, mats = resolution_free_abelian(3)
     assert ranks == [1, 3, 3, 1]
-    space = LevelSpace(FiniteQuotient.abelian([2, 2, 2]))
+    space = FiniteQuotient.abelian([2, 2, 2])
     cx = induce_resolution(space, ranks, mats)
     assert defect_report(cx).is_strict
     dims, level = coinvariants_complex(cx)
@@ -119,45 +118,42 @@ def test_free_abelian_cube():
 
 def test_degree0_cheap_cyclic_tiles():
     q = FiniteQuotient.abelian([12])
-    space = LevelSpace(q)
     t = q.generator_images[0]
     translates = [q.power(t, j) for j in range(4)]
-    res = degree0_cheap(space, translates, Fraction(1, 2))
+    res = degree0_cheap(q, translates, Fraction(1, 2))
     assert res.base == {q.power(t, r) for r in (0, 4, 8)}
     assert res.remainder == frozenset()
     assert res.dim == Fraction(3, 12)
-    assert res.complex.augmentation.apply(res.witness) == ones(space)
+    assert res.complex.augmentation.apply(res.witness) == ones(q)
     seen = set()
     for g, chunk in res.pieces:
         assert not (chunk & seen)
         seen |= chunk
     assert seen == set(range(12))
-    again = degree0_cheap(space, translates, Fraction(1, 2))
+    again = degree0_cheap(q, translates, Fraction(1, 2))
     assert again.base == res.base and again.pieces == res.pieces
 
 
 def test_degree0_cheap_failure_and_validation():
     q = FiniteQuotient.abelian([12])
-    space = LevelSpace(q)
     t = q.generator_images[0]
     with pytest.raises(ValueError):
-        degree0_cheap(space, [q.power(t, j) for j in range(4)], Fraction(1, 12))
+        degree0_cheap(q, [q.power(t, j) for j in range(4)], Fraction(1, 12))
     with pytest.raises(ValueError):
-        degree0_cheap(space, [], Fraction(1, 2))
+        degree0_cheap(q, [], Fraction(1, 2))
 
 
 def test_degree0_cheap_all_translates():
     q = FiniteQuotient.permutation(3, [[1, 0, 2], [1, 2, 0]])
-    space = LevelSpace(q)
-    res = degree0_cheap(space, list(range(6)), Fraction(1, 2))
+    res = degree0_cheap(q, list(range(6)), Fraction(1, 2))
     assert res.base == frozenset({0})
     assert res.dim == Fraction(1, 6)
-    assert res.complex.augmentation.apply(res.witness) == ones(space)
+    assert res.complex.augmentation.apply(res.witness) == ones(q)
 
 
 def test_rokhlin_frozen_7_2():
     res = rokhlin_partition(7, 2)
-    q = res.complex.space.quotient
+    q = res.complex.space
     t = q.generator_images[0]
     assert res.base == {q.power(t, r) for r in (0, 2, 4)}
     assert res.remainder == {q.power(t, 6)}

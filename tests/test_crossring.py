@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 from torgrad.groups import FiniteQuotient
 from torgrad.crossring import (
     Augmentation,
-    LevelSpace,
     MarkedModule,
     MarkedMorphism,
     atom_norms,
@@ -16,7 +15,10 @@ from torgrad.crossring import (
     celt_mul,
     celt_sub,
     celt_to_json,
+    level_from_json,
+    level_to_json,
     marked_inclusion,
+    measure,
     marked_projection,
     morphism_stats,
     op_norm,
@@ -26,13 +28,13 @@ from torgrad.crossring import (
 )
 from torgrad.discretize import coinvariants_matrix, coinvariants_rank, matrix_rank
 
-SP = LevelSpace(FiniteQuotient.abelian([4]))
-SPS3 = LevelSpace(FiniteQuotient.permutation(3, [[1, 0, 2], [1, 2, 0]]))
+SP = FiniteQuotient.abelian([4])
+SPS3 = FiniteQuotient.permutation(3, [[1, 0, 2], [1, 2, 0]])
 
 
 def unit(space):
     """The multiplicative unit (chi_G, e)."""
-    return celt_indicator(range(space.order), space.quotient.identity)
+    return celt_indicator(range(space.order), space.identity)
 
 
 def project(module, vec):
@@ -75,10 +77,10 @@ def test_ring_axioms(x, y, z):
 def test_twisted_product():
     # (chi_{1}, t) * (chi_{0}, t) = (chi_1 * (t.chi_0), t^2) = (chi_1, t^2)
     sp = SP
-    t = sp.quotient.generator_images[0]
+    t = sp.generator_images[0]
     x = celt_indicator([1], t)
     y = celt_indicator([0], t)
-    t2 = sp.quotient.mul(t, t)
+    t2 = sp.mul(t, t)
     assert celt_mul(sp, x, y) == {t2: {1: 1}}
     # and in the other order the supports miss: chi_0 * (t.chi_1) = chi_0 * chi_2 = 0
     assert celt_mul(sp, y, x) == {}
@@ -87,7 +89,7 @@ def test_twisted_product():
 def test_stats_example():
     # z = (chi_{0,1}, t) + (2 chi_1, e) over Z/4
     sp = SP
-    t = sp.quotient.generator_images[0]
+    t = sp.generator_images[0]
     z = celt_add(celt_indicator([0, 1], t), {0: {1: 2}})
     s = vector_stats(sp, (z,))
     assert s.l1 == Fraction(4, 4)
@@ -151,11 +153,11 @@ def test_module_dim_and_atoms():
 
 def test_entry_normalisation():
     dom, cod = spaces_modules()
-    t = SP.quotient.generator_images[0]
+    t = SP.generator_images[0]
     # raw entry has full support; stored entry is cut to A_0 and g B_0
     raw = celt_indicator(range(4), t)
     f = MarkedMorphism(dom, cod, [[raw, {}], [{}, {}]])
-    tB0 = {SP.quotient.left_table(t)[u] for u in cod.carriers[0]}
+    tB0 = {SP.left_table(t)[u] for u in cod.carriers[0]}
     assert set(f.entries[0][0][t]) == dom.carriers[0] & tB0
 
 
@@ -251,7 +253,7 @@ def test_almost_eq_report():
 
 def test_morphism_json_round_trip():
     dom, cod = spaces_modules()
-    t = SP.quotient.generator_images[0]
+    t = SP.generator_images[0]
     f = MarkedMorphism(
         dom, cod,
         [[celt_indicator([0, 2], t), {0: {1: -2}}], [{}, unit(SP)]],
@@ -334,13 +336,22 @@ def test_json_readers_refuse_non_integer_numbers(value):
 
 def test_char_p_coefficients():
     # coefficients are integers: a serialized char must be absent or 0
-    data = LevelSpace(FiniteQuotient.abelian([4])).to_json()
-    assert "char" not in data
-    assert LevelSpace.from_json(data) == SP
-    assert LevelSpace.from_json(dict(data, char=0)) == SP
+    data = level_to_json(FiniteQuotient.abelian([4]))
+    assert data == {"quotient": {"kind": "abelian", "moduli": [4]}}
+    assert level_from_json(data) == SP
+    assert level_from_json(dict(data, char=0)) == SP
     for char in (2, 3, 1, -1, "0"):
         with pytest.raises(ValueError, match="char must be absent or 0"):
-            LevelSpace.from_json(dict(data, char=char))
+            level_from_json(dict(data, char=char))
+
+
+def test_measure_is_normalised_counting():
+    assert measure(SP, 0) == 0 and measure(SP, 4) == 1
+    assert measure(SPS3, 2) == Fraction(1, 3)
+    # memoised values are shared only between levels of one order
+    assert measure(FiniteQuotient.abelian([6]), 2) == Fraction(1, 3)
+    assert measure(SP, 10 ** 6) == Fraction(10 ** 6, 4)
+    assert MarkedModule(SP, [[0, 1], [2]]).dim() == Fraction(3, 4)
 
 
 def test_vector_sub_and_stats_join():

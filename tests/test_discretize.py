@@ -10,7 +10,6 @@ from sympy.polys.matrices import DomainMatrix
 
 from torgrad.groups import FiniteQuotient
 from torgrad.crossring import (
-    LevelSpace,
     MarkedModule,
     MarkedMorphism,
     op_norm,
@@ -46,9 +45,9 @@ from helpers import (
     zres,
 )
 
-SP22 = LevelSpace(FiniteQuotient.abelian([2, 2]))
-SP33 = LevelSpace(FiniteQuotient.abelian([3, 3]))
-SPS3 = LevelSpace(FiniteQuotient.permutation(3, [[1, 0, 2], [1, 2, 0]]))
+SP22 = FiniteQuotient.abelian([2, 2])
+SP33 = FiniteQuotient.abelian([3, 3])
+SPS3 = FiniteQuotient.permutation(3, [[1, 0, 2], [1, 2, 0]])
 
 
 int_matrices = st.integers(1, 5).flatmap(
@@ -520,7 +519,7 @@ def coinvariants_by_atom_keys(f):
     """The coinvariants matrix with atoms addressed by (summand, point)
     keys in the order of module.atoms(): the reference for the positional
     lookup in coinvariants_matrix."""
-    q = f.space.quotient
+    q = f.space
     col = {atom: k for k, atom in enumerate(f.domain.atoms())}
     row = {atom: k for k, atom in enumerate(f.codomain.atoms())}
     out = zeros(len(row), len(col))
@@ -562,7 +561,7 @@ def test_coinvariants_by_position_match_atom_keys(data):
 def test_coinvariants_functorial(data):
     # coinv(f then g) = coinv(g) . coinv(f) on random entries
     sp = SPS3
-    full = MarkedModule(sp, [sp.full_carrier()])
+    full = MarkedModule.full(sp, 1)
     def rand_entry():
         return data.draw(
             st.dictionaries(
@@ -587,7 +586,7 @@ def test_shapiro_matches_coinvariants_of_induced():
     for sp in (SP33, SPS3):
         cx = koszul2(sp)
         dims, route_a = coinvariants_complex(cx)
-        dims_b, route_b = shapiro_complex(sp.quotient, [1, 2, 1], mats)
+        dims_b, route_b = shapiro_complex(sp, [1, 2, 1], mats)
         assert dims == dims_b
         assert route_a == route_b
 
@@ -595,7 +594,7 @@ def test_shapiro_matches_coinvariants_of_induced():
 def test_shapiro_with_generator_images():
     q = FiniteQuotient.abelian([6])
     image = q.power(q.generator_images[0], 2)  # t -> t^2 in Z/6
-    cx = zres(LevelSpace(q), image)
+    cx = zres(q, image)
     dims, mats = coinvariants_complex(cx)
     block = shapiro_matrix(q, [[gm1("a")]], gen_images=[image])
     assert mats[0] == block
@@ -621,7 +620,7 @@ def test_homology_of_induced_level_complexes():
         assert not h.torsion
 
     # Z at Z/5
-    dims, mats = coinvariants_complex(zres(LevelSpace(FiniteQuotient.abelian([5])), 1))
+    dims, mats = coinvariants_complex(zres(FiniteQuotient.abelian([5]), 1))
     assert [h.betti for h in homology_of_complex(dims, mats)] == [1, 1]
 
 

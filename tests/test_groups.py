@@ -222,6 +222,30 @@ def test_quotient_json_round_trip():
         again = FiniteQuotient.from_json(q.to_json())
         assert again.to_json() == q.to_json()
         assert again.order == q.order
+        # levels from different parses are equal, and hash alike, by spec
+        assert again == q and hash(again) == hash(q)
+    assert FiniteQuotient.abelian([6]) != FiniteQuotient.abelian([2, 3])
+    assert FiniteQuotient.abelian([2]) != FiniteQuotient.permutation(
+        2, [[1, 0]])
+
+
+@pytest.mark.parametrize("spec, key", [
+    ({"kind": "abelian", "moduli": [3], "degree": 3}, "degree"),
+    ({"kind": "abelian", "moduli": [3], "image": [[1]]}, "image"),
+    ({"kind": "permutation", "degree": 2, "images": [[1, 0]], "moduli": [2]},
+     "moduli"),
+    ({"kind": "permutation", "degree": 2, "images": [[1, 0]], "char": 0},
+     "char"),
+])
+def test_quotient_json_refuses_unknown_keys(spec, key):
+    with pytest.raises(ValueError, match=f"unknown key '{key}'"):
+        FiniteQuotient.from_json(spec)
+
+
+@pytest.mark.parametrize("images", [[], [[1, 0, 2], [1, 0]], [[1, 0]]])
+def test_permutation_images_need_degree_entries(images):
+    with pytest.raises(ValueError, match="exactly 3 entries"):
+        FiniteQuotient.permutation(3, images)
 
 
 def test_quotient_json_rejects_unknown_kind():

@@ -7,7 +7,6 @@ from sympy import Matrix as SymMatrix
 
 from torgrad.groups import FiniteQuotient
 from torgrad.crossring import (
-    LevelSpace,
     MarkedModule,
     MarkedMorphism,
     atom_norms,
@@ -33,12 +32,12 @@ from torgrad.lognorm import (
 )
 from torgrad.pipeline import random_morphism
 
-SP2 = LevelSpace(FiniteQuotient.abelian([2]))
-SP4 = LevelSpace(FiniteQuotient.abelian([4]))
+SP2 = FiniteQuotient.abelian([2])
+SP4 = FiniteQuotient.abelian([4])
 
 
 def full_morphism(space, entry):
-    full = MarkedModule(space, [space.full_carrier()])
+    full = MarkedModule.full(space, 1)
     return MarkedMorphism(full, full, [[entry]])
 
 
@@ -89,7 +88,7 @@ def test_exact_cap_enforced():
     # one atom per point, each mapping to twice itself: every partition
     # of the atoms gives log 2
     def doubling(order):
-        space = LevelSpace(FiniteQuotient.abelian([order]))
+        space = FiniteQuotient.abelian([order])
         return full_morphism(space, {0: {u: 2 for u in range(order)}})
 
     assert EXACT_ATOM_CAP == 10

@@ -10,6 +10,7 @@ import random
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -18,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 import torgrad
 from torgrad import constructions, pipeline
 from torgrad.complexes import induce_resolution
-from torgrad.crossring import LevelSpace, MarkedModule, MarkedMorphism
+from torgrad.crossring import MarkedModule, MarkedMorphism
 from torgrad.discretize import coinvariants_complex, homology_of_complex
 from torgrad.groups import FiniteQuotient
 from torgrad.lognorm import lognorm_exact, lognorm_of_decomposition, lognorm_upper
@@ -207,6 +208,52 @@ def test_gradient_cli_refuses_levels_off_the_family(tmp_path, capsys, config,
     assert reason in err
 
 
+@pytest.mark.parametrize("config, key", [
+    (dict(FREE_CHAIN, stratgy="block"), "'stratgy'"),
+    (dict(FREE_CHAIN, degree=[1]), "'degree'"),
+    (dict(FREE_CHAIN, levels=[{"kind": "abelian", "moduli": [3, 3],
+                               "image": [[1, 0], [1, 0]]}]), "'image'"),
+    (dict(FREE_CHAIN, levels=[dict(S3_LEVEL, moduli=[6])]), "'moduli'"),
+    (_cyclic_embedding({"kind": "rokhlin", "tile": 2, "epsilon": 0.5}),
+     "'epsilon'"),
+    (_cyclic_embedding({"kind": "cheap", "epsilon": 0.5, "tile": 2}),
+     "'tile'"),
+], ids=["top_level", "degree_for_degrees", "level_image", "level_moduli",
+        "rokhlin_epsilon", "cheap_tile"])
+def test_gradient_cli_refuses_unknown_keys(tmp_path, capsys, config, key):
+    code, err = _gradient_cli_error(tmp_path, capsys, config)
+    assert code == 1
+    assert err.startswith("config error:")
+    assert f"unknown key {key}" in err
+
+
+@pytest.mark.parametrize("command", ["gradient", "lognorm"])
+@pytest.mark.parametrize("degree", [3 * 10 ** 6, 10 ** 30])
+def test_cli_refuses_permutation_degree_before_building(tmp_path, capsys,
+                                                        command, degree):
+    # images of 3 entries on a huge degree: refused before anything of
+    # size degree is built
+    level = dict(S3_LEVEL, degree=degree)
+    if command == "gradient":
+        flag, data = "--config", dict(FREE_CHAIN, levels=[level])
+    else:
+        flag, data = "--input", dict(_one_atom_morphism(), quotient=level)
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data))
+    tracemalloc.start()
+    try:
+        code = main([command, flag, str(path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("config error:")
+    assert f"each with exactly {degree} entries" in captured.err
+    assert peak < 2 * 10 ** 6
+
+
 def test_gradient_cli_rejects_exact_strategy(tmp_path, capsys, monkeypatch):
     # refused before any level is built
     monkeypatch.setattr(FiniteQuotient, "from_json", None)
@@ -241,6 +288,7 @@ FUZZ_BASES = (
          degrees=[0, 1], p=2, strategy="atoms"),
     _cyclic_embedding({"kind": "rokhlin", "tile": 2}),
     _cyclic_embedding({"kind": "cheap", "epsilon": 0.5}),
+    dict(FREE_CHAIN, levels=[S3_LEVEL]),
 )
 FUZZ_PATHS = (("family",), ("param",), ("levels",), ("degrees",), ("p",),
               ("strategy",), ("embedding",), ("output",),
@@ -419,6 +467,24 @@ def test_gradient_ladder_matches_golden_csv(tmp_path, capsys, seed):
         assert capsys.readouterr().out == golden, inv.label
 
 
+def test_gradient_cyclic_matches_golden_csv(tmp_path, capsys):
+    # the benchmark's embedding configs, one per tile; the seed picks the
+    # tile, so seeds are taken in order until every tile is seen
+    workloads = _bench_workloads()
+    by_tile, seed = {}, 0
+    while len(by_tile) < len(workloads.CYCLIC_TILES):
+        inv, = workloads.invocations("gradient-cyclic", seed)
+        by_tile.setdefault(inv.config["embedding"]["tile"], inv)
+        seed += 1
+    assert sorted(by_tile) == list(workloads.CYCLIC_TILES)
+    for inv in by_tile.values():
+        cfg_path = tmp_path / "exp.json"
+        cfg_path.write_text(json.dumps(inv.config))
+        assert main(inv.argv(str(cfg_path))) == 0
+        golden = (workloads.GOLDEN / inv.golden).read_text()
+        assert capsys.readouterr().out == golden, inv.label
+
+
 SMALL_TRIALS = {"opnorm": 25, "gabber": 50, "strictify": 8,
                 "rokhlin": 2, "lognorm": 25, "retract": 8, "discretize": 60}
 
@@ -434,7 +500,7 @@ def test_verify_discretize_levels_have_torsion(monkeypatch):
     seen = set()
     for _ in range(60):
         q, ranks, mats, images = random_torsion_level(rng)
-        cx = induce_resolution(LevelSpace(q), ranks, mats, gen_images=images,
+        cx = induce_resolution(q, ranks, mats, gen_images=images,
                                augmented=False)
         homology = homology_of_complex(*coinvariants_complex(cx))
         if any(h.torsion for h in homology):
@@ -540,7 +606,7 @@ def test_lognorm_cli_certificate(tmp_path, capsys):
 
 def test_lognorm_cli_exact_small(tmp_path, capsys):
     # keep the instance under the exhaustive cap: order 2, rank 2
-    space = LevelSpace(FiniteQuotient.abelian([2]))
+    space = FiniteQuotient.abelian([2])
     f = random_morphism(random.Random(5), space, max_rank=2)
     path = tmp_path / "m.json"
     path.write_text(json.dumps(f.to_json()))
@@ -578,7 +644,7 @@ def test_cli_json_input_errors(tmp_path, capsys, command, flag, content,
 ], ids=["lognorm", "rokhlin", "strictify-demo"])
 def test_cli_order_cap(tmp_path, capsys, monkeypatch, argv):
     if argv[0] == "lognorm":
-        space = LevelSpace(FiniteQuotient.abelian([20]))
+        space = FiniteQuotient.abelian([20])
         f = MarkedMorphism.identity(MarkedModule.full(space, 1))
         path = tmp_path / "m.json"
         path.write_text(json.dumps(f.to_json()))
@@ -607,7 +673,7 @@ def test_cli_malformed_order_cap(capsys, monkeypatch, argv, value):
 
 
 def _one_atom_morphism() -> dict:
-    space = LevelSpace(FiniteQuotient.abelian([4]))
+    space = FiniteQuotient.abelian([4])
     module = MarkedModule(space, [[0]])
     return MarkedMorphism.identity(module).to_json()
 
@@ -655,8 +721,9 @@ def _set_quotient(data, value):
 @pytest.mark.parametrize("mutate, value", [
     (_set_word, 5), (_set_word, None), (_set_word, ["a"]),
     (_set_quotient, []), (_set_quotient, "abelian"), (_set_quotient, None),
+    (_set_quotient, {"kind": "abelian", "moduli": [4], "degree": 4}),
 ], ids=["word-number", "word-null", "word-list", "quotient-list",
-        "quotient-string", "quotient-null"])
+        "quotient-string", "quotient-null", "quotient-unknown-key"])
 def test_lognorm_cli_refuses_malformed_words_and_quotients(
         tmp_path, capsys, mutate, value):
     data = _one_atom_morphism()

@@ -5,7 +5,6 @@ import pytest
 from helpers import free_complex, koszul2, restricted_copy, with_aug_extra, with_boundary_extra
 from torgrad.groups import FiniteQuotient
 from torgrad.crossring import (
-    LevelSpace,
     MarkedMorphism,
     celt_indicator,
     marked_inclusion,
@@ -28,8 +27,8 @@ from torgrad.strictify import (
     _pad_codomain,
 )
 
-SP33 = LevelSpace(FiniteQuotient.abelian([3, 3]))
-SP4 = LevelSpace(FiniteQuotient.abelian([4]))
+SP33 = FiniteQuotient.abelian([3, 3])
+SP4 = FiniteQuotient.abelian([4])
 
 
 # ---------------------------------------------------------------------------
@@ -100,7 +99,7 @@ def perturbed_complex():
     cx = koszul2(SP33)
     # break both the augmentation row and the composite: a lone extra atom
     # in d_1 and one in d_2
-    t = SP33.quotient.generator_images[0]
+    t = SP33.generator_images[0]
     bad = with_boundary_extra(cx, 1, 0, 0, {t: {3: 1}})
     bad = with_boundary_extra(bad, 2, 0, 1, {0: {5: -1}})
     return bad
@@ -182,7 +181,7 @@ def test_strict_map_passes_through():
 def test_strictify_map_repairs_squares():
     cx = koszul2(SP33)
     maps = identity_maps(cx)
-    t = SP33.quotient.generator_images[1]
+    t = SP33.generator_images[1]
     m1 = cx.module(1)
     entries = [list(row) for row in maps[1].entries]
     entries[0][1] = {t: {1: 1}}
