@@ -24,11 +24,10 @@ from .complexes import (
     defect_report,
     gh_verify,
     induce_resolution,
-    mapping_cone,
     tensor_complex,
-    witness_report,
+    witness_defect,
 )
-from .strictify import make_surjective, strictify_complex, strictify_map
+from .strictify import strictify_complex
 from .discretize import (
     betti_mod_p,
     coinvariants_complex,
@@ -44,11 +43,9 @@ from .lognorm import (
     gabber_split_bound,
     lognorm_certificate,
     lognorm_exact,
-    lognorm_of_decomposition,
     lognorm_upper,
 )
 from .constructions import (
-    degree0_cheap,
     integers_embedding,
     resolution_by_name,
     rokhlin_partition,
@@ -63,14 +60,13 @@ __all__ = [
     "marked_inclusion", "marked_projection", "morphism_stats", "op_norm",
     "vector_stats",
     "MarkedComplex", "check_chain_map", "defect_report", "gh_verify",
-    "induce_resolution", "mapping_cone", "tensor_complex", "witness_report",
-    "make_surjective", "strictify_complex", "strictify_map",
+    "induce_resolution", "tensor_complex", "witness_defect",
+    "strictify_complex",
     "betti_mod_p", "coinvariants_complex", "coinvariants_matrix",
     "homology_of_complex", "invariant_factors", "retract_inequality_check",
     "shapiro_complex",
     "gabber_column_bound", "gabber_exact", "gabber_split_bound",
-    "lognorm_certificate", "lognorm_exact", "lognorm_of_decomposition",
-    "lognorm_upper",
-    "degree0_cheap", "integers_embedding", "resolution_by_name",
+    "lognorm_certificate", "lognorm_exact", "lognorm_upper",
+    "integers_embedding", "resolution_by_name",
     "rokhlin_partition",
 ]

@@ -2,9 +2,11 @@
 
 A complex stores one marked module per degree 0..top, boundaries
 d_r: D_r -> D_{r-1} for r >= 1 and an optional augmentation eta: D_0 -> L.
-Nothing is assumed exact: defect_report measures how far d o d and
-eta o d_1 are from zero, and the almost-equality comparisons below measure
-distances between complexes sharing an ambient.
+Complexes come from resolution data (induce_resolution) or as tensor
+products.  Nothing is assumed exact: defect_report measures how far d o d
+and eta o d_1 are from zero, witness_defect how far eta(z) is from 1, and
+the almost-equality comparisons below measure distances between complexes
+sharing an ambient.
 
 Compositions that land in the base module (eta o d_1, augmentation rows of
 chain map checks and of ambient comparisons) are measured after collapsing
@@ -36,7 +38,6 @@ from .crossring import (
     measure,
     morphism_stats,
     op_norm,
-    vector_stats,
 )
 from .groups import FiniteQuotient, push_to_quotient
 
@@ -154,41 +155,14 @@ def defect_report(cx: MarkedComplex) -> DefectReport:
     return DefectReport(sizes, aug_size)
 
 
-@dataclass(frozen=True)
-class WitnessReport:
-    """How close eta(z) is to the constant function 1."""
-
-    defect_support: frozenset
-    defect_size: Fraction
-    defect_linf: int
-    n1: int
-    n2: int
-    linf: int
-
-    def within(self, delta, kappa: int) -> bool:
-        return (
-            self.defect_size < Fraction(delta)
-            and self.n1 < kappa
-            and self.n2 < kappa
-            and self.linf < kappa
-        )
-
-
-def witness_report(cx: MarkedComplex, z: Vector) -> WitnessReport:
+def witness_defect(cx: MarkedComplex, z: Vector) -> Fraction:
+    """Measure of the points where eta(z) differs from the constant 1."""
     if cx.augmentation is None:
-        raise ValueError("witness reports need an augmented complex")
+        raise ValueError("witness defects need an augmented complex")
     space = cx.space
     value = cx.augmentation.apply(z)
     diff = fn_sub(value, dict.fromkeys(range(space.order), 1))
-    stats = vector_stats(space, z)
-    return WitnessReport(
-        defect_support=frozenset(diff),
-        defect_size=measure(space, len(diff)),
-        defect_linf=max(map(abs, diff.values()), default=0),
-        n1=stats.n1,
-        n2=stats.n2,
-        linf=stats.linf,
-    )
+    return measure(space, len(diff))
 
 
 # ---------------------------------------------------------------------------
@@ -271,56 +245,6 @@ def induce_resolution(
             raise ValueError("augmented induction expects a rank 1 degree 0")
         aug = Augmentation(modules[0], [dict.fromkeys(full, 1)])
     return MarkedComplex(modules, boundaries, aug)
-
-
-# ---------------------------------------------------------------------------
-# mapping cones
-
-
-def mapping_cone(
-    maps: Sequence[MarkedMorphism],
-    source: MarkedComplex,
-    target: MarkedComplex,
-) -> MarkedComplex:
-    """Cone of a strict chain map phi: C -> D.
-
-    Cone_n = C_{n-1} + D_n, stored with the C_{n-1} summands first, and
-    d(c, d) = (-d^C c, d^D d + phi c).  The result carries no
-    augmentation: the degree 0 part is D_0 but eta_D o d_1^Cone is nonzero
-    whenever phi_0 hits eta, so an augmented cone would not even be an
-    almost complex for small delta.
-    """
-    report = check_chain_map(maps, source, target)
-    if not report.is_strict:
-        raise ValueError(
-            f"mapping cone needs a strict chain map, defects {report.sizes}"
-        )
-    if source.top_degree != target.top_degree:
-        raise ValueError("cone expects equal top degrees")
-    top = target.top_degree
-    modules = [
-        MarkedModule(target.space,
-                     (source.module(n - 1).carriers if n >= 1 else ())
-                     + (target.module(n).carriers if n <= top else ()))
-        for n in range(top + 2)
-    ]
-
-    boundaries = []
-    for n in range(1, top + 2):
-        # the C_{n-2} summands of Cone_{n-1} come before its D_{n-1} block
-        shift = source.module(n - 2).rank if n >= 2 else 0
-        neg_dC = source.boundary(n - 1).neg() if n >= 2 else None
-        entries = []
-        for i, phi_row in enumerate(maps[n - 1].entries):
-            # -d^C into the shifted block, phi into the target block
-            left = list(neg_dC.entries[i]) if neg_dC is not None else []
-            entries.append(left + list(phi_row))
-        if n <= top:
-            entries.extend([{}] * shift + list(row)
-                           for row in target.boundary(n).entries)
-        boundaries.append(MarkedMorphism(modules[n], modules[n - 1], entries,
-                                         normalize=False))
-    return MarkedComplex(modules, boundaries, None)
 
 
 # ---------------------------------------------------------------------------

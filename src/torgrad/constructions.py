@@ -1,11 +1,11 @@
-"""Concrete families: resolutions, cheap covers, Rokhlin complexes.
+"""Concrete families: resolutions and Rokhlin complexes.
 
 Resolution data is kept at the group ring level (ranks plus matrices of
 word-coefficient dictionaries) so one description can be induced at every
-finite level.  The other constructions live at a fixed level: a greedy
-cheap degree-0 piece, the two-term complex attached to a Rokhlin tile of
-Z/M, and the chain homotopy equivalence between that complex and the
-induced resolution of the integers.
+finite level.  The other constructions live at a fixed level: the
+two-term complex attached to a Rokhlin tile of Z/M, and the chain homotopy
+equivalence between that complex and the induced resolution of the
+integers.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from .crossring import (
     celt_indicator,
     celt_mul,
     celt_sub,
-    measure,
     op_norm,
 )
 from .complexes import MarkedComplex
@@ -140,88 +139,13 @@ def resolution_by_name(family: str, param: Optional[int] = None):
     if family == "surface":
         return resolution_surface(2 if param is None else param)
     if family == "integers":
+        if param is not None:
+            raise ValueError("the integers family takes no param, "
+                             f"got {param!r}")
         return resolution_integers()
     if family == "free_abelian":
         return resolution_free_abelian(2 if param is None else param)
     raise ValueError(f"unknown resolution family {family!r}")
-
-
-# ---------------------------------------------------------------------------
-# cheap degree-0 pieces by greedy covering
-
-
-@dataclass(frozen=True)
-class Degree0Result:
-    complex: MarkedComplex
-    witness: tuple
-    base: frozenset       # A, carried by the first summand
-    remainder: frozenset  # B = G minus the covered part, second summand
-    pieces: tuple         # (translate, chunk) with chunk <= translate . A
-
-    @property
-    def dim(self) -> Fraction:
-        return self.complex.module(0).dim()
-
-
-def degree0_cheap(space: FiniteQuotient, translates: Sequence[int],
-                  epsilon: Fraction) -> Degree0Result:
-    """Greedy cover of the level by translates of a small base set.
-
-    Points join the base while they enlarge the covered part, largest gain
-    first and smallest point on ties, stopping at a full cover or once the
-    base has measure epsilon/2.  Fails if base plus remainder is not
-    smaller than epsilon.
-    """
-    translates = list(dict.fromkeys(translates))
-    if not translates:
-        raise ValueError("need at least one translate")
-    tables = [space.left_table(g) for g in translates]
-    everything = set(range(space.order))
-    base: set = set()
-    covered: set = set()
-    half = Fraction(epsilon, 2)
-    while covered != everything and measure(space, len(base)) < half:
-        best_gain, best_point = 0, None
-        for u in range(space.order):
-            if u in base:
-                continue
-            gain = sum(1 for tab in tables if tab[u] not in covered)
-            if gain > best_gain:
-                best_gain, best_point = gain, u
-        if best_point is None:
-            break
-        base.add(best_point)
-        for tab in tables:
-            covered.add(tab[best_point])
-    remainder = everything - covered
-    size = measure(space, len(base) + len(remainder))
-    if size >= epsilon:
-        raise ValueError(f"cover of measure {size} is not below epsilon = "
-                         f"{epsilon}")
-
-    pieces = []
-    spoken = set()
-    for g, tab in zip(translates, tables):
-        chunk = frozenset(tab[u] for u in base) - spoken
-        spoken |= chunk
-        if chunk:
-            pieces.append((g, chunk))
-
-    module = MarkedModule(space, [frozenset(base), frozenset(remainder)])
-    aug = Augmentation(module, [dict.fromkeys(base, 1),
-                                dict.fromkeys(remainder, 1)])
-    first = {}
-    for g, chunk in pieces:
-        first = celt_add(first, celt_indicator(chunk, g))
-    witness = (first, celt_indicator(remainder))
-    cx = MarkedComplex([module], [], aug)
-    return Degree0Result(
-        complex=cx,
-        witness=witness,
-        base=frozenset(base),
-        remainder=frozenset(remainder),
-        pieces=tuple(pieces),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -362,16 +286,15 @@ def tower_contract(modulus: int, tile: int, elt: dict) -> dict:
     return out
 
 
-def rokhlin_tower_contraction(modulus: int, tile: int,
-                              span: Optional[range] = None) -> bool:
-    """Check c_0 o d_1 = id on lifted basis elements over a window of
-    exponents (the identity is exponent-uniform, the window is a probe)."""
-    if span is None:
-        span = range(-2 * modulus, 2 * modulus + 1)
+def rokhlin_tower_contraction(modulus: int, tile: int) -> bool:
+    """Check c_0 o d_1 = id on lifted basis elements with exponents
+    |m| <= min(2M, 24) (the identity is exponent-uniform, the window is a
+    probe)."""
+    half = min(2 * modulus, 24)
     base, rem = _rokhlin_residues(modulus, tile)
     carrier = base | rem
     s_d = rokhlin_tower_boundary(modulus, tile)
-    for m in span:
+    for m in range(-half, half + 1):
         for c_res in carrier:
             u = (c_res + m) % modulus
             z = {(u, m): 1}

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .crossring import MarkedMorphism, atom_norms
 from .discretize import (
@@ -83,35 +83,6 @@ class _BlockContext:
 
     def total(self, blocks) -> float:
         return sum(self.value(b) for b in blocks)
-
-
-def _validate_blocks(f: MarkedMorphism, ctx: _BlockContext, blocks) -> list:
-    seen = set()
-    cleaned = []
-    for block in blocks:
-        block = list(block)
-        for atom in block:
-            if atom not in ctx.norms:
-                raise ValueError(f"atom {atom} is not in the domain")
-            if atom in seen:
-                raise ValueError(f"atom {atom} appears in two blocks")
-            seen.add(atom)
-        if block:
-            cleaned.append(block)
-    missing = [a for a, n in ctx.norms.items() if n and a not in seen]
-    if missing:
-        raise ValueError(f"atoms {missing} with nonzero norm are uncovered")
-    return cleaned
-
-
-def lognorm_of_decomposition(f: MarkedMorphism, blocks: Iterable) -> float:
-    """Bound attached to an explicit partition of the domain atoms.
-
-    Blocks must be disjoint and cover every atom of nonzero norm; atoms of
-    zero norm may be left out or placed anywhere.
-    """
-    ctx = _BlockContext(f)
-    return ctx.total(_validate_blocks(f, ctx, blocks))
 
 
 def _atoms_blocks(ctx: _BlockContext) -> list:
@@ -258,35 +229,17 @@ def gabber_column_bound(a) -> float:
     return total
 
 
-def gabber_split_bound(a, blocks: Optional[Iterable] = None) -> float:
-    """Per-block bound min(block size, block rank) * log+ (max column norm).
+def gabber_split_bound(a) -> float:
+    """One-block bound min(columns, rank) * log+ (max column norm).
 
-    With the trivial one-block split this dominates the greedy column
-    bound, which in turn dominates the exact cokernel torsion.
+    It dominates the greedy column bound, which in turn dominates the
+    exact cokernel torsion.
     """
     cols = mat_shape(a)[1]
-    columns = list(zip(*a))
-    norms = column_l1s(a)
-    if blocks is None:
-        blocks = [list(range(cols))]
-    seen = set()
-    total = 0.0
-    for block in blocks:
-        block = [int(j) for j in block]
-        for j in block:
-            if not 0 <= j < cols:
-                raise ValueError(f"column {j} outside 0..{cols - 1}")
-            if j in seen:
-                raise ValueError(f"column {j} appears in two blocks")
-            seen.add(j)
-        peak = max((norms[j] for j in block), default=0)
-        if peak <= 1:
-            continue
-        rank = matrix_rank([columns[j] for j in block])
-        total += min(len(block), rank) * math.log(peak)
-    if len(seen) != cols:
-        raise ValueError("blocks must cover every column")
-    return total
+    peak = max(column_l1s(a), default=0)
+    if peak <= 1:
+        return 0.0
+    return min(cols, matrix_rank(list(zip(*a)))) * math.log(peak)
 
 
 def gabber_exact(a) -> float:

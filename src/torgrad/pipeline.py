@@ -24,7 +24,7 @@ from .complexes import (
     defect_report,
     gh_verify,
     induce_resolution,
-    witness_report,
+    witness_defect,
 )
 from .constructions import (
     EmbeddingResult,
@@ -556,16 +556,13 @@ def rokhlin_checks(res: RokhlinResult,
     modulus, tile = res.modulus, res.tile
     cx = res.complex
     out = {"complex_strict": defect_report(cx).is_strict,
-           "witness_exact": witness_report(cx, res.witness).defect_size == 0}
+           "witness_exact": witness_defect(cx, res.witness) == 0}
     bound = Fraction(1, tile) + Fraction(modulus % tile, modulus)
     out["dim_bound"] = (cx.module(0).dim() == cx.module(1).dim()
                         and cx.module(0).dim() <= bound)
     expected = 2 if tile < modulus else 0
     out["boundary_norm"] = res.boundary_norm == expected
-    # the full +-2M window on small tiles, a fixed spot window on big ones
-    half = min(2 * modulus, 24)
-    out["tower_contraction"] = rokhlin_tower_contraction(
-        modulus, tile, span=range(-half, half + 1))
+    out["tower_contraction"] = rokhlin_tower_contraction(modulus, tile)
     out["level_contraction"] = rokhlin_level_contraction(res)
     if emb is not None:
         out.update(embedding_checks(emb))
@@ -819,15 +816,16 @@ def _read_json_object(path: str) -> dict:
 
 def cmd_gradient(args) -> int:
     config = _read_json_object(args.config)
-    out_path = args.output or config.get("output")
+    out_path = args.output if args.output is not None else config.get("output")
     # open() raises ValueError, not OSError, on a NUL in the path
     if out_path is not None and (not isinstance(out_path, str)
-                                 or "\0" in out_path):
-        raise ConfigError(f"output must be a path string, got {out_path!r}")
+                                 or not out_path or "\0" in out_path):
+        raise ConfigError("output must be a nonempty path string, "
+                          f"got {out_path!r}")
     table = run_gradient(config)
     csv_text = table.to_csv()
     try:
-        if out_path:
+        if out_path is not None:
             with open(out_path, "w") as fh:
                 fh.write(csv_text)
         else:

@@ -1,15 +1,21 @@
-"""Builders shared by the test modules, and the free group ring
-arithmetic that the Fox calculus oracle needs."""
+"""Builders shared by the test modules, the free group ring arithmetic
+that the Fox calculus oracle needs, and a lognorm certificate check."""
+
+import math
+
+from sympy import Matrix as SymMatrix
 
 from torgrad.groups import fox_derivative, parse_word, reduce_word
 from torgrad.crossring import (
     Augmentation,
     MarkedModule,
     MarkedMorphism,
+    atom_norms,
     celt_add,
     fn_add,
 )
 from torgrad.complexes import MarkedComplex, induce_resolution
+from torgrad.discretize import coinvariants_matrix
 
 
 def mat_mul(a, b):
@@ -140,3 +146,22 @@ def with_aug_extra(cx, i, delta_fn):
     values = list(cx.augmentation.values)
     values[i] = fn_add(values[i], delta_fn)
     return rebuild(cx, aug_values=values)
+
+
+def certificate_value(f, blocks):
+    """The bound of a lognorm certificate from its definition, after
+    checking that its blocks are disjoint and cover every atom of nonzero
+    norm: each block adds min(size, rank) * log+ (largest atom norm) / |G|,
+    the rank taken by sympy over the block's coinvariant columns."""
+    norms = atom_norms(f)
+    atoms = [atom for block in blocks for atom in block]
+    assert len(atoms) == len(set(atoms)), "blocks overlap"
+    assert {a for a, n in norms.items() if n} <= set(atoms), "atoms uncovered"
+    columns = dict(zip(f.domain.atoms(), zip(*coinvariants_matrix(f))))
+    total = 0.0
+    for block in blocks:
+        peak = max(norms[a] for a in block)
+        if peak > 1:
+            rank = SymMatrix([list(columns[a]) for a in block]).rank()
+            total += min(len(block), rank) * math.log(peak)
+    return total / f.space.order

@@ -16,7 +16,6 @@ from torgrad.discretize import (
     retract_inequality_check,
 )
 from torgrad.constructions import (
-    degree0_cheap,
     integers_embedding,
     resolution_by_name,
     resolution_free,
@@ -50,6 +49,8 @@ def test_resolution_free_shapes():
         resolution_free(0)
     with pytest.raises(ValueError):
         resolution_by_name("moebius")
+    with pytest.raises(ValueError, match="takes no param"):
+        resolution_by_name("integers", 3)
     # at most 128 generators over all degrees, refused before building
     assert sum(resolution_by_name("free", 127)[0]) == 128
     assert sum(resolution_by_name("free_abelian", 7)[0]) == 128
@@ -116,41 +117,6 @@ def test_free_abelian_cube():
     assert betti == [1, 3, 3, 1]
 
 
-def test_degree0_cheap_cyclic_tiles():
-    q = FiniteQuotient.abelian([12])
-    t = q.generator_images[0]
-    translates = [q.power(t, j) for j in range(4)]
-    res = degree0_cheap(q, translates, Fraction(1, 2))
-    assert res.base == {q.power(t, r) for r in (0, 4, 8)}
-    assert res.remainder == frozenset()
-    assert res.dim == Fraction(3, 12)
-    assert res.complex.augmentation.apply(res.witness) == ones(q)
-    seen = set()
-    for g, chunk in res.pieces:
-        assert not (chunk & seen)
-        seen |= chunk
-    assert seen == set(range(12))
-    again = degree0_cheap(q, translates, Fraction(1, 2))
-    assert again.base == res.base and again.pieces == res.pieces
-
-
-def test_degree0_cheap_failure_and_validation():
-    q = FiniteQuotient.abelian([12])
-    t = q.generator_images[0]
-    with pytest.raises(ValueError):
-        degree0_cheap(q, [q.power(t, j) for j in range(4)], Fraction(1, 12))
-    with pytest.raises(ValueError):
-        degree0_cheap(q, [], Fraction(1, 2))
-
-
-def test_degree0_cheap_all_translates():
-    q = FiniteQuotient.permutation(3, [[1, 0, 2], [1, 2, 0]])
-    res = degree0_cheap(q, list(range(6)), Fraction(1, 2))
-    assert res.base == frozenset({0})
-    assert res.dim == Fraction(1, 6)
-    assert res.complex.augmentation.apply(res.witness) == ones(q)
-
-
 def test_rokhlin_frozen_7_2():
     res = rokhlin_partition(7, 2)
     q = res.complex.space
@@ -179,7 +145,7 @@ def test_rokhlin_bounds(modulus, tile):
 def test_rokhlin_tower_contraction_window():
     assert rokhlin_tower_contraction(6, 2)
     assert rokhlin_tower_contraction(7, 2)
-    assert rokhlin_tower_contraction(12, 4, span=range(-20, 20))
+    assert rokhlin_tower_contraction(12, 4)
     # the boundary and contraction are honest tower operators
     s_d = rokhlin_tower_boundary(7, 2)
     z = {(3, 1): 1}

@@ -26,11 +26,11 @@ from torgrad.lognorm import (
     log_plus,
     lognorm_certificate,
     lognorm_exact,
-    lognorm_of_decomposition,
     lognorm_upper,
     set_partitions,
 )
 from torgrad.pipeline import random_morphism
+from helpers import certificate_value
 
 SP2 = FiniteQuotient.abelian([2])
 SP4 = FiniteQuotient.abelian([4])
@@ -62,16 +62,9 @@ def test_diagonal_23_partitions():
 
 
 def test_decomposition_validation():
+    # a decomposition strategy outside the four is refused
     f = full_morphism(SP2, {0: {0: 2, 1: 3}})
-    both = [(0, 0), (0, 1)]
-    assert lognorm_of_decomposition(f, [both]) == pytest.approx(math.log(3))
-    with pytest.raises(ValueError):
-        lognorm_of_decomposition(f, [both, [(0, 1)]])
-    with pytest.raises(ValueError):
-        lognorm_of_decomposition(f, [[(0, 0)]])
-    with pytest.raises(ValueError):
-        lognorm_of_decomposition(f, [both, [(5, 5)]])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown strategy"):
         lognorm_upper(f, "unheard-of")
 
 
@@ -248,25 +241,12 @@ def test_gabber_column_bound_matches_rerank(a, combos):
     assert gabber_column_bound(a) == rerank_column_bound(a)
 
 
-def test_gabber_split_blocks():
-    a = [[2, 0, 1], [0, 3, 1]]
-    assert gabber_split_bound(a, [[0], [1], [2]]) == pytest.approx(
-        math.log(2) + math.log(3) + math.log(2)
-    )
-    with pytest.raises(ValueError):
-        gabber_split_bound(a, [[0, 1]])
-    with pytest.raises(ValueError):
-        gabber_split_bound(a, [[0, 0], [1], [2]])
-    with pytest.raises(ValueError):
-        gabber_split_bound(a, [[0], [1], [2], [3]])
-
-
 def test_certificate_realizes_value():
     f = full_morphism(SP2, {0: {0: 2, 1: 3}})
     for strategy in ("atoms", "greedy", "exact", "block"):
         value, blocks = lognorm_certificate(f, strategy)
         assert value == pytest.approx(lognorm_upper(f, strategy))
-        assert lognorm_of_decomposition(f, blocks) == pytest.approx(value)
+        assert certificate_value(f, blocks) == pytest.approx(value)
     # the zero morphism certifies with no blocks at all
     assert lognorm_certificate(full_morphism(SP2, {}), "exact") == (0.0, [])
 

@@ -2,10 +2,9 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import free_complex, koszul2, restricted_copy, with_aug_extra, with_boundary_extra
+from helpers import koszul2, restricted_copy, with_aug_extra, with_boundary_extra
 from torgrad.groups import FiniteQuotient
 from torgrad.crossring import (
-    MarkedMorphism,
     celt_indicator,
     marked_inclusion,
     marked_projection,
@@ -15,71 +14,13 @@ from torgrad.crossring import (
 )
 from torgrad.complexes import (
     GHWitness,
-    check_chain_map,
     defect_report,
     gh_verify,
-    witness_report,
+    witness_defect,
 )
-from torgrad.strictify import (
-    make_surjective,
-    strictify_complex,
-    strictify_map,
-    _pad_codomain,
-)
+from torgrad.strictify import strictify_complex
 
 SP33 = FiniteQuotient.abelian([3, 3])
-SP4 = FiniteQuotient.abelian([4])
-
-
-# ---------------------------------------------------------------------------
-# make_surjective
-
-
-def test_make_surjective_noop_on_exact_witness():
-    cx = koszul2(SP33)
-    z = cx.module(0).element(0, celt_indicator(cx.module(0).carriers[0]))
-    res = make_surjective(cx, z)
-    assert not res.patch_carrier
-    assert res.complex is cx
-    assert res.patch_dim == 0
-
-
-def test_make_surjective_patches_defect():
-    cx = koszul2(SP33)
-    # witness missing two points of the level
-    hole = {0, 4}
-    z = cx.module(0).element(
-        0, celt_indicator(set(range(SP33.order)) - hole)
-    )
-    before = witness_report(cx, z)
-    assert before.defect_size == Fraction(2, 9)
-
-    res = make_surjective(cx, z)
-    assert res.patch_carrier
-    assert res.patch_carrier == frozenset(hole)
-    assert res.patch_dim == Fraction(2, 9)
-    assert res.patch_norm == 1
-
-    after = witness_report(res.complex, res.witness)
-    assert after.defect_size == 0
-    # stats grow by at most one
-    old = vector_stats(SP33, z)
-    new = vector_stats(SP33, res.witness)
-    assert new.n1 <= old.n1 + 1
-    assert new.n2 <= old.n2 + 1
-    assert new.linf <= max(old.linf, 1)
-    # boundaries do not reach the patch: the complex stays strict
-    assert defect_report(res.complex).is_strict
-    assert res.complex.module(0).dim() == cx.module(0).dim() + Fraction(2, 9)
-
-
-def test_make_surjective_keeps_higher_degrees():
-    cx = koszul2(SP33)
-    z = cx.module(0).element(0, celt_indicator(range(1, SP33.order)))
-    res = make_surjective(cx, z)
-    assert res.complex.module(1) == cx.module(1)
-    assert res.complex.module(2) == cx.module(2)
-    assert res.complex.boundary(2) == cx.boundary(2)
 
 
 # ---------------------------------------------------------------------------
@@ -162,59 +103,6 @@ def test_strictify_requires_augmentation():
 
 
 # ---------------------------------------------------------------------------
-# strictify_map
-
-
-def identity_maps(cx):
-    return [MarkedMorphism.identity(m) for m in cx.modules]
-
-
-def test_strict_map_passes_through():
-    cx = koszul2(SP33)
-    res = strictify_map(cx, cx, identity_maps(cx))
-    assert res.target.to_json() == cx.to_json()
-    assert res.total_error_dim == 0
-    rep = check_chain_map(res.maps, cx, res.target)
-    assert rep.is_strict
-
-
-def test_strictify_map_repairs_squares():
-    cx = koszul2(SP33)
-    maps = identity_maps(cx)
-    t = SP33.generator_images[1]
-    m1 = cx.module(1)
-    entries = [list(row) for row in maps[1].entries]
-    entries[0][1] = {t: {1: 1}}
-    maps[1] = MarkedMorphism(m1, m1, entries)
-
-    before = check_chain_map(maps, cx, cx)
-    assert before.max_size > 0
-
-    res = strictify_map(cx, cx, maps)
-    out = res.target
-    assert defect_report(out).is_strict
-    rep = check_chain_map(res.maps, cx, out)
-    assert rep.is_strict  # includes eta-hat o f-hat_0 = zeta exactly
-
-    # the repaired map is (sum dim E_r, 1)-close to the original
-    for r in range(cx.top_degree + 1):
-        padded = _pad_codomain(maps[r], out.module(r))
-        diff = res.maps[r].sub(padded)
-        assert morphism_stats(diff).size1 == res.error_dims[r]
-        assert op_norm(diff) <= 1
-        assert op_norm(res.maps[r]) <= op_norm(maps[r]) + 1
-
-
-def test_strictify_map_rejects_nonstrict_complexes():
-    cx = koszul2(SP33)
-    bad = perturbed_complex()
-    with pytest.raises(ValueError):
-        strictify_map(bad, cx, identity_maps(cx))
-    with pytest.raises(ValueError):
-        strictify_map(cx, bad, identity_maps(cx))
-
-
-# ---------------------------------------------------------------------------
 # transporting witnesses across ambient comparisons
 
 
@@ -245,7 +133,7 @@ def test_transported_witness_bounds():
 
     # the input witness is exact, so the transported defect is at most
     # N_1(z) * eps, and the almost complex defect at most (1 + nu) * eps
-    assert witness_report(other, zt).defect_size <= old.n1 * eps
+    assert witness_defect(other, zt) <= old.n1 * eps
     nu = max([cx.augmentation.linf()]
              + [morphism_stats(d).n1 for d in cx.boundaries()])
     assert defect_report(other).max_size <= (1 + nu) * eps
