@@ -2,16 +2,17 @@
 
 The coinvariants of a marked module at a level form a free abelian group
 with one generator per atom (summand, point); a marked morphism becomes an
-integer matrix whose column l1 norms are bounded by its operator norm.
+integer matrix whose column l1 norms are bounded by its operator norm,
+built as sparse rows {column: value} and kept sparse through elimination.
 Induced resolutions can alternatively be discretised straight from the
 group ring data (one permutation block per word), giving an independent
-route to the same matrices.
+route to the same rows.
 
 The integer linear algebra lives here too, as one sparse elimination
 kernel (Dumas, Saunders, Villard, J. Symbolic Comput. 32, 2001;
 Kaczynski, Mischaikow, Mrozek, Computational Homology, 2004).  It takes
-sparse rows; a dense matrix is read into them once, transposed if it has
-more rows than columns, since a pivot clears its whole column.  Over Z an
+sparse rows, transposed if there are more rows than columns, since a
+pivot clears its whole column.  Over Z an
 incidence matrix, each column one +1 and one -1 or a single +-1, is not
 eliminated at all: it is totally unimodular, so every invariant factor is
 1, and the edges of a spanning forest of its graph are the unit pivots.
@@ -59,6 +60,11 @@ def mat_shape(a: Matrix) -> tuple[int, int]:
     return len(a), len(a[0]) if a else 0
 
 
+def to_dense(rows: list, width: int) -> Matrix:
+    """The dense matrix with the given sparse rows and width."""
+    return [[row.get(j, 0) for j in range(width)] for row in rows]
+
+
 # ---------------------------------------------------------------------------
 # elimination
 
@@ -78,11 +84,10 @@ def _transpose(rows: list, width: int) -> list:
     return out
 
 
-def _oriented(a: Matrix) -> tuple:
-    """Sparse rows of a and its width, or of its transpose if a has more
-    rows than columns: a pivot clears its whole column, so elimination runs
+def _oriented(rows: list, width: int) -> tuple:
+    """The sparse rows and width, or the transpose's if there are more rows
+    than columns: a pivot clears its whole column, so elimination runs
     where columns are shorter.  Rank and invariant factors are the same."""
-    rows, width = _sparse_rows(a), mat_shape(a)[1]
     if len(rows) > width:
         return _transpose(rows, width), len(rows)
     return rows, width
@@ -141,7 +146,7 @@ def _forest_pivots(rows: list, width: int) -> Optional[list]:
 
 def _eliminate(rows: list, width: int, over_q: bool = False) -> tuple:
     """Sparse elimination over Z, or over Q if over_q, of the matrix with
-    the given sparse rows (consumed) and width.
+    the given sparse rows (not modified) and width.
 
     Over Z an incidence matrix takes its pivots from a spanning forest
     (_forest_pivots) and leaves no core.  Otherwise a pivot over Z is an
@@ -163,6 +168,7 @@ def _eliminate(rows: list, width: int, over_q: bool = False) -> tuple:
         pivots = _forest_pivots(rows, width)
         if pivots is not None:
             return pivots, []
+    rows = [dict(row) for row in rows]
     cols = [set() for _ in range(width)]  # column j -> rows nonzero there
     for i, row in enumerate(rows):
         for j in row:
@@ -232,17 +238,22 @@ def _eliminate(rows: list, width: int, over_q: bool = False) -> tuple:
     return pivots, [[row.get(j, 0) for j in left] for row in live]
 
 
+def sparse_rank(rows: list, width: int) -> int:
+    """Rank over Q of the sparse rows (not modified) of the given width."""
+    return len(_eliminate(*_oriented(rows, width), over_q=True)[0])
+
+
 def matrix_rank(a: Matrix) -> int:
-    """Rank over Q."""
-    return len(_eliminate(*_oriented(a), over_q=True)[0])
+    """Rank over Q of a dense matrix."""
+    return sparse_rank(_sparse_rows(a), mat_shape(a)[1])
 
 
 def invariant_factors(a: Matrix) -> tuple:
-    """The nonzero invariant factors d_1 | d_2 | ... of a.
+    """The nonzero invariant factors d_1 | d_2 | ... of a dense matrix a.
 
     Each unit pivot contributes a factor 1; the dense Smith loop runs on
     the residual core only, usually empty."""
-    pivots, core = _eliminate(*_oriented(a))
+    pivots, core = _eliminate(*_oriented(_sparse_rows(a), mat_shape(a)[1]))
     return (1,) * len(pivots) + _core_invariant_factors(core)
 
 
@@ -307,8 +318,10 @@ def _atom_positions(module: MarkedModule) -> list:
     return positions
 
 
-def coinvariants_matrix(f: MarkedMorphism) -> Matrix:
-    """The induced map on coinvariants.
+def coinvariants_matrix(f: MarkedMorphism) -> list:
+    """The induced map on coinvariants, as sparse rows {column: value}
+    of width coinvariants_rank(f.domain), with no zero stored since f
+    stores none.
 
     Entry at (codomain atom (j, v), domain atom (i, u)) is the sum of
     f_g^{ij}(u) over group elements g with g^{-1} u = v.  Columns have l1
@@ -317,20 +330,21 @@ def coinvariants_matrix(f: MarkedMorphism) -> Matrix:
     """
     cols = _atom_positions(f.domain)
     rows = _atom_positions(f.codomain)
-    out = zeros(coinvariants_rank(f.codomain), coinvariants_rank(f.domain))
+    out = [{} for _ in range(coinvariants_rank(f.codomain))]
     for i, entry_row in enumerate(f.entries):
         col = cols[i]
         for row, entry in zip(rows, entry_row):
             for g, fn in entry.items():
                 back = f.space.left_table(f.space.inv(g))
                 for u, c in fn.items():
-                    # supp(f_g) <= g B_j, so g^-1 u lies in the carrier
-                    out[row[back[u]]][col[u]] += c
+                    # supp(f_g) <= g B_j, so g^-1 u lies in the carrier;
+                    # u and g^-1 u fix g, so each cell gets one term
+                    out[row[back[u]]][col[u]] = c
     return out
 
 
 def coinvariants_complex(cx: MarkedComplex) -> tuple[list, list]:
-    """dims[r] and matrices[r] (the degree r+1 boundary) of coinvariants."""
+    """dims[r] and mats[r], the degree r+1 boundary's rows, of coinvariants."""
     dims = [coinvariants_rank(m) for m in cx.modules]
     mats = [coinvariants_matrix(cx.boundary(r))
             for r in range(1, cx.top_degree + 1)]
@@ -341,25 +355,25 @@ def shapiro_matrix(
     quotient: FiniteQuotient,
     ring_matrix: Sequence[Sequence[dict]],
     gen_images: Optional[Sequence[int]] = None,
-) -> Matrix:
+) -> list:
     """Discretise group ring data directly: each word w contributes its
     permutation block e_u -> e_{w^-1 u}.
 
-    Rows of ring_matrix index domain summands, so the output has shape
-    (|G| * #columns) x (|G| * #rows); it equals the coinvariants matrix of
-    the induced full-carrier morphism.
+    Rows of ring_matrix index domain summands, so the output is |G| *
+    #columns sparse rows of width |G| * #rows, with no zero stored; it
+    equals the coinvariants matrix of the induced full-carrier morphism.
     """
     order = quotient.order
-    dom_rank = len(ring_matrix)
-    cod_rank = len(ring_matrix[0]) if dom_rank else 0
-    out = zeros(order * cod_rank, order * dom_rank)
+    cod_rank = len(ring_matrix[0]) if ring_matrix else 0
+    out = [{} for _ in range(order * cod_rank)]
     for i, row in enumerate(ring_matrix):
         for j, elt in enumerate(row):
             pushed = push_to_quotient(elt, quotient, gen_images)
             for g, c in pushed.items():
                 back = quotient.left_table(quotient.inv(g))
                 for u in range(order):
-                    out[j * order + back[u]][i * order + u] += c
+                    # one term per cell, as in coinvariants_matrix; c != 0
+                    out[j * order + back[u]][i * order + u] = c
     return out
 
 
@@ -369,11 +383,11 @@ def shapiro_complex(
     matrices: Sequence[Sequence[Sequence[dict]]],
     gen_images: Optional[Sequence[int]] = None,
 ) -> tuple[list, list]:
-    """dims and boundary matrices at the level, straight from ring data."""
+    """dims and boundary rows at the level, straight from ring data."""
     dims = [quotient.order * n for n in ranks]
     mats = [shapiro_matrix(quotient, m, gen_images) for m in matrices]
     for r, m in enumerate(mats):
-        rr, cc = mat_shape(m)
+        rr, cc = len(m), quotient.order * len(matrices[r])
         if rr != dims[r] or cc != dims[r + 1]:
             raise ValueError(f"matrix {r} has shape {rr}x{cc}, "
                              f"expected {dims[r]}x{dims[r + 1]}")
@@ -395,15 +409,16 @@ class HomologyResult:
         return sum(math.log(d) for d in self.torsion)
 
 
-def homology_of_complex(dims: Sequence[int], mats: Sequence[Matrix]) -> tuple:
+def homology_of_complex(dims: Sequence[int], mats: Sequence[list]) -> tuple:
     """H_n for every degree n = 0..len(dims)-1 of a complex of free abelian
     groups, as a tuple indexed by n.
 
-    mats[r] is the boundary d_{r+1} from degree r+1 to degree r.  Each is
-    read into sparse rows once; d d = 0 is checked on those rows, then the
-    complex is reduced from the top boundary down, each boundary factored
-    once: b_n = dims[n] - rk d_n - rk d_{n+1}, and Tors H_n is the torsion
-    of coker d_{n+1}, since C_n / ker d_n is free.
+    mats[r] is the boundary d_{r+1} from degree r+1 to degree r, as dims[r]
+    sparse rows {column: value} of width dims[r+1], which are not modified.
+    d d = 0 is checked on those rows, then the complex is reduced from the
+    top boundary down, each boundary factored once: b_n = dims[n] - rk d_n
+    - rk d_{n+1}, and Tors H_n is the torsion of coker d_{n+1}, since
+    C_n / ker d_n is free.
 
     A unit pivot of d_{n+1} pairs a generator a of C_n with a generator b
     of C_{n+1}; d_n d_{n+1} b = 0 puts d_n a in the span of d_n on the
@@ -412,26 +427,23 @@ def homology_of_complex(dims: Sequence[int], mats: Sequence[Matrix]) -> tuple:
     their generators in C_n and Q theirs in C_{n+1}, d_n[:, P]
     d_{n+1}[P, Q] = -d_n[:, not P] d_{n+1}[not P, Q], and the block
     d_{n+1}[P, Q] is triangular with diagonal +-1, so it has an integer
-    inverse.  So the
-    columns of d_n that d_{n+1}'s unit pivots pair off are deleted before
-    d_n is eliminated, which leaves its image, hence its rank and nonzero
-    invariant factors, as they were.  Each boundary is eliminated in the
-    orientation with the shorter columns, transposed when it has more
-    live rows than live columns.
+    inverse.  So the columns of d_n that d_{n+1}'s unit pivots pair off
+    are deleted before d_n is eliminated, which leaves its image, hence its
+    rank and nonzero invariant factors, as they were.  Each boundary is
+    eliminated in the orientation with the shorter columns, transposed
+    when it has more live rows than live columns.
     """
-    rows = [_sparse_rows(m) for m in mats]
-    widths = [mat_shape(m)[1] for m in mats]
+    if any(len(m) != n for m, n in zip(mats, dims)):
+        raise ValueError(f"boundaries do not have {list(dims)} rows")
     for r in range(1, len(mats)):
-        # a matrix without rows has no width to check and composes to zero
-        if rows[r - 1] and rows[r] and not _composes_to_zero(
-                rows[r - 1], widths[r - 1], rows[r], widths[r]):
+        if not _composes_to_zero(mats[r - 1], mats[r]):
             raise ValueError(
                 "boundaries do not compose to zero; not a complex"
             )
     factors = [()] * len(mats)  # factors[n] belongs to d_{n+1}
     paired = set()  # generators of C_{r+1} that d_{r+2} pairs off
     for r in reversed(range(len(mats))):
-        a, width = rows[r], widths[r]
+        a, width = mats[r], dims[r + 1]
         if paired:
             a = [{j: v for j, v in row.items() if j not in paired}
                  for row in a]
@@ -470,12 +482,9 @@ def betti_mod_p(homology: Sequence[HomologyResult], p: int) -> tuple:
                  for n, h in enumerate(homology))
 
 
-def _composes_to_zero(a: list, a_width: int, b: list, b_width: int) -> bool:
-    """Whether the product of the sparse rows a (a_width columns) and b
-    (b_width columns) is zero, summed over nonzero entries only."""
-    if a_width != len(b):
-        raise ValueError(f"cannot compose a {len(a)}x{a_width} matrix "
-                         f"with a {len(b)}x{b_width} matrix")
+def _composes_to_zero(a: list, b: list) -> bool:
+    """Whether the product of the sparse rows a and b, a as wide as b has
+    rows, is zero, summed over nonzero entries only."""
     for row in a:
         acc = defaultdict(int)
         for k, v in row.items():

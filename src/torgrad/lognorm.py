@@ -27,10 +27,13 @@ from typing import Optional, Sequence
 
 from .crossring import MarkedMorphism, atom_norms
 from .discretize import (
+    _transpose,
     coinvariants_matrix,
+    coinvariants_rank,
     invariant_factors,
     mat_shape,
     matrix_rank,
+    sparse_rank,
 )
 
 LOG_SLACK = 1e-9
@@ -63,9 +66,11 @@ class _BlockContext:
             return self.rank
         if self._columns is None:
             # a block's rank is that of its columns, so keep them as rows
-            columns = list(zip(*coinvariants_matrix(self.f)))
+            columns = _transpose(coinvariants_matrix(self.f),
+                                 coinvariants_rank(self.f.domain))
             self._columns = dict(zip(self.f.domain.atoms(), columns))
-        return matrix_rank([self._columns[a] for a in key])
+        return sparse_rank([self._columns[a] for a in key],
+                           coinvariants_rank(self.f.codomain))
 
     def value(self, block) -> float:
         key = frozenset(block)

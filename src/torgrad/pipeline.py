@@ -51,10 +51,12 @@ from .discretize import (
     betti_mod_p,
     coinvariants_complex,
     coinvariants_matrix,
+    coinvariants_rank,
     homology_from_factors,
     homology_of_complex,
     retract_inequality_check,
     shapiro_complex,
+    to_dense,
 )
 from .groups import FiniteQuotient, OrderCapExceeded, order_cap
 from .lognorm import (
@@ -634,7 +636,8 @@ def _suite_lognorm(rng: random.Random, trials: int) -> list:
                                and exact <= block + LOG_SLACK),
             "dimension": exact <= (float(f.domain.dim())
                                    * log_plus(op_norm(f)) + LOG_SLACK),
-            "torsion_dominated": gabber_exact(coinvariants_matrix(f))
+            "torsion_dominated": gabber_exact(to_dense(
+                coinvariants_matrix(f), coinvariants_rank(f.domain)))
             <= space.order * atoms + LOG_SLACK,
         }
         ambient = f.codomain.direct_sum(
@@ -764,8 +767,8 @@ def _suite_discretize(rng: random.Random, trials: int) -> list:
         routes = {
             "reduced": homology_of_complex(dims, level),
             # the dense Smith loop on each whole boundary
-            "dense": homology_from_factors(
-                dims, [_core_invariant_factors(m) for m in level]),
+            "dense": homology_from_factors(dims, [_core_invariant_factors(
+                to_dense(m, w)) for m, w in zip(level, dims[1:])]),
             "shapiro": homology_of_complex(
                 *shapiro_complex(q, ranks, mats, images)),
         }
@@ -818,10 +821,11 @@ def cmd_gradient(args) -> int:
     config = _read_json_object(args.config)
     out_path = args.output if args.output is not None else config.get("output")
     # open() raises ValueError, not OSError, on a NUL in the path
-    if out_path is not None and (not isinstance(out_path, str)
-                                 or not out_path or "\0" in out_path):
-        raise ConfigError("output must be a nonempty path string, "
-                          f"got {out_path!r}")
+    for name, path in (("output", out_path), ("json", args.json)):
+        if path is not None and (not isinstance(path, str)
+                                 or not path or "\0" in path):
+            raise ConfigError(f"{name} must be a nonempty path string, "
+                              f"got {path!r}")
     table = run_gradient(config)
     csv_text = table.to_csv()
     try:
@@ -830,7 +834,7 @@ def cmd_gradient(args) -> int:
                 fh.write(csv_text)
         else:
             sys.stdout.write(csv_text)
-        if args.json:
+        if args.json is not None:
             with open(args.json, "w") as fh:
                 json.dump(table.to_json(), fh, indent=2, sort_keys=True)
                 fh.write("\n")

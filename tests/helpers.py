@@ -15,7 +15,12 @@ from torgrad.crossring import (
     fn_add,
 )
 from torgrad.complexes import MarkedComplex, induce_resolution
-from torgrad.discretize import coinvariants_matrix
+from torgrad.discretize import coinvariants_matrix, coinvariants_rank, to_dense
+
+
+def coinvariants_dense(f):
+    """The coinvariants matrix of f as a dense list of rows."""
+    return to_dense(coinvariants_matrix(f), coinvariants_rank(f.domain))
 
 
 def mat_mul(a, b):
@@ -157,7 +162,7 @@ def certificate_value(f, blocks):
     atoms = [atom for block in blocks for atom in block]
     assert len(atoms) == len(set(atoms)), "blocks overlap"
     assert {a for a, n in norms.items() if n} <= set(atoms), "atoms uncovered"
-    columns = dict(zip(f.domain.atoms(), zip(*coinvariants_matrix(f))))
+    columns = dict(zip(f.domain.atoms(), zip(*coinvariants_dense(f))))
     total = 0.0
     for block in blocks:
         peak = max(norms[a] for a in block)

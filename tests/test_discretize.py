@@ -1,6 +1,8 @@
+import copy
 import math
 import random
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,6 +21,7 @@ from torgrad.discretize import (
     coinvariants_complex,
     coinvariants_matrix,
     coinvariants_rank,
+    homology_from_factors,
     homology_of_complex,
     invariant_factors,
     mat_shape,
@@ -26,6 +29,8 @@ from torgrad.discretize import (
     retract_inequality_check,
     shapiro_complex,
     shapiro_matrix,
+    sparse_rank,
+    to_dense,
     zeros,
     _core_invariant_factors,
     _eliminate,
@@ -58,6 +63,26 @@ int_matrices = st.integers(1, 5).flatmap(
         )
     )
 )
+
+
+def sparse(mats):
+    """The sparse rows of each dense matrix, as homology_of_complex takes
+    them."""
+    return [_sparse_rows(m) for m in mats]
+
+
+def checked_homology(dims, mats):
+    """homology_of_complex on the rows, checking that it leaves them as
+    they were and gives the same result when called again."""
+    before = copy.deepcopy(mats)
+    homology = homology_of_complex(dims, mats)
+    assert mats == before
+    assert homology_of_complex(dims, mats) == homology
+    return homology
+
+
+def assert_no_zero_stored(rows):
+    assert all(v for row in rows for v in row.values())
 
 
 def sympy_factors(a):
@@ -163,7 +188,7 @@ def test_homology_torsion_oracle(summands, torsion_summand, rng):
     # d'_n = P_{n-1} d_n P_n^{-1}; the boundaries become dense
     dense = [mat_mul(mat_mul(conj[n - 1][0], mats[n - 1]), conj[n][1])
              for n in range(1, TOP + 1)]
-    homology = homology_of_complex(dims, dense)
+    homology = checked_homology(dims, sparse(dense))
     got = [(h.betti, h.torsion) for h in homology]
     assert got == expected
     assert any(t for _, t in expected[1:])
@@ -221,7 +246,7 @@ def test_top_down_reduction_against_sympy(case):
     oracle = [(dims[k] - rank[k] - rank[k + 1],
                tuple(d for d in factors[k] if d > 1), rank[k + 1])
               for k in range(len(dims))]
-    homology = homology_of_complex(dims, mats)
+    homology = checked_homology(dims, sparse(mats))
     assert [(h.betti, h.torsion, h.boundary_rank) for h in homology] == oracle
     assert [(h.betti, h.torsion) for h in homology] == expected
     assert homology[n - 1].torsion and homology[n].torsion
@@ -236,13 +261,13 @@ def test_reduction_still_checks_composition(dims, top):
     d1 = [[int(i == j) for j in range(dims[1])] for i in range(dims[0])]
     assert mat_mul(d1, top) != zeros(dims[0], dims[2])
     with pytest.raises(ValueError, match="do not compose"):
-        homology_of_complex(dims, [d1, top])
+        homology_of_complex(dims, sparse([d1, top]))
     # the same, with every degree conjugated
     conj = [random_unimodular(rng, d) for d in dims]
     mats = [mat_mul(mat_mul(conj[k - 1][0], m), conj[k][1])
             for k, m in ((1, d1), (2, top))]
     with pytest.raises(ValueError, match="do not compose"):
-        homology_of_complex(dims, mats)
+        homology_of_complex(dims, sparse(mats))
 
 
 @given(int_matrices)
@@ -310,6 +335,11 @@ def check_kernel(a):
     assert invariant_factors(a) == expected
     assert _core_invariant_factors(a) == expected
     assert matrix_rank(a) == len(expected)
+    # the sparse entry point leaves its rows as they were
+    rows = _sparse_rows(a)
+    before = copy.deepcopy(rows)
+    assert sparse_rank(rows, mat_shape(a)[1]) == len(expected)
+    assert rows == before
     for p in (2, 3, 5):
         # over F_p exactly the invariant factors prime to p survive
         assert gf_rank(a, p) == sum(1 for d in invariant_factors(a) if d % p)
@@ -396,7 +426,7 @@ def test_incidence_path_against_sympy(a):
         assert invariant_factors(m) == expected
         assert matrix_rank(m) == len(expected)
         dims = [len(m), len(m[0])]
-        homology = homology_of_complex(dims, [m])
+        homology = checked_homology(dims, sparse([m]))
         assert [(h.betti, h.torsion, h.boundary_rank) for h in homology] == [
             (dims[0] - len(expected), (), len(expected)),
             (dims[1] - len(expected), (), 0)]
@@ -423,7 +453,7 @@ def test_incidence_near_misses_take_the_kernel(a, miss, flip):
         assert invariant_factors(m) == expected
         assert matrix_rank(m) == SymMatrix(m).rank()
         dims = [len(m), len(m[0])]
-        h0 = homology_of_complex(dims, [m])[0]
+        h0 = checked_homology(dims, sparse([m]))[0]
         assert (h0.betti, h0.torsion) == (
             dims[0] - len(expected), tuple(d for d in expected if d > 1))
 
@@ -466,7 +496,7 @@ def incidence_over_torsion(draw):
 def test_forest_pairing_over_torsion(case):
     dims, mats = case
     assert mat_mul(*mats) == zeros(dims[0], dims[2])
-    top = _oriented(mats[1])
+    top = _oriented(_sparse_rows(mats[1]), dims[2])
     assert _forest_pivots(*top) is not None
     # the oracle: each whole boundary by the dense Smith loop
     factors = [_core_invariant_factors(m) for m in mats] + [()]
@@ -474,7 +504,7 @@ def test_forest_pairing_over_torsion(case):
     oracle = [(dims[k] - rank[k] - rank[k + 1],
                tuple(d for d in factors[k] if d > 1), rank[k + 1])
               for k in range(len(dims))]
-    homology = homology_of_complex(dims, mats)
+    homology = checked_homology(dims, sparse(mats))
     assert [(h.betti, h.torsion, h.boundary_rank) for h in homology] == oracle
     assert homology[0].torsion
 
@@ -496,12 +526,37 @@ def test_gradient_at_order_1024_within_budget():
     assert elapsed < budget_s, f"took {elapsed:.1f}s"
 
 
+@pytest.mark.parametrize("family, param, moduli, betti", [
+    # H_1 of an index n subgroup of the free group of rank 2 has rank n + 1
+    ("free", 2, [50, 50], [1, 2501]),
+    # a genus-2 cover of degree n is a surface of genus n + 1
+    ("surface", 2, [7, 7, 7, 7], [1, 4804, 1]),
+])
+def test_gradient_memory_at_scale(family, param, moduli, betti):
+    # the coinvariant boundaries stay sparse: each dense boundary of the
+    # (Z/7)^4 level would hold 2401 x 9604 cells, 184 MB of list slots
+    tracemalloc.start()
+    try:
+        table = run_gradient({"family": family, "param": param,
+                              "levels": [{"kind": "abelian",
+                                          "moduli": moduli}]})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [row.betti_q for row in table.rows] == betti
+    assert [row.logtors for row in table.rows] == [0] * len(betti)
+    assert peak < 64 * 2 ** 20, f"traced peak {peak / 2 ** 20:.0f} MiB"
+
+
 def test_coinvariants_shapes_and_column_norm():
     cx = free_complex(SP22)
     d1 = cx.boundary(1)
-    mat = coinvariants_matrix(d1)
-    assert mat_shape(mat) == (4, 8)
+    rows = coinvariants_matrix(d1)
+    assert_no_zero_stored(rows)
     assert coinvariants_rank(d1.domain) == 8
+    mat = to_dense(rows, 8)
+    assert mat_shape(mat) == (4, 8)
+    assert _sparse_rows(mat) == rows
     assert len(list(d1.domain.atoms())) == 8
     bound = op_norm(d1)
     for col in range(8):
@@ -510,9 +565,10 @@ def test_coinvariants_shapes_and_column_norm():
 
 def test_coinvariants_respects_carriers():
     cx = restricted_copy(free_complex(SP22), 1, 0, [2, 3])
-    mat = coinvariants_matrix(cx.boundary(1))
-    assert mat_shape(mat) == (4, 6)
+    rows = coinvariants_matrix(cx.boundary(1))
+    assert len(rows) == 4
     assert coinvariants_rank(cx.module(1)) == 6
+    assert {j for row in rows for j in row} <= set(range(6))
 
 
 def coinvariants_by_atom_keys(f):
@@ -551,9 +607,12 @@ def test_coinvariants_by_position_match_atom_keys(data):
         max_size=4)
     f = MarkedMorphism(dom, cod, [[data.draw(entry) for _ in cod.carriers]
                                   for _ in dom.carriers])
-    mat = coinvariants_matrix(f)
-    assert mat == coinvariants_by_atom_keys(f)
-    assert mat_shape(mat) == (coinvariants_rank(cod), coinvariants_rank(dom))
+    rows = coinvariants_matrix(f)
+    assert_no_zero_stored(rows)
+    width = coinvariants_rank(dom)
+    assert len(rows) == coinvariants_rank(cod)
+    assert {j for row in rows for j in row} <= set(range(width))
+    assert to_dense(rows, width) == coinvariants_by_atom_keys(f)
 
 
 @given(st.data())
@@ -573,9 +632,11 @@ def test_coinvariants_functorial(data):
         )
     f = MarkedMorphism(full, full, [[rand_entry()]])
     g = MarkedMorphism(full, full, [[rand_entry()]])
+    def dense(h):
+        return to_dense(coinvariants_matrix(h), sp.order)
     lhs = coinvariants_matrix(f.then(g))
-    rhs = mat_mul(coinvariants_matrix(g), coinvariants_matrix(f))
-    assert lhs == rhs
+    assert_no_zero_stored(lhs)
+    assert to_dense(lhs, sp.order) == mat_mul(dense(g), dense(f))
 
 
 def test_shapiro_matches_coinvariants_of_induced():
@@ -589,6 +650,12 @@ def test_shapiro_matches_coinvariants_of_induced():
         dims_b, route_b = shapiro_complex(sp, [1, 2, 1], mats)
         assert dims == dims_b
         assert route_a == route_b
+        for r, rows in enumerate(route_b):
+            assert_no_zero_stored(rows)
+            assert len(rows) == dims[r]
+            # the dense Smith loop and sympy on each whole boundary
+            dense = to_dense(rows, dims[r + 1])
+            assert _core_invariant_factors(dense) == sympy_factors(dense)
 
 
 def test_shapiro_with_generator_images():
@@ -602,31 +669,40 @@ def test_shapiro_with_generator_images():
         shapiro_complex(q, [1, 2], [[[gm1("a")]]])
 
 
+def level_homology(cx):
+    """Homology of the coinvariants of cx, checked against sympy's Smith
+    form of each whole boundary."""
+    dims, mats = coinvariants_complex(cx)
+    for rows in mats:
+        assert_no_zero_stored(rows)
+    homology = checked_homology(dims, mats)
+    assert homology == homology_from_factors(dims, [
+        sympy_factors(to_dense(m, w)) for m, w in zip(mats, dims[1:])])
+    return homology
+
+
 def test_homology_of_induced_level_complexes():
     # rank 2 free group at (Z/2)^2: H_1 has rank 1 + |G|(d - 1) = 5
-    dims, mats = coinvariants_complex(free_complex(SP22))
-    h0, h1 = homology_of_complex(dims, mats)
+    h0, h1 = level_homology(free_complex(SP22))
     assert (h1.betti, h1.torsion) == (5, ())
     assert (h0.betti, h0.torsion) == (1, ())
 
     # at S3 the index 6 subgroup is free of rank 7
-    dims, mats = coinvariants_complex(free_complex(SPS3))
-    assert homology_of_complex(dims, mats)[1].betti == 7
+    assert level_homology(free_complex(SPS3))[1].betti == 7
 
     # Koszul at (Z/3)^2 sees the homology of Z^2: betti (1, 2, 1)
-    dims, mats = coinvariants_complex(koszul2(SP33))
-    for h, expect in zip(homology_of_complex(dims, mats), [1, 2, 1]):
+    for h, expect in zip(level_homology(koszul2(SP33)), [1, 2, 1]):
         assert h.betti == expect
         assert not h.torsion
 
     # Z at Z/5
-    dims, mats = coinvariants_complex(zres(FiniteQuotient.abelian([5]), 1))
-    assert [h.betti for h in homology_of_complex(dims, mats)] == [1, 1]
+    homology = level_homology(zres(FiniteQuotient.abelian([5]), 1))
+    assert [h.betti for h in homology] == [1, 1]
 
 
 def test_homology_torsion_and_mod_p():
-    dims, mats = [1, 1], [[[2]]]
-    homology = h0, h1 = homology_of_complex(dims, mats)
+    dims, mats = [1, 1], [[{0: 2}]]
+    homology = h0, h1 = checked_homology(dims, mats)
     assert h0.betti == 0
     assert h0.torsion == (2,)
     assert h0.log_torsion == pytest.approx(math.log(2))
@@ -636,14 +712,17 @@ def test_homology_torsion_and_mod_p():
     assert h1.betti == 0
 
     # square presentation of Z/2 x Z/4 in one degree
-    dims, mats = [2, 2], [[[2, 0], [2, 4]]]
-    h0 = homology_of_complex(dims, mats)[0]
+    dims, mats = [2, 2], [[{0: 2}, {0: 2, 1: 4}]]
+    h0 = checked_homology(dims, mats)[0]
     assert h0.torsion == (2, 4)
 
 
 def test_homology_rejects_non_complex():
-    with pytest.raises(ValueError):
-        homology_of_complex([1, 1, 1], [[[1]], [[1]]])
+    with pytest.raises(ValueError, match="do not compose"):
+        homology_of_complex([1, 1, 1], [[{0: 1}], [{0: 1}]])
+    # a boundary whose row count is not the dimension below it
+    with pytest.raises(ValueError, match="rows"):
+        homology_of_complex([2, 1], [[{0: 1}]])
 
 
 def test_betti_mod_p_matches_rational_when_torsion_free():

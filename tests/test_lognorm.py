@@ -15,7 +15,7 @@ from torgrad.crossring import (
     morphism_stats,
     op_norm,
 )
-from torgrad.discretize import coinvariants_matrix, matrix_rank
+from torgrad.discretize import matrix_rank
 from torgrad.lognorm import (
     EXACT_ATOM_CAP,
     LOG_SLACK,
@@ -30,7 +30,7 @@ from torgrad.lognorm import (
     set_partitions,
 )
 from torgrad.pipeline import random_morphism
-from helpers import certificate_value
+from helpers import certificate_value, coinvariants_dense
 
 SP2 = FiniteQuotient.abelian([2])
 SP4 = FiniteQuotient.abelian([4])
@@ -58,7 +58,7 @@ def test_diagonal_23_partitions():
     assert lognorm_upper(f, "block") == pytest.approx(math.log(3))
     assert lognorm_exact(f) == pytest.approx(math.log(6) / 2)
     assert lognorm_upper(f, "greedy") == pytest.approx(math.log(6) / 2)
-    assert gabber_exact(coinvariants_matrix(f)) == pytest.approx(math.log(6))
+    assert gabber_exact(coinvariants_dense(f)) == pytest.approx(math.log(6))
 
 
 def test_decomposition_validation():
@@ -123,7 +123,7 @@ def test_strategy_chain(entry):
 def test_level_torsion_dominated(entry):
     f = full_morphism(SP4, entry)
     bound = SP4.order * lognorm_upper(f, "atoms")
-    assert gabber_exact(coinvariants_matrix(f)) <= bound + LOG_SLACK
+    assert gabber_exact(coinvariants_dense(f)) <= bound + LOG_SLACK
 
 
 celt_entries2 = st.dictionaries(
@@ -256,7 +256,7 @@ def test_rank_argument_changes_no_value():
     # elimination of a block covering every live atom, and for nothing else
     for seed in range(40):
         f = random_morphism(random.Random(seed))
-        rank = matrix_rank(coinvariants_matrix(f))
+        rank = matrix_rank(coinvariants_dense(f))
         live = sum(1 for n in atom_norms(f).values() if n)
         strategies = ["atoms", "greedy", "block"]
         if live <= 6:

@@ -288,6 +288,23 @@ def test_gradient_cli_refuses_empty_output_flag(tmp_path, capsys,
     assert not (tmp_path / "from_config.csv").exists()
 
 
+def test_gradient_cli_refuses_empty_json_flag(tmp_path, capsys,
+                                              monkeypatch):
+    # an empty --json path is refused before any level is built, rather
+    # than read as absent
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(FiniteQuotient, "from_json", None)
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps(FREE_CHAIN))
+    code = main(["gradient", "--config", str(cfg_path), "--json", ""])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("config error: json must be a nonempty "
+                                   "path string, got ''")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.json"]
+
+
 def test_gradient_cli_unwritable_output(tmp_path, capsys):
     missing = tmp_path / "missing" / "table.csv"
     code, err = _gradient_cli_error(tmp_path, capsys, FREE_CHAIN,
