@@ -17,6 +17,7 @@ from typing import Optional, Sequence
 
 from .groups import (
     FiniteQuotient,
+    Presentation,
     Word,
     fox_derivative,
     reduce_word,
@@ -34,12 +35,8 @@ from .crossring import (
 from .complexes import MarkedComplex
 
 
-def _gen(k: int, e: int = 1) -> Word:
-    return ((k, e),) if e else ()
-
-
 def _gm1(k: int) -> dict:
-    return {_gen(k): 1, (): -1}
+    return {((k, 1),): 1, (): -1}
 
 
 # ---------------------------------------------------------------------------
@@ -57,50 +54,50 @@ def _check_size(total: int) -> None:
                          f"degrees, above the cap {MAX_GENERATORS}")
 
 
-def resolution_free(rank: int):
-    """Free group on ``rank`` letters: 0 -> R^rank -> R -> Z -> 0."""
-    if rank < 1:
-        raise ValueError("free resolution needs at least one generator")
-    _check_size(1 + rank)
-    return [1, rank], [[[_gm1(k)] for k in range(rank)]]
-
-
-def resolution_integers():
-    return resolution_free(1)
-
-
 def surface_relator(genus: int) -> Word:
     """Product of commutators [x_0, x_1]...[x_{2g-2}, x_{2g-1}]."""
-    raw = []
-    for i in range(genus):
-        a, b = 2 * i, 2 * i + 1
-        raw += [(a, 1), (b, 1), (a, -1), (b, -1)]
-    return reduce_word(tuple(raw))
+    return reduce_word(pair for a in range(0, 2 * genus, 2)
+                       for pair in ((a, 1), (a + 1, 1), (a, -1), (a + 1, -1)))
 
 
-def resolution_surface(genus: int):
-    """Closed orientable surface group: ranks (1, 2g, 1), top boundary the
-    free derivatives of the relator."""
-    if genus < 1:
-        raise ValueError("surface resolution needs genus >= 1")
-    _check_size(2 + 2 * genus)
-    rel = surface_relator(genus)
-    d1 = [[_gm1(k)] for k in range(2 * genus)]
-    d2 = [[fox_derivative(rel, k) for k in range(2 * genus)]]
-    return [1, 2 * genus, 1], [d1, d2]
+def family_presentation(family: str,
+                        param: Optional[int] = None) -> Presentation:
+    """Free of rank param (integers: rank 1), the genus param surface
+    group, or Z^param with the pairwise commutators; param defaults to 2.
+    The resolution's size is checked before any word is built."""
+    if family == "integers" and param is not None:
+        raise ValueError(f"the integers family takes no param, got {param!r}")
+    n = 1 if family == "integers" else 2 if param is None else param
+    if family in ("free", "integers"):
+        if n < 1:
+            raise ValueError("free resolution needs at least one generator")
+        _check_size(1 + n)
+        return Presentation(n, ())
+    if family == "surface":
+        if n < 1:
+            raise ValueError("surface resolution needs genus >= 1")
+        _check_size(2 + 2 * n)
+        return Presentation(2 * n, (surface_relator(n),))
+    if family == "free_abelian":
+        if n < 1:
+            raise ValueError("free abelian resolution needs dimension >= 1")
+        # 2^n generators; the exponent is clipped so a huge n costs nothing
+        _check_size(2 ** min(n, MAX_GENERATORS.bit_length()))
+        return Presentation(n, (((i, 1), (j, 1), (i, -1), (j, -1))
+                                for i, j in combinations(range(n), 2)))
+    raise ValueError(f"unknown resolution family {family!r}")
 
 
-def resolution_free_abelian(dim: int):
-    """Koszul resolution of Z^dim; rank C(dim, r) in degree r.
-
-    The boundaries square to zero only once the generator images commute,
-    which holds at every level of an abelian quotient.
-    """
-    if dim < 1:
-        raise ValueError("free abelian resolution needs dimension >= 1")
-    # 2^dim generators; the exponent is clipped so a huge dim costs nothing
-    _check_size(2 ** min(dim, MAX_GENERATORS.bit_length()))
-    return koszul_complex([_gm1(k) for k in range(dim)])
+def presentation_resolution(pres: Presentation):
+    """Chain complex of the presentation complex, a resolution for the
+    free and surface families: ranks (1, k[, #relators]), d_1 the column
+    of x_k - 1, d_2 the Fox derivatives, one row per relator."""
+    k = pres.num_generators
+    d1 = [[_gm1(j)] for j in range(k)]
+    if not pres.relators:
+        return [1, k], [d1]
+    d2 = [[fox_derivative(r, j) for j in range(k)] for r in pres.relators]
+    return [1, k, len(pres.relators)], [d1, d2]
 
 
 def koszul_complex(elements: Sequence[dict]):
@@ -134,18 +131,12 @@ def koszul_complex(elements: Sequence[dict]):
 
 
 def resolution_by_name(family: str, param: Optional[int] = None):
-    if family == "free":
-        return resolution_free(2 if param is None else param)
-    if family == "surface":
-        return resolution_surface(2 if param is None else param)
-    if family == "integers":
-        if param is not None:
-            raise ValueError("the integers family takes no param, "
-                             f"got {param!r}")
-        return resolution_integers()
+    """(ranks, matrices) of a named family: Koszul for free_abelian, whose
+    presentation complex is no resolution above dimension 2."""
+    pres = family_presentation(family, param)
     if family == "free_abelian":
-        return resolution_free_abelian(2 if param is None else param)
-    raise ValueError(f"unknown resolution family {family!r}")
+        return koszul_complex([_gm1(k) for k in range(pres.num_generators)])
+    return presentation_resolution(pres)
 
 
 # ---------------------------------------------------------------------------
@@ -317,21 +308,13 @@ def rokhlin_level_contraction(result: RokhlinResult) -> bool:
     d1 = result.complex.boundary(1)
     aug = result.complex.augmentation
 
-    def c0(celt):
-        out = {}
-        for g, fn in celt.items():
-            m = exponent[g]
-            for u, c in fn.items():
-                for j in range(m):
-                    if u in shifts[j]:
-                        out = celt_add(out, {point[j]: {u: -c}})
-        return out
-
     for m in range(M):
         g = point[m]
         for u in shifts[m]:
             z = {g: {u: 1}}
-            lhs = d1.apply((c0(z),))[0]
+            # c_0 of the atom (chi_u, t^m)
+            c0 = {point[j]: {u: -1} for j in range(m) if u in shifts[j]}
+            lhs = d1.apply((c0,))[0]
             eta = aug.apply((z,))
             rhs = celt_sub(z, celt_mul(space, {0: eta}, x))
             if lhs != rhs:

@@ -52,10 +52,6 @@ Matrix = list  # list of rows, each a list of ints
 # dense integer matrices
 
 
-def zeros(rows: int, cols: int) -> Matrix:
-    return [[0] * cols for _ in range(rows)]
-
-
 def mat_shape(a: Matrix) -> tuple[int, int]:
     return len(a), len(a[0]) if a else 0
 

@@ -26,6 +26,12 @@ from .complexes import (
     induce_resolution,
     witness_defect,
 )
+from .config import (
+    ConfigError,
+    GradientConfig,
+    check_path,
+    parse_gradient_config,
+)
 from .constructions import (
     EmbeddingResult,
     RokhlinResult,
@@ -47,6 +53,7 @@ from .crossring import (
     vector_l1,
 )
 from .discretize import (
+    HomologyResult,
     _core_invariant_factors,
     betti_mod_p,
     coinvariants_complex,
@@ -70,10 +77,6 @@ from .lognorm import (
     lognorm_upper,
 )
 from .strictify import strictify_complex
-
-
-class ConfigError(ValueError):
-    """Bad experiment configuration; maps to exit code 1."""
 
 
 # ---------------------------------------------------------------------------
@@ -222,9 +225,6 @@ def perturb_morphism(rng: random.Random, f: MarkedMorphism) -> MarkedMorphism:
 # gradient tables
 
 
-GRADIENT_STRATEGIES = ("atoms", "greedy", "block")
-CONFIG_KEYS = ("family", "param", "levels", "degrees", "p", "strategy",
-               "embedding", "output")
 GRADIENT_COLUMNS = ("level", "|G|", "degree", "betti_q", "betti_p", "logtors",
                     "betti_q/|G|", "logtors/|G|", "dim_upper", "lognorm_upper")
 BOUND_COLUMNS = ("betti_bound", "torsion_bound", "verdict")
@@ -250,13 +250,13 @@ class GradientRow:
     torsion_bound: Optional[float] = None
     verdict: Optional[bool] = None
 
-    def cells(self, embedded: bool) -> list:
+    def cells(self) -> list:
         out = [str(self.level), str(self.order), str(self.degree),
                str(self.betti_q), str(self.betti_p), _fmt(self.logtors),
                _fmt(Fraction(self.betti_q, self.order)),
                _fmt(self.logtors / self.order),
                _fmt(self.dim_upper), _fmt(self.lognorm_upper)]
-        if embedded:
+        if self.verdict is not None:
             out += [_fmt(self.betti_bound), _fmt(self.torsion_bound),
                     "PASS" if self.verdict else "FAIL"]
         return out
@@ -266,196 +266,63 @@ class GradientRow:
 class GradientTable:
     columns: tuple
     rows: tuple
-    embedded: bool
 
     @property
     def all_pass(self) -> bool:
-        if not self.embedded:
-            return True
-        return all(row.verdict for row in self.rows)
+        # rows on the induced target carry no verdict
+        return all(row.verdict is not False for row in self.rows)
 
     def to_csv(self) -> str:
         lines = [",".join(self.columns)]
-        lines.extend(",".join(row.cells(self.embedded)) for row in self.rows)
+        lines.extend(",".join(row.cells()) for row in self.rows)
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> dict:
         return {"columns": list(self.columns),
-                "rows": [row.cells(self.embedded) for row in self.rows]}
+                "rows": [row.cells() for row in self.rows]}
 
 
-P_CAP = 2 ** 31  # keeps the trial division below fast
-
-
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    return all(p % k for k in range(2, math.isqrt(p) + 1))
-
-
-def _parse_embedding(config: dict, family: str):
-    embedding = config.get("embedding")
-    if embedding in (None, "induced"):
-        return None
-    if not isinstance(embedding, dict) or embedding.get("kind") not in (
-            "rokhlin", "cheap"):
-        raise ConfigError(
-            "embedding must be 'induced' or a dict with kind rokhlin|cheap"
-        )
-    if family != "integers":
-        raise ConfigError(
-            "rokhlin and cheap embeddings target the integers family only"
-        )
-    size_key = "tile" if embedding["kind"] == "rokhlin" else "epsilon"
-    for key in embedding:
-        if key not in ("kind", size_key):
-            raise ConfigError(f"unknown key {key!r} in the "
-                              f"{embedding['kind']} embedding")
-    return embedding
-
-
-def _embedding_tile(embedding: dict) -> int:
-    if embedding["kind"] == "rokhlin":
-        tile = embedding.get("tile")
-        if not isinstance(tile, int) or isinstance(tile, bool) or tile < 1:
-            raise ConfigError("rokhlin embedding needs a positive integer tile")
-        return tile
-    eps = embedding.get("epsilon")
-    # 2 / eps overflows to inf for a subnormal epsilon
-    if (not isinstance(eps, (int, float)) or isinstance(eps, bool)
-            or not 0 < eps or not math.isfinite(2 / eps)):
-        raise ConfigError("cheap embedding needs an epsilon > 0")
-    return max(1, math.ceil(2 / eps))
-
-
-def run_gradient(config: dict) -> GradientTable:
-    """Betti/torsion gradient table along a chain of finite quotients.
-
-    Exact integer columns come from the coinvariant boundaries, each
-    factored once per level: betti_q and logtors from their ranks and
-    invariant factors, and betti_p from the same factors by universal
-    coefficients; dim_upper and lognorm_upper come from the configured
-    target complex (the induced resolution by default, a Rokhlin tile
-    complex when an embedding is configured), together with the per-row
-    bound columns and verdict.  On the induced target, lognorm's
-    whole-block rank is the boundary rank the factorisation gave."""
-    for key in config:
-        if key not in CONFIG_KEYS:
-            raise ConfigError(f"unknown key {key!r} in the config; expected "
-                              f"one of {', '.join(CONFIG_KEYS)}")
-    family = config.get("family")
-    if not isinstance(family, str):
-        raise ConfigError("config needs a resolution family under 'family'")
-    param = config.get("param")
-    if param is not None and (not isinstance(param, int)
-                              or isinstance(param, bool)):
-        raise ConfigError(f"param must be an integer, got {param!r}")
-    try:
-        ranks, matrices = resolution_by_name(family, param)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    levels = config.get("levels")
-    if (not isinstance(levels, list) or not levels
-            or not all(isinstance(spec, dict) for spec in levels)):
-        raise ConfigError("config needs a nonempty list of JSON objects "
-                          "under 'levels'")
-    degrees = config.get("degrees", list(range(len(ranks))))
-    if (not isinstance(degrees, list) or not degrees
-            or any(not isinstance(n, int) or isinstance(n, bool) or n < 0
-                   for n in degrees)):
-        raise ConfigError("degrees must be a nonempty list of integers >= 0")
-    p = config.get("p", 2)
-    if not isinstance(p, int) or p >= P_CAP or not _is_prime(p):
-        raise ConfigError(f"p must be a prime below 2**31, got {p!r}")
-    strategy = config.get("strategy", "atoms")
-    if strategy not in GRADIENT_STRATEGIES:
-        # exact search is capped at EXACT_ATOM_CAP atoms, which an induced
-        # level of any interest exceeds
-        raise ConfigError(f"lognorm strategy {strategy!r} is not usable in "
-                          f"gradient; choose from "
-                          f"{', '.join(GRADIENT_STRATEGIES)}")
-    embedding = _parse_embedding(config, family)
-    tile = _embedding_tile(embedding) if embedding is not None else None
-
+def run_gradient(cfg: GradientConfig) -> GradientTable:
+    """Betti/torsion gradient table along the levels of a config that
+    parse_gradient_config has checked and enumerated; nothing is checked
+    here.  Each coinvariant boundary is factored once per level: betti_q,
+    logtors and, by universal coefficients, betti_p.  dim_upper and
+    lognorm_upper come from the target complex (the induced resolution,
+    whose boundary ranks the factorisation gave, or the Rokhlin tile
+    complex, with the bound columns and verdict).  A degree above the
+    resolution reads zero homology and an empty target."""
+    embedded = cfg.tile is not None
     rows = []
-    prev_order = 0
-    for idx, spec in enumerate(levels, start=1):
-        try:
-            quotient = FiniteQuotient.from_json(spec)
-        except (KeyError, TypeError, ValueError, OrderCapExceeded) as exc:
-            raise ConfigError(f"level {idx}: {exc}") from None
-        if quotient.order <= prev_order:
-            raise ConfigError(
-                f"level {idx}: chain orders must increase "
-                f"({quotient.order} after {prev_order})"
-            )
-        prev_order = quotient.order
-        if len(quotient.generator_images) != ranks[1]:
-            raise ConfigError(
-                f"level {idx}: {len(quotient.generator_images)} generator "
-                f"images for a {family} resolution on {ranks[1]} generators"
-            )
-        induced = induce_resolution(quotient, ranks, matrices,
+    for idx, quotient in enumerate(cfg.levels, start=1):
+        induced = induce_resolution(quotient, *cfg.resolution,
                                     augmented=False)
-        dims, mats = coinvariants_complex(induced)
-        try:
-            homology = homology_of_complex(dims, mats)
-        except ValueError as exc:
-            # the boundaries compose to zero wherever the images satisfy
-            # the family's relations
-            raise ConfigError(f"level {idx}: the generator images break a "
-                              f"relation of the {family} family: {exc}"
-                              ) from None
-        betti_p = betti_mod_p(homology, p)
-
-        target = induced
-        if embedding is not None:
-            if (spec.get("kind") != "abelian" or len(spec["moduli"]) != 1
-                    or spec.get("images") not in (None, [[1]])):
-                raise ConfigError(
-                    f"level {idx}: embeddings need plain cyclic levels "
-                    "(abelian, one modulus)"
-                )
-            try:
-                target = rokhlin_partition(quotient.order, tile).complex
-            except ValueError as exc:
-                raise ConfigError(f"level {idx}: {exc}") from None
-
-        for n in degrees:
-            if n >= len(ranks):
-                # degrees above the resolution length are degenerate
-                extra = (Fraction(0), 0.0, True) if embedding is not None \
-                    else (None, None, None)
-                rows.append(GradientRow(idx, quotient.order, n, 0, 0, 0.0,
-                                        Fraction(0), 0.0, *extra))
-                continue
-            h = homology[n]
-            bq = h.betti
-            bp = betti_p[n]
-            lt = h.log_torsion
+        homology = homology_of_complex(*coinvariants_complex(induced))
+        betti_p = betti_mod_p(homology, cfg.p)
+        per_degree = dict(enumerate(zip(homology, betti_p)))
+        target = (rokhlin_partition(quotient.order, cfg.tile).complex
+                  if embedded else induced)
+        for n in cfg.degrees:
+            h, bp = per_degree.get(n, (HomologyResult(0, (), 0), 0))
             dim_upper = (target.module(n).dim()
                          if n <= target.top_degree else Fraction(0))
-            # the induced target's degree n+1 boundary is mats[n], whose
-            # rank homology[n] already holds
-            rank = homology[n].boundary_rank if embedding is None else None
-            ln_upper = (lognorm_upper(target.boundary(n + 1), strategy,
+            # the induced target's boundary n + 1 has the rank h holds
+            rank = None if embedded else h.boundary_rank
+            ln_upper = (lognorm_upper(target.boundary(n + 1), cfg.strategy,
                                       rank=rank)
                         if n + 1 <= target.top_degree else 0.0)
-            if embedding is None:
-                rows.append(GradientRow(idx, quotient.order, n, bq, bp, lt,
-                                        dim_upper, ln_upper))
-            else:
+            bounds = ()
+            if embedded:
                 betti_bound = quotient.order * dim_upper
                 torsion_bound = quotient.order * ln_upper
-                ok = (bq <= betti_bound and bp <= betti_bound
-                      and lt <= torsion_bound + LOG_SLACK)
-                rows.append(GradientRow(idx, quotient.order, n, bq, bp, lt,
-                                        dim_upper, ln_upper, betti_bound,
-                                        torsion_bound, ok))
+                bounds = (betti_bound, torsion_bound,
+                          h.betti <= betti_bound and bp <= betti_bound
+                          and h.log_torsion <= torsion_bound + LOG_SLACK)
+            rows.append(GradientRow(idx, quotient.order, n, h.betti, bp,
+                                    h.log_torsion, dim_upper, ln_upper,
+                                    *bounds))
 
-    columns = GRADIENT_COLUMNS + (BOUND_COLUMNS if embedding is not None
-                                  else ())
-    return GradientTable(columns, tuple(rows), embedding is not None)
+    columns = GRADIENT_COLUMNS + (BOUND_COLUMNS if embedded else ())
+    return GradientTable(columns, tuple(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -463,11 +330,6 @@ def run_gradient(config: dict) -> GradientTable:
 
 
 ROKHLIN_GRID = ((6, 2), (7, 2), (12, 4), (100, 10))
-VERIFY_SUITES = ("opnorm", "gabber", "strictify", "rokhlin", "lognorm",
-                 "retract", "discretize")
-DEFAULT_TRIALS = {"opnorm": 200, "gabber": 200, "strictify": 25,
-                  "rokhlin": 6, "lognorm": 60, "retract": 20,
-                  "discretize": 200}
 
 
 def _suite_opnorm(rng: random.Random, trials: int) -> list:
@@ -780,23 +642,22 @@ def _suite_discretize(rng: random.Random, trials: int) -> list:
     return failures
 
 
-SUITE_RUNNERS = {"opnorm": _suite_opnorm, "gabber": _suite_gabber,
-                 "strictify": _suite_strictify, "rokhlin": _suite_rokhlin,
-                 "lognorm": _suite_lognorm, "retract": _suite_retract,
-                 "discretize": _suite_discretize}
+# suite name -> (runner, default trial count)
+VERIFY_SUITES = {
+    "opnorm": (_suite_opnorm, 200), "gabber": (_suite_gabber, 200),
+    "strictify": (_suite_strictify, 25), "rokhlin": (_suite_rokhlin, 6),
+    "lognorm": (_suite_lognorm, 60), "retract": (_suite_retract, 20),
+    "discretize": (_suite_discretize, 200)}
 
 
-def run_verify(suite: str, seed: int = 0,
-               trials: Optional[int] = None) -> list:
+def run_verify(suite: str, seed: int, trials: int) -> list:
     """Run one verification suite; returns the list of failing cases."""
-    if suite not in SUITE_RUNNERS:
+    if suite not in VERIFY_SUITES:
         raise ConfigError(f"unknown suite {suite!r}; "
                           f"choose from {', '.join(VERIFY_SUITES)}")
-    if trials is None:
-        trials = DEFAULT_TRIALS[suite]
     if trials < 0:
         raise ConfigError("trials must be >= 0")
-    return SUITE_RUNNERS[suite](random.Random(seed), trials)
+    return VERIFY_SUITES[suite][0](random.Random(seed), trials)
 
 
 # ---------------------------------------------------------------------------
@@ -819,14 +680,12 @@ def _read_json_object(path: str) -> dict:
 
 def cmd_gradient(args) -> int:
     config = _read_json_object(args.config)
-    out_path = args.output if args.output is not None else config.get("output")
-    # open() raises ValueError, not OSError, on a NUL in the path
-    for name, path in (("output", out_path), ("json", args.json)):
-        if path is not None and (not isinstance(path, str)
-                                 or not path or "\0" in path):
-            raise ConfigError(f"{name} must be a nonempty path string, "
-                              f"got {path!r}")
-    table = run_gradient(config)
+    # the flags first: a bad one is refused before any level is enumerated
+    check_path("output", args.output)
+    check_path("json", args.json)
+    cfg = parse_gradient_config(config)
+    out_path = args.output if args.output is not None else cfg.output
+    table = run_gradient(cfg)
     csv_text = table.to_csv()
     try:
         if out_path is not None:
@@ -847,9 +706,9 @@ def cmd_gradient(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    failures = run_verify(args.suite, args.seed, args.trials)
-    trials = args.trials if args.trials is not None else (
-        DEFAULT_TRIALS[args.suite])
+    trials = (VERIFY_SUITES[args.suite][1] if args.trials is None
+              else args.trials)
+    failures = run_verify(args.suite, args.seed, trials)
     status = "FAIL" if failures else "PASS"
     print(f"suite {args.suite}: trials={trials} "
           f"failures={len(failures)} {status}")

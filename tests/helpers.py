@@ -23,6 +23,10 @@ def coinvariants_dense(f):
     return to_dense(coinvariants_matrix(f), coinvariants_rank(f.domain))
 
 
+def zeros(rows, cols):
+    return [[0] * cols for _ in range(rows)]
+
+
 def mat_mul(a, b):
     """Dense product of integer matrices given as lists of rows."""
     cols = list(zip(*b))

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from torgrad.groups import FiniteQuotient, parse_word
+from torgrad.groups import FiniteQuotient, parse_word, word_to_str
 from torgrad.crossring import MarkedMorphism
 from torgrad.complexes import (
     check_chain_map,
@@ -16,12 +16,9 @@ from torgrad.discretize import (
     retract_inequality_check,
 )
 from torgrad.constructions import (
+    family_presentation,
     integers_embedding,
     resolution_by_name,
-    resolution_free,
-    resolution_free_abelian,
-    resolution_integers,
-    resolution_surface,
     rokhlin_level_contraction,
     rokhlin_partition,
     rokhlin_tower_boundary,
@@ -40,13 +37,13 @@ def ones(space):
 
 
 def test_resolution_free_shapes():
-    ranks, mats = resolution_free(3)
+    ranks, mats = resolution_by_name("free", 3)
     assert ranks == [1, 3]
     assert len(mats) == 1 and len(mats[0]) == 3
     assert mats[0][1] == [{w("b"): 1, (): -1}]
-    assert resolution_integers()[0] == [1, 1]
+    assert resolution_by_name("integers")[0] == [1, 1]
     with pytest.raises(ValueError):
-        resolution_free(0)
+        resolution_by_name("free", 0)
     with pytest.raises(ValueError):
         resolution_by_name("moebius")
     with pytest.raises(ValueError, match="takes no param"):
@@ -74,20 +71,31 @@ def test_surface_resolution_at_genus_63_within_budget():
 
 def test_surface_relator_and_fox_row():
     assert surface_relator(1) == parse_word("aba-1b-1")
-    ranks, mats = resolution_surface(1)
+    ranks, mats = resolution_by_name("surface", 1)
     assert ranks == [1, 2, 1]
     da, db = mats[1][0]
     assert da == {(): 1, w("aba-1"): -1}
     assert db == {w("a"): 1, w("aba-1b-1"): -1}
-    ranks2, mats2 = resolution_surface(2)
+    ranks2, mats2 = resolution_by_name("surface", 2)
     assert ranks2 == [1, 4, 1]
     assert len(mats2[1][0]) == 4
+
+
+def test_family_presentations():
+    # the relators the gradient config evaluates at every level
+    for family, param, gens, relators in (
+            ("free", 3, 3, []), ("integers", None, 1, []),
+            ("surface", 2, 4, ["aba-1b-1cdc-1d-1"]),
+            ("free_abelian", 3, 3, ["aba-1b-1", "aca-1c-1", "bcb-1c-1"])):
+        pres = family_presentation(family, param)
+        assert pres.num_generators == gens
+        assert [word_to_str(r) for r in pres.relators] == relators
 
 
 def test_surface_homology_at_cyclic():
     q = FiniteQuotient.abelian([3])
     t = q.generator_images[0]
-    ranks, mats = resolution_surface(2)
+    ranks, mats = resolution_by_name("surface", 2)
     cx = induce_resolution(q, ranks, mats, gen_images=[t, 0, 0, 0])
     assert defect_report(cx).is_strict
     dims, level = coinvariants_complex(cx)
@@ -97,7 +105,7 @@ def test_surface_homology_at_cyclic():
 
 
 def test_free_abelian_matches_koszul():
-    ranks, mats = resolution_free_abelian(2)
+    ranks, mats = resolution_by_name("free_abelian", 2)
     assert ranks == [1, 2, 1]
     cx = induce_resolution(SP33, ranks, mats)
     ref = koszul2(SP33)
@@ -107,7 +115,7 @@ def test_free_abelian_matches_koszul():
 
 
 def test_free_abelian_cube():
-    ranks, mats = resolution_free_abelian(3)
+    ranks, mats = resolution_by_name("free_abelian", 3)
     assert ranks == [1, 3, 3, 1]
     space = FiniteQuotient.abelian([2, 2, 2])
     cx = induce_resolution(space, ranks, mats)

@@ -31,7 +31,6 @@ from torgrad.discretize import (
     shapiro_matrix,
     sparse_rank,
     to_dense,
-    zeros,
     _core_invariant_factors,
     _eliminate,
     _forest_pivots,
@@ -39,6 +38,7 @@ from torgrad.discretize import (
     _sparse_rows,
 )
 from torgrad.lognorm import gabber_exact
+from torgrad.config import parse_gradient_config
 from torgrad.pipeline import run_gradient
 from helpers import (
     free_complex,
@@ -47,6 +47,7 @@ from helpers import (
     mat_mul,
     restricted_copy,
     w,
+    zeros,
     zres,
 )
 
@@ -514,10 +515,10 @@ def test_gradient_at_order_1024_within_budget():
     # rank 1 + 1024; the budget leaves a wide margin on a 2-core machine
     budget_s = 10.0
     started = time.monotonic()
-    table = run_gradient({
+    table = run_gradient(parse_gradient_config({
         "family": "free", "param": 2,
         "levels": [{"kind": "abelian", "moduli": [32, 32]}],
-    })
+    }))
     elapsed = time.monotonic() - started
     row = table.rows[1]
     assert (row.order, row.degree) == (1024, 1)
@@ -537,9 +538,9 @@ def test_gradient_memory_at_scale(family, param, moduli, betti):
     # (Z/7)^4 level would hold 2401 x 9604 cells, 184 MB of list slots
     tracemalloc.start()
     try:
-        table = run_gradient({"family": family, "param": param,
-                              "levels": [{"kind": "abelian",
-                                          "moduli": moduli}]})
+        table = run_gradient(parse_gradient_config({
+            "family": family, "param": param,
+            "levels": [{"kind": "abelian", "moduli": moduli}]}))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -10,6 +10,7 @@ import random
 import subprocess
 import sys
 import tempfile
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -18,6 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 import torgrad
 from torgrad import constructions, pipeline
+from torgrad.config import parse_gradient_config
 from torgrad.complexes import induce_resolution
 from torgrad.crossring import MarkedModule, MarkedMorphism
 from torgrad.discretize import coinvariants_complex, homology_of_complex
@@ -26,10 +28,8 @@ from torgrad.lognorm import lognorm_exact, lognorm_upper
 from helpers import certificate_value
 from torgrad.pipeline import (
     ConfigError,
-    DEFAULT_TRIALS,
     GRADIENT_COLUMNS,
     ROKHLIN_GRID,
-    SUITE_RUNNERS,
     VERIFY_SUITES,
     main,
     random_morphism,
@@ -51,8 +51,12 @@ FREE_CHAIN = {
 }
 
 
+def gradient(config):
+    return run_gradient(parse_gradient_config(config))
+
+
 def test_gradient_free_chain_frozen():
-    table = run_gradient(FREE_CHAIN)
+    table = gradient(FREE_CHAIN)
     assert table.columns == GRADIENT_COLUMNS
     got = [(r.order, r.betti_q, r.betti_p, r.logtors) for r in table.rows]
     assert got == [(4, 5, 5, 0.0), (9, 10, 10, 0.0), (16, 17, 17, 0.0)]
@@ -63,16 +67,19 @@ def test_gradient_free_chain_frozen():
 
 
 def test_gradient_deterministic_bytes():
-    assert run_gradient(FREE_CHAIN).to_csv() == run_gradient(FREE_CHAIN).to_csv()
+    assert gradient(FREE_CHAIN).to_csv() == gradient(FREE_CHAIN).to_csv()
 
 
 def test_gradient_degenerate_degrees():
-    cfg = dict(FREE_CHAIN, degrees=[0, 1, 3], levels=FREE_CHAIN["levels"][:1])
-    table = run_gradient(cfg)
-    top = table.rows[-1]
-    assert top.degree == 3
-    assert (top.betti_q, top.betti_p, top.logtors) == (0, 0, 0.0)
-    assert top.dim_upper == 0 and top.lognorm_upper == 0.0
+    # degrees above the resolution read zero homology; nothing is sized
+    # by the degree
+    cfg = dict(FREE_CHAIN, degrees=[0, 1, 3, 10 ** 9],
+               levels=FREE_CHAIN["levels"][:1])
+    table = gradient(cfg)
+    assert [row.degree for row in table.rows] == [0, 1, 3, 10 ** 9]
+    for top in table.rows[2:]:
+        assert (top.betti_q, top.betti_p, top.logtors) == (0, 0, 0.0)
+        assert top.dim_upper == 0 and top.lognorm_upper == 0.0
 
 
 def test_gradient_embedding_rows():
@@ -82,7 +89,7 @@ def test_gradient_embedding_rows():
                    {"kind": "abelian", "moduli": [12]}],
         "embedding": {"kind": "rokhlin", "tile": 2},
     }
-    table = run_gradient(cfg)
+    table = gradient(cfg)
     assert table.columns[-3:] == ("betti_bound", "torsion_bound", "verdict")
     assert table.all_pass
     for row in table.rows:
@@ -90,7 +97,7 @@ def test_gradient_embedding_rows():
         assert row.betti_q <= row.betti_bound
         assert row.logtors <= row.torsion_bound + 1e-9
     # cheap embedding picks the tile from epsilon
-    cheap = run_gradient(dict(cfg, embedding={"kind": "cheap", "epsilon": 0.5}))
+    cheap = gradient(dict(cfg, embedding={"kind": "cheap", "epsilon": 0.5}))
     assert cheap.all_pass
     assert float(cheap.rows[-1].dim_upper) < 0.5
 
@@ -114,7 +121,7 @@ def test_gradient_config_errors(breakage):
            "levels": [{"kind": "abelian", "moduli": [4]}]}
     cfg.update(breakage)
     with pytest.raises(ConfigError):
-        run_gradient(cfg)
+        parse_gradient_config(cfg)
 
 
 def test_gradient_cli_writes_files(tmp_path, capsys):
@@ -199,17 +206,62 @@ S3_LEVEL = {"kind": "permutation", "degree": 3,
     # non-commuting images break the surface relator and the Koszul square
     ({"family": "surface", "param": 1,
       "levels": [FREE_CHAIN["levels"][0], S3_LEVEL]},
-     "break a relation of the surface family"),
+     "break a relation of the surface family: the relator aba-1b-1 is not "
+     "the identity"),
     ({"family": "free_abelian", "param": 2,
       "levels": [FREE_CHAIN["levels"][0], S3_LEVEL]},
-     "break a relation of the free_abelian family"),
-], ids=["too_many_generators", "surface_over_s3", "free_abelian_over_s3"])
+     "break a relation of the free_abelian family: the relator aba-1b-1"),
+    # generators past z are named by their indices
+    ({"family": "surface", "param": 14,
+      "levels": [dict(FREE_CHAIN["levels"][0], images=[[1, 0], [0, 1]] * 14),
+                 dict(S3_LEVEL, images=S3_LEVEL["images"] * 14)]},
+     "the relator [(0, 1), (1, 1), (0, -1), (1, -1), (2, 1),"),
+], ids=["too_many_generators", "surface_over_s3", "free_abelian_over_s3",
+        "surface_genus_14_over_s3"])
 def test_gradient_cli_refuses_levels_off_the_family(tmp_path, capsys, config,
                                                     reason):
     code, err = _gradient_cli_error(tmp_path, capsys, config)
     assert code == 1
     assert err.startswith("config error: level 2: ")
     assert reason in err
+
+
+CYCLIC_CHAIN = {"family": "integers",
+                "levels": [{"kind": "abelian", "moduli": [6]},
+                           {"kind": "abelian", "moduli": [12]}]}
+
+
+@pytest.mark.parametrize("config, reason", [
+    (dict(FREE_CHAIN, levels=FREE_CHAIN["levels"]
+          + [{"kind": "abelian", "moduli": [5, 5, 5]}]),
+     "level 4: 3 generator images for a free resolution on 2 generators"),
+    (dict(FREE_CHAIN, family="surface", param=1, levels=FREE_CHAIN["levels"]
+          + [{"kind": "permutation", "degree": 4,
+              "images": [[1, 0, 2, 3], [1, 2, 3, 0]]}]),
+     "level 4: the generator images break a relation of the surface "
+     "family: the relator aba-1b-1"),
+    (dict(CYCLIC_CHAIN, embedding={"kind": "rokhlin", "tile": 2},
+          levels=CYCLIC_CHAIN["levels"]
+          + [{"kind": "abelian", "moduli": [4, 5], "images": [[1, 1]]}]),
+     "level 3: embeddings need plain cyclic levels"),
+    # orders increase, so a tile above one level is above the first
+    (dict(CYCLIC_CHAIN, embedding={"kind": "rokhlin", "tile": 7}),
+     "level 1: need 1 <= tile <= modulus"),
+], ids=["generator_count", "relator", "non_cyclic", "tile"])
+def test_gradient_cli_checks_every_level_before_computing(
+        tmp_path, capsys, monkeypatch, config, reason):
+    calls = []
+    build = pipeline.induce_resolution
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].order)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "induce_resolution", counted)
+    code, err = _gradient_cli_error(tmp_path, capsys, config)
+    assert code == 1
+    assert err.startswith(f"config error: {reason}")
+    assert calls == []
 
 
 @pytest.mark.parametrize("config, key", [
@@ -388,7 +440,7 @@ def test_module_start_runs_once():
 
 # Paper constructions exported for callers that are planned but not yet
 # written: no command reaches them today.
-KEPT_CONSTRUCTIONS = frozenset({"tensor_complex", "Presentation"})
+KEPT_CONSTRUCTIONS = frozenset({"tensor_complex"})
 
 
 def test_exported_names_have_a_caller():
@@ -524,6 +576,33 @@ def test_gradient_cyclic_matches_golden_csv(tmp_path, capsys):
         assert capsys.readouterr().out == golden, inv.label
 
 
+def test_traced_gradient_ladder_reaches_every_layer(tmp_path, capsys,
+                                                    monkeypatch):
+    # perfbench/tracer.py wraps what the CLI-layer modules (pipeline,
+    # config) import from each library layer; a function moved between
+    # modules must not leave a layer the benchmark expects without a span
+    workloads = _bench_workloads()
+    monkeypatch.setitem(sys.modules, "workloads", workloads)
+    path = Path(workloads.__file__).with_name("tracer.py")
+    spec = importlib.util.spec_from_file_location("bench_tracer", path)
+    tracer_module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer_module)
+    tracer = tracer_module.Tracer()
+    tracer.install(run_id=0)
+    try:
+        start = time.perf_counter()
+        for inv in workloads.invocations("gradient-ladder", 0):
+            cfg_path = tmp_path / "exp.json"
+            cfg_path.write_text(json.dumps(inv.config))
+            assert main(inv.argv(str(cfg_path))) == 0
+        wall = time.perf_counter() - start
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    reached = tracer.summarize(0, wall)["layers_reached"]
+    assert set(workloads.EXPECTED_LAYERS["gradient-ladder"]) <= set(reached)
+
+
 SMALL_TRIALS = {"opnorm": 25, "gabber": 50, "strictify": 8,
                 "rokhlin": 2, "lognorm": 25, "retract": 8, "discretize": 60}
 
@@ -559,7 +638,7 @@ def test_verify_discretize_levels_have_torsion(monkeypatch):
 
 def test_verify_unknown_suite():
     with pytest.raises(ConfigError):
-        run_verify("meta", seed=0)
+        run_verify("meta", 0, 1)
     with pytest.raises(ConfigError):
         run_verify("opnorm", seed=0, trials=-1)
 
@@ -570,12 +649,12 @@ def test_verify_cli(capsys):
     assert "suite opnorm: trials=10 failures=0 PASS" in out
     # default trial count is reported when --trials is omitted
     assert main(["verify", "gabber"]) == 0
-    assert f"trials={DEFAULT_TRIALS['gabber']}" in capsys.readouterr().out
+    assert f"trials={VERIFY_SUITES['gabber'][1]}" in capsys.readouterr().out
 
 
 def test_verify_cli_reports_failures(monkeypatch, capsys):
-    monkeypatch.setitem(SUITE_RUNNERS, "gabber",
-                        lambda rng, trials: [{"suite": "gabber", "trial": 0}])
+    monkeypatch.setitem(VERIFY_SUITES, "gabber", (
+        lambda rng, trials: [{"suite": "gabber", "trial": 0}], 200))
     assert main(["verify", "gabber", "--trials", "1"]) == 2
     captured = capsys.readouterr()
     assert "FAIL" in captured.out
