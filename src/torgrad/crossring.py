@@ -43,21 +43,10 @@ CElt = dict
 # Module element: tuple of CElt, one per summand.
 Vector = tuple
 
-# measure memoises n / |G| for 0 <= n below this.
-_FRACTION_MEMO = 4096
-_fractions: dict = {}
-
 
 def measure(space: FiniteQuotient, n: int) -> Fraction:
-    """n / |G|, the normalised counting measure of n points of the level;
-    small n are memoised, as statistics build these in hot loops."""
-    key = (n, space.order)
-    out = _fractions.get(key)
-    if out is None:
-        out = Fraction(n, space.order)
-        if 0 <= n < _FRACTION_MEMO:
-            _fractions[key] = out
-    return out
+    """n / |G|, the normalised counting measure of n points of the level."""
+    return Fraction(n, space.order)
 
 
 def level_to_json(space: FiniteQuotient) -> dict:
@@ -307,17 +296,6 @@ class MarkedModule:
     def __repr__(self) -> str:
         sizes = ",".join(str(len(A)) for A in self.carriers)
         return f"MarkedModule(order={self.space.order}, carrier sizes [{sizes}])"
-
-    def to_json(self) -> dict:
-        return {
-            **level_to_json(self.space),
-            "carriers": [sorted(A) for A in self.carriers],
-        }
-
-    @staticmethod
-    def from_json(data: dict) -> "MarkedModule":
-        space = level_from_json(data)
-        return MarkedModule(space, carriers_from_json(data["carriers"]))
 
 
 # ---------------------------------------------------------------------------
@@ -671,9 +649,6 @@ class Augmentation:
         """Sum over summands of the measure of the value support."""
         return measure(self.space, sum(len(v) for v in self.values))
 
-    def is_zero(self) -> bool:
-        return all(not v for v in self.values)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Augmentation)
@@ -683,15 +658,3 @@ class Augmentation:
 
     def __repr__(self) -> str:
         return f"Augmentation(rank {self.domain.rank}, order={self.space.order})"
-
-    def to_json(self) -> dict:
-        return {
-            **self.domain.to_json(),
-            "values": [[[u, v[u]] for u in sorted(v)] for v in self.values],
-        }
-
-    @staticmethod
-    def from_json(data: dict) -> "Augmentation":
-        domain = MarkedModule.from_json(data)
-        values = [fn_from_json(pairs) for pairs in data["values"]]
-        return Augmentation(domain, values)

@@ -10,6 +10,7 @@ by their integer index, with index 0 the identity.
 
 from __future__ import annotations
 
+import copy
 import os
 import re
 import string
@@ -383,13 +384,7 @@ class FiniteQuotient:
         return hash(self.order)  # equal specs give equal orders
 
     def to_json(self) -> dict:
-        out = dict(self.spec)
-        for key in ("moduli", "images"):
-            if key in out:
-                out[key] = [
-                    list(v) if isinstance(v, (list, tuple)) else v for v in out[key]
-                ]
-        return out
+        return copy.deepcopy(self.spec)
 
     # arithmetic -----------------------------------------------------------
 

@@ -40,7 +40,7 @@ from torgrad.lognorm import (
 )
 from torgrad.strictify import strictify_complex
 from helpers import coinvariants_dense
-from torgrad.pipeline import (
+from torgrad.verify import (
     ROKHLIN_GRID,
     brute_force_op_norm,
     perturb_complex,

@@ -2,9 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from torgrad.groups import FiniteQuotient, parse_word
+from torgrad.groups import FiniteQuotient
 from torgrad.crossring import (
-    MarkedModule,
     MarkedMorphism,
     celt_indicator,
     morphism_stats,
@@ -16,35 +15,10 @@ from torgrad.complexes import (
     check_chain_map,
     defect_report,
     gh_verify,
-    induce_resolution,
     tensor_complex,
     witness_defect,
 )
-
-
-def w(s):
-    return parse_word(s)
-
-
-def gm1(s):
-    # g - 1 in the group ring
-    return {w(s): 1, (): -1}
-
-
-def free2_complex(space):
-    # 0 -> R^2 -> R -> L: the induced resolution of a rank 2 free group
-    return induce_resolution(space, [1, 2], [[[gm1("a")], [gm1("b")]]])
-
-
-def koszul_complex(space):
-    return induce_resolution(
-        space,
-        [1, 2, 1],
-        [
-            [[gm1("a")], [gm1("b")]],
-            [[{w("b"): -1, (): 1}, gm1("a")]],
-        ],
-    )
+from helpers import free_complex, koszul2, restricted_copy, zres
 
 
 SP22 = FiniteQuotient.abelian([2, 2])
@@ -52,7 +26,7 @@ SP33 = FiniteQuotient.abelian([3, 3])
 
 
 def test_induced_free_resolution_is_strict():
-    cx = free2_complex(SP22)
+    cx = free_complex(SP22)
     rep = defect_report(cx)
     assert rep.is_strict
     assert rep.aug_size == 0
@@ -60,7 +34,7 @@ def test_induced_free_resolution_is_strict():
 
 
 def test_koszul_is_strict_only_after_commuting_quotient():
-    cx = koszul_complex(SP33)
+    cx = koszul2(SP33)
     rep = defect_report(cx)
     assert rep.sizes[2] == 0
     assert rep.aug_size == 0
@@ -70,7 +44,7 @@ def test_koszul_is_strict_only_after_commuting_quotient():
 def test_kappa_stats():
     # the norm and counting profile of the Koszul complex: the degree 2
     # boundary maps an atom to 4 units of l1 mass
-    cx = koszul_complex(SP33)
+    cx = koszul2(SP33)
     assert max(op_norm(d) for d in cx.boundaries()) == 4
     stats = [morphism_stats(d) for d in cx.boundaries()]
     assert max(s.n1 for s in stats) >= max(s.n1_max for s in stats) >= 2
@@ -79,7 +53,7 @@ def test_kappa_stats():
 
 
 def test_witness_report():
-    cx = koszul_complex(SP33)
+    cx = koszul2(SP33)
     carrier = cx.module(0).carriers[0]
     z = cx.module(0).element(0, celt_indicator(carrier))
     assert witness_defect(cx, z) == 0
@@ -89,7 +63,7 @@ def test_witness_report():
 
 
 def test_chain_map_identity_is_strict():
-    cx = koszul_complex(SP33)
+    cx = koszul2(SP33)
     maps = [MarkedMorphism.identity(m) for m in cx.modules]
     rep = check_chain_map(maps, cx, cx)
     assert rep.is_strict
@@ -97,7 +71,7 @@ def test_chain_map_identity_is_strict():
 
 
 def test_chain_map_defect_is_measured():
-    cx = koszul_complex(SP33)
+    cx = koszul2(SP33)
     maps = [MarkedMorphism.identity(m) for m in cx.modules]
     # shave one point off the degree 1 identity
     m1 = cx.module(1)
@@ -111,23 +85,16 @@ def test_chain_map_defect_is_measured():
     assert not rep.is_strict
 
 
-def one_generator_complex(space, image):
-    # resolution of a single generator pushed along t -> image
-    return induce_resolution(
-        space, [1, 1], [[[gm1("a")]]], gen_images=[image]
-    )
-
-
 def test_tensor_matches_koszul():
     space = SP33
     t1, t2 = space.generator_images
-    C = one_generator_complex(space, t1)
-    D = one_generator_complex(space, t2)
+    C = zres(space, t1)
+    D = zres(space, t2)
     tensor = tensor_complex(C, D)
     assert [m.rank for m in tensor.modules] == [1, 2, 1]
     assert defect_report(tensor).is_strict
     assert tensor.augmentation is not None
-    koszul = koszul_complex(space)
+    koszul = koszul2(space)
     assert ([m.dim() for m in tensor.modules]
             == [m.dim() for m in koszul.modules])
     # the boundaries agree up to the summand order
@@ -141,27 +108,6 @@ def test_tensor_matches_koszul():
     assert unit == dict.fromkeys(range(space.order), 1)
 
 
-def restricted_copy(cx, degree, summand, removed):
-    """Copy of cx with some carrier points removed from one summand."""
-    modules = list(cx.modules)
-    carriers = list(modules[degree].carriers)
-    carriers[summand] = carriers[summand] - removed
-    modules[degree] = MarkedModule(cx.space, carriers)
-    boundaries = []
-    for r in range(1, cx.top_degree + 1):
-        d = cx.boundary(r)
-        boundaries.append(
-            MarkedMorphism(modules[r], modules[r - 1],
-                           [list(row) for row in d.entries])
-        )
-    aug = None
-    if cx.augmentation is not None:
-        from torgrad.crossring import Augmentation
-
-        aug = Augmentation(modules[0], list(cx.augmentation.values))
-    return MarkedComplex(modules, boundaries, aug)
-
-
 def identity_witness(cx, delta, k):
     assignments = tuple(tuple(range(m.rank)) for m in cx.modules)
     return GHWitness(ambients=tuple(cx.modules), left_assignments=assignments,
@@ -170,7 +116,7 @@ def identity_witness(cx, delta, k):
 
 def test_gh_identity_witness():
     # a complex compared with itself inside itself
-    cx = koszul_complex(SP33)
+    cx = koszul2(SP33)
     witness = identity_witness(cx, Fraction(1, 9), 0)
     rep = gh_verify(cx, cx, witness)
     assert rep.within
@@ -180,7 +126,7 @@ def test_gh_identity_witness():
 
 
 def test_gh_perturbed_and_composed():
-    cx = koszul_complex(SP33)
+    cx = koszul2(SP33)
     removed = frozenset({0})
     other = restricted_copy(cx, 1, 0, removed)
     kappa = max(op_norm(d) for d in cx.boundaries())
@@ -192,7 +138,7 @@ def test_gh_perturbed_and_composed():
 
 
 def test_gh_rejects_bad_assignments():
-    cx = koszul_complex(SP33)
+    cx = koszul2(SP33)
     other = restricted_copy(cx, 1, 0, frozenset({0}))
     witness = GHWitness(
         ambients=tuple(other.modules),
@@ -207,7 +153,7 @@ def test_gh_rejects_bad_assignments():
 
 
 def test_complex_json_round_trip():
-    cx = koszul_complex(SP33)
+    cx = koszul2(SP33)
     data = cx.to_json()
     again = MarkedComplex.from_json(data)
     assert again.to_json() == data

@@ -26,6 +26,7 @@ from torgrad.crossring import (
     vector_stats,
     vector_supp1,
 )
+from torgrad.complexes import MarkedComplex
 from torgrad.discretize import coinvariants_rank, matrix_rank
 from helpers import coinvariants_dense
 
@@ -305,25 +306,20 @@ def test_augmentation_composition(f):
         assert comp.apply(atom) == eta.apply(f.apply(atom))
 
 
-def test_augmentation_json_round_trip():
-    dom, _ = spaces_modules()
-    eta = Augmentation(dom, [{0: 1, 1: -3}, {1: 2}])
-    again = Augmentation.from_json(eta.to_json())
-    assert again.values == eta.values
-    assert again.sub(eta).is_zero()
-
-
 @pytest.mark.parametrize("value", [1.5, 1.0, "1", True],
                          ids=["1.5", "1.0", "string", "bool"])
 def test_json_readers_refuse_non_integer_numbers(value):
     dom, _ = spaces_modules()
-    eta = Augmentation(dom, [{0: 1, 1: -3}, {1: 2}])
-    # the module reader checks carrier points, the augmentation reader also
-    # its values' points and coefficients
-    cases = [(MarkedModule.from_json, dom.to_json(), ("carriers", 0, 0)),
-             (Augmentation.from_json, eta.to_json(), ("carriers", 1, 0)),
-             (Augmentation.from_json, eta.to_json(), ("values", 0, 0, 0)),
-             (Augmentation.from_json, eta.to_json(), ("values", 0, 1, 1))]
+    f = MarkedMorphism.identity(dom)
+    cx = MarkedComplex([dom], [], Augmentation(dom, [{0: 1, 1: -3}, {1: 2}]))
+    # the morphism reader checks carrier points, the complex reader also
+    # its augmentation values' points and coefficients
+    cases = [(MarkedMorphism.from_json, f.to_json(), ("domain", 1, 0)),
+             (MarkedComplex.from_json, cx.to_json(), ("degrees", 0, 1, 0)),
+             (MarkedComplex.from_json, cx.to_json(),
+              ("augmentation", 0, 0, 0)),
+             (MarkedComplex.from_json, cx.to_json(),
+              ("augmentation", 0, 1, 1))]
     for reader, data, path in cases:
         assert reader(data).to_json() == data
         *head, last = path
@@ -349,7 +345,7 @@ def test_char_p_coefficients():
 def test_measure_is_normalised_counting():
     assert measure(SP, 0) == 0 and measure(SP, 4) == 1
     assert measure(SPS3, 2) == Fraction(1, 3)
-    # memoised values are shared only between levels of one order
+    # n / |G| depends on the level only through its order
     assert measure(FiniteQuotient.abelian([6]), 2) == Fraction(1, 3)
     assert measure(SP, 10 ** 6) == Fraction(10 ** 6, 4)
     assert MarkedModule(SP, [[0, 1], [2]]).dim() == Fraction(3, 4)

@@ -29,7 +29,7 @@ from torgrad.lognorm import (
     lognorm_upper,
     set_partitions,
 )
-from torgrad.pipeline import random_morphism
+from torgrad.verify import random_morphism
 from helpers import certificate_value, coinvariants_dense
 
 SP2 = FiniteQuotient.abelian([2])

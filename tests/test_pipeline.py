@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import torgrad
-from torgrad import constructions, pipeline
+from torgrad import constructions, pipeline, verify
 from torgrad.config import parse_gradient_config
 from torgrad.complexes import induce_resolution
 from torgrad.crossring import MarkedModule, MarkedMorphism
@@ -29,12 +29,14 @@ from helpers import certificate_value
 from torgrad.pipeline import (
     ConfigError,
     GRADIENT_COLUMNS,
+    main,
+    run_gradient,
+)
+from torgrad.verify import (
     ROKHLIN_GRID,
     VERIFY_SUITES,
-    main,
     random_morphism,
     random_torsion_level,
-    run_gradient,
     run_verify,
 )
 
@@ -469,8 +471,9 @@ def test_exported_names_have_a_caller():
         f"{sorted(KEPT_CONSTRUCTIONS - unused)}")
 
 
-# The JSON readers and writers stay without a caller: failing verify cases
-# are printed as JSON so that they can be read back and replayed.
+# The JSON readers and writers may lack a caller: failing verify cases print
+# morphisms and complexes as JSON so that they can be read back and replayed,
+# and a Presentation's pair waits for a config family that reads one.
 REPLAY_METHODS = frozenset({"to_json", "from_json"})
 
 
@@ -576,18 +579,25 @@ def test_gradient_cyclic_matches_golden_csv(tmp_path, capsys):
         assert capsys.readouterr().out == golden, inv.label
 
 
-def test_traced_gradient_ladder_reaches_every_layer(tmp_path, capsys,
-                                                    monkeypatch):
-    # perfbench/tracer.py wraps what the CLI-layer modules (pipeline,
-    # config) import from each library layer; a function moved between
-    # modules must not leave a layer the benchmark expects without a span
+def _bench_tracer(monkeypatch):
+    """perfbench/workloads.py and a Tracer of perfbench/tracer.py, read
+    only."""
     workloads = _bench_workloads()
     monkeypatch.setitem(sys.modules, "workloads", workloads)
     path = Path(workloads.__file__).with_name("tracer.py")
     spec = importlib.util.spec_from_file_location("bench_tracer", path)
     tracer_module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer_module)
-    tracer = tracer_module.Tracer()
+    return workloads, tracer_module.Tracer()
+
+
+def test_traced_gradient_ladder_reaches_every_layer(tmp_path, capsys,
+                                                    monkeypatch):
+    # perfbench/tracer.py wraps what the CLI-layer modules (pipeline,
+    # config, verify) import from each library layer; a function moved
+    # between modules must not leave a layer the benchmark expects without
+    # a span
+    workloads, tracer = _bench_tracer(monkeypatch)
     tracer.install(run_id=0)
     try:
         start = time.perf_counter()
@@ -601,6 +611,24 @@ def test_traced_gradient_ladder_reaches_every_layer(tmp_path, capsys,
     capsys.readouterr()
     reached = tracer.summarize(0, wall)["layers_reached"]
     assert set(workloads.EXPECTED_LAYERS["gradient-ladder"]) <= set(reached)
+
+
+def test_traced_verify_mix_reaches_every_layer(capsys, monkeypatch):
+    # the suites reach the library through torgrad.verify's bindings; each
+    # suite of the benchmark's verify-mix, run briefly, leaves a span in
+    # every layer that workload expects
+    workloads, tracer = _bench_tracer(monkeypatch)
+    tracer.install(run_id=0)
+    try:
+        start = time.perf_counter()
+        for suite, _ in workloads.VERIFY_TRIALS:
+            assert main(["verify", suite, "--trials", "3"]) == 0
+        wall = time.perf_counter() - start
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    reached = tracer.summarize(0, wall)["layers_reached"]
+    assert set(workloads.EXPECTED_LAYERS["verify-mix"]) <= set(reached)
 
 
 SMALL_TRIALS = {"opnorm": 25, "gabber": 50, "strictify": 8,
@@ -629,7 +657,7 @@ def test_verify_discretize_levels_have_torsion(monkeypatch):
     def torsion_free(dims, mats):
         return tuple(dataclasses.replace(h, torsion=())
                      for h in homology_of_complex(dims, mats))
-    monkeypatch.setattr(pipeline, "homology_of_complex", torsion_free)
+    monkeypatch.setattr(verify, "homology_of_complex", torsion_free)
     failures = run_verify("discretize", seed=11, trials=20)
     assert failures
     assert {f["suite"] for f in failures} == {"discretize"}
@@ -675,7 +703,7 @@ def test_rokhlin_cli(capsys):
 
 
 def test_rokhlin_checks_build_each_tile_once(monkeypatch, capsys):
-    # one counter on both bindings of rokhlin_partition
+    # one counter on every binding of rokhlin_partition
     calls = []
     build = constructions.rokhlin_partition
 
@@ -685,6 +713,7 @@ def test_rokhlin_checks_build_each_tile_once(monkeypatch, capsys):
 
     monkeypatch.setattr(constructions, "rokhlin_partition", counted)
     monkeypatch.setattr(pipeline, "rokhlin_partition", counted)
+    monkeypatch.setattr(verify, "rokhlin_partition", counted)
     assert run_verify("rokhlin", 0, 6) == []
     # the grid plus one random pair per trial, one partition each
     assert len(calls) == len(ROKHLIN_GRID) + 6
