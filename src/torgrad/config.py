@@ -142,13 +142,10 @@ def parse_gradient_config(config: dict) -> GradientConfig:
         # commutators), so d d = 0 at the level iff every relator maps to 1
         for rel in presentation.relators:
             if quotient.evaluate_word(rel) != quotient.identity:
-                # letters spell only the first 26 generators
-                name = (word_to_str(rel) if max(g for g, _ in rel) < 26
-                        else str(list(rel)))
                 raise ConfigError(
                     f"level {idx}: the generator images break a relation of "
-                    f"the {family} family: the relator {name} is not the "
-                    "identity")
+                    f"the {family} family: the relator {word_to_str(rel)} is "
+                    "not the identity")
         if tile is not None:
             if (spec.get("kind") != "abelian" or len(spec["moduli"]) != 1
                     or spec.get("images") not in (None, [[1]])):

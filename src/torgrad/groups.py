@@ -3,9 +3,11 @@
 A presented group is only ever touched through its finite quotients: words
 stay elements of the ambient free group, and equality of words is decided
 by evaluating both sides in a quotient.  A quotient enumerates its elements
-once, breadth first over the generator images, keeping a shortest
-representative word per element; everything downstream addresses elements
-by their integer index, with index 0 the identity.
+once, breadth first over the generator images, keeping the enumeration tree
+from which a shortest representative word per element is built on request;
+everything downstream addresses elements by their integer index, with index
+0 the identity.  Inside a quotient an element of Z/m_1 x ... x Z/m_k is one
+packed int, a permutation a tuple.
 """
 
 from __future__ import annotations
@@ -14,8 +16,6 @@ import copy
 import os
 import re
 import string
-from collections import deque
-from operator import add, mod
 from typing import Callable, Iterable, Optional, Sequence
 
 # A word is a reduced tuple of (generator index, nonzero exponent) pairs,
@@ -71,15 +71,16 @@ def reduce_word(pairs: Iterable[Sequence[int]]) -> Word:
     return tuple(stack)
 
 
-_TOKEN = re.compile(r"([a-z])(?:\^?(-?\d+))?")
+_TOKEN = re.compile(r"(?:([a-z])|\{(\d+)\})(?:\^?(-?\d+))?")
 
 
 def parse_word(text: str, num_generators: Optional[int] = None) -> Word:
-    """Parse a word like ``"aba-1b-1"`` or ``"a^2 c-3"``.
+    """Parse a word like ``"aba-1b-1"``, ``"a^2 c-3"`` or ``"{26}b-1"``.
 
-    Generators are single lowercase letters a, b, c, ... mapped to indices
-    0, 1, 2, ...; an optional integer exponent (with optional ``^``) follows
-    each letter.  ``""`` and ``"1"`` both denote the identity.
+    Generators are lowercase letters a, b, c, ... mapped to indices 0, 1,
+    2, ..., or any index k spelled ``{k}``; an optional integer exponent
+    (with optional ``^``) follows each generator.  ``""`` and ``"1"`` both
+    denote the identity.
     """
     if not isinstance(text, str):
         raise ValueError(f"a word must be a string, got {text!r}")
@@ -91,12 +92,12 @@ def parse_word(text: str, num_generators: Optional[int] = None) -> Word:
     for match in _TOKEN.finditer(stripped):
         if stripped[pos : match.start()].strip():
             raise ValueError(f"cannot parse word {text!r} near offset {pos}")
-        letter, exp = match.groups()
-        g = ord(letter) - ord("a")
+        letter, braced, exp = match.groups()
+        g = ord(letter) - ord("a") if letter else int(braced)
         if num_generators is not None and g >= num_generators:
             raise ValueError(
-                f"word {text!r} uses generator {letter!r} but only "
-                f"{num_generators} generators are declared"
+                f"word {text!r} uses generator {generator_name(g)!r} but "
+                f"only {num_generators} generators are declared"
             )
         pairs.append((g, 1 if exp is None else int(exp)))
         pos = match.end()
@@ -106,9 +107,10 @@ def parse_word(text: str, num_generators: Optional[int] = None) -> Word:
 
 
 def generator_name(g: int) -> str:
-    if not 0 <= g < 26:
-        raise ValueError(f"generator index {g} out of the a..z range")
-    return string.ascii_lowercase[g]
+    """a..z for the first 26 generators, ``{k}`` for generator k past z."""
+    if g < 0:
+        raise ValueError(f"negative generator index {g}")
+    return string.ascii_lowercase[g] if g < 26 else f"{{{g}}}"
 
 
 def word_to_str(word: Word) -> str:
@@ -200,26 +202,20 @@ def _enumerate_subgroup(
     cap: int,
 ):
     """Breadth-first enumeration over the generator images and their
-    inverses.  Returns the keys, a shortest word per element, the key
-    index, and the tree: for each element x but the identity, its parent
-    p and the right table of the step s with x = p s."""
+    inverses, in that order.  Returns the keys, the key index, the right
+    table of each step, and the tree: for each element x but the identity,
+    its parent p and the right table of the step s that reached it, x = p s."""
     keys = [identity_key]
-    words: list[Word] = [()]
     index = {identity_key: 0}
     steps = []
-    for gi, gk in enumerate(gen_keys):
-        steps.append((gi, 1, gk, []))
-        steps.append((gi, -1, key_inv(gk), []))
+    for gk in gen_keys:
+        steps.append((gk, []))
+        steps.append((key_inv(gk), []))
     tree = []
-    queue = deque([0])
-    while queue:
-        i = queue.popleft()
-        base_key = keys[i]
-        base_word = words[i]
-        # base_word is reduced, so only its last letter can merge
-        last = base_word[-1] if base_word else None
-        for gi, e, gk, right in steps:
-            # elements leave the queue in index order: right[i] is i * step
+    # keys grows while it is read, so elements are expanded in index order
+    # and right[i] is i * step
+    for i, base_key in enumerate(keys):
+        for gk, right in steps:
             nk = key_mul(base_key, gk)
             j = index.get(nk)
             if j is None:
@@ -230,16 +226,9 @@ def _enumerate_subgroup(
                     )
                 j = index[nk] = len(keys)
                 keys.append(nk)
-                if last is not None and last[0] == gi:
-                    merged = last[1] + e
-                    words.append(base_word[:-1] + ((gi, merged),)
-                                 if merged else base_word[:-1])
-                else:
-                    words.append(base_word + ((gi, e),))
                 tree.append((i, right))
-                queue.append(j)
             right.append(j)
-    return keys, words, index, tree
+    return keys, index, [right for _, right in steps], tree
 
 
 def _as_int(value, what: str) -> int:
@@ -256,20 +245,27 @@ class FiniteQuotient:
     ``mul`` and ``inv`` act on indices.  ``left_table(g)`` returns (and
     caches) the permutation x -> g*x as a list, for translation-heavy
     callers.  ``word_of(i)`` is a representative word mapping onto element
-    i, so data keyed by group elements can be serialised losslessly.
+    i, so data keyed by group elements can be serialised losslessly; words
+    are built from the enumeration tree on the first request.
+
+    Elements are enumerated as keys: an abelian element is one int with
+    coordinate c in bits [c*b, c*b + b), where b is one more than the bit
+    length of the largest modulus, so a product is one addition and one
+    masked subtraction of the moduli; a permutation is a tuple.
     """
 
     def __init__(self, spec: dict, gen_keys, identity_key, key_mul, key_inv):
         self.spec = spec
         self._key_mul = key_mul
         self._key_inv = key_inv
-        keys, words, index, tree = _enumerate_subgroup(
+        keys, index, rights, tree = _enumerate_subgroup(
             identity_key, gen_keys, key_mul, key_inv, order_cap()
         )
         self._keys = keys
-        self._words = words
         self._index = index
+        self._rights = rights
         self._tree = tree
+        self._words: list[Word] = [()]
         self.order = len(keys)
         self.identity = 0
         self.generator_images = tuple(index[k] for k in gen_keys)
@@ -306,18 +302,33 @@ class FiniteQuotient:
                     raise ValueError(
                         f"abelian image {v} has length {len(v)}, expected {k}"
                     )
-        gen_keys = [tuple(c % m for c, m in zip(v, moduli)) for v in vecs]
         spec: dict = {"kind": "abelian", "moduli": list(moduli)}
         if images is not None:
             spec["images"] = [list(v) for v in vecs]
+        # coordinate c sits in bits [c*b, c*b + b): a residue is below
+        # 2**(b-1), so the sum of two stays inside its field
+        b = max(moduli).bit_length() + 1
+        top = 1 << (b - 1)
+        lift = high = mods = 0
+        for c, m in enumerate(moduli):
+            lift |= (top - m) << (c * b)
+            high |= top << (c * b)
+            mods |= m << (c * b)
+        fill = (1 << b) - 1
+        shift = b - 1
 
         def key_mul(x, y):
-            return tuple(map(mod, map(add, x, y), moduli))
+            # a field of s that reached m_c sets its top bit once lifted
+            # by 2**(b-1) - m_c; that field loses m_c
+            s = x + y
+            return s - ((((s + lift) & high) >> shift) * fill & mods)
 
         def key_inv(x):
-            return tuple(-a % m for a, m in zip(x, moduli))
+            return key_mul(mods - x, 0)
 
-        return cls(spec, gen_keys, (0,) * k, key_mul, key_inv)
+        gen_keys = [sum((a % m) << (c * b) for c, (a, m) in
+                        enumerate(zip(v, moduli))) for v in vecs]
+        return cls(spec, gen_keys, 0, key_mul, key_inv)
 
     @classmethod
     def permutation(
@@ -349,7 +360,7 @@ class FiniteQuotient:
         rng = range(degree)
 
         def key_mul(p, q):
-            return tuple(p[q[i]] for i in rng)
+            return tuple(map(p.__getitem__, q))
 
         def key_inv(p):
             out = [0] * degree
@@ -437,7 +448,27 @@ class FiniteQuotient:
     # bookkeeping ----------------------------------------------------------
 
     def word_of(self, i: int) -> Word:
-        return self._words[i]
+        """The shortest word the enumeration reached element i by: its
+        parent's word with the step's letter appended, or merged into the
+        last letter.  Words are built on the first request, in index order,
+        so a parent's word is there before its children's."""
+        words = self._words
+        # a negative i counts from the end, as in a list
+        last = i if 0 <= i < self.order else self.order - 1
+        for j in range(len(words), last + 1):
+            parent, right = self._tree[j - 1]
+            # the tree names the step by its right table; step s is
+            # generator s // 2, to the power -1 if s is odd
+            s = next(s for s, r in enumerate(self._rights) if r is right)
+            g, e = s >> 1, -1 if s & 1 else 1
+            base = words[parent]
+            if base and base[-1][0] == g:
+                merged = base[-1][1] + e
+                words.append(base[:-1] + ((g, merged),) if merged
+                             else base[:-1])
+            else:
+                words.append(base + ((g, e),))
+        return words[i]
 
     def __repr__(self) -> str:
         return f"FiniteQuotient({self.spec}, order={self.order})"

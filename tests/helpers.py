@@ -1,7 +1,10 @@
 """Builders shared by the test modules, the free group ring arithmetic
-that the Fox calculus oracle needs, and a lognorm certificate check."""
+that the Fox calculus oracle needs, a tuple-key quotient enumeration, and a
+lognorm certificate check."""
 
 import math
+from collections import deque
+from operator import add, mod
 
 from sympy import Matrix as SymMatrix
 
@@ -87,6 +90,94 @@ def fox_identity_defect(word, num_generators):
         bracket = ring_add(ring_from_word(((g, 1),)), ring_from_word((), -1))
         total = ring_add(total, ring_mul(fox_derivative(word, g), bracket))
     return ring_sub(total, ring_sub(ring_from_word(word), ring_one()))
+
+
+# finite quotients enumerated on tuple keys, one word per element, as an
+# oracle for the packed keys and on-demand words of torgrad.groups
+
+class ReferenceQuotient:
+    """Breadth-first enumeration of a quotient spec over tuple keys: an
+    abelian element is its tuple of residues, a permutation its one-line
+    tuple.  Every element's word is built as it is found, by appending the
+    step's letter to the parent's word or merging it into the last one."""
+
+    def __init__(self, spec):
+        if spec["kind"] == "abelian":
+            moduli = tuple(spec["moduli"])
+            k = len(moduli)
+            vecs = spec.get("images") or [
+                [1 if j == i else 0 for j in range(k)] for i in range(k)]
+            gen_keys = [tuple(c % m for c, m in zip(v, moduli)) for v in vecs]
+            identity = (0,) * k
+
+            def key_mul(x, y):
+                return tuple(map(mod, map(add, x, y), moduli))
+
+            def key_inv(x):
+                return tuple(-a % m for a, m in zip(x, moduli))
+        else:
+            rng = range(spec["degree"])
+            gen_keys = [tuple(p) for p in spec["images"]]
+            identity = tuple(rng)
+
+            def key_mul(p, q):
+                return tuple(p[q[i]] for i in rng)
+
+            def key_inv(p):
+                out = [0] * len(p)
+                for i in rng:
+                    out[p[i]] = i
+                return tuple(out)
+        self._key_mul = key_mul
+        self._key_inv = key_inv
+        self.keys = [identity]
+        self.words = [()]
+        self.index = {identity: 0}
+        steps = []
+        for gi, gk in enumerate(gen_keys):
+            steps.append((gi, 1, gk))
+            steps.append((gi, -1, key_inv(gk)))
+        queue = deque([0])
+        while queue:
+            i = queue.popleft()
+            base = self.words[i]
+            last = base[-1] if base else None
+            for gi, e, gk in steps:
+                nk = key_mul(self.keys[i], gk)
+                if nk in self.index:
+                    continue
+                self.index[nk] = len(self.keys)
+                self.keys.append(nk)
+                if last is not None and last[0] == gi:
+                    merged = last[1] + e
+                    self.words.append(base[:-1] + ((gi, merged),)
+                                      if merged else base[:-1])
+                else:
+                    self.words.append(base + ((gi, e),))
+                queue.append(self.index[nk])
+        self.order = len(self.keys)
+        self.generator_images = tuple(self.index[k] for k in gen_keys)
+        self._cycles = {}
+
+    def mul(self, i, j):
+        return self.index[self._key_mul(self.keys[i], self.keys[j])]
+
+    def inv(self, i):
+        return self.index[self._key_inv(self.keys[i])]
+
+    def power(self, i, n):
+        # i^n read off the cycle 1, i, i^2, ... of i
+        cycle = self._cycles.get(i)
+        if cycle is None:
+            cycle = self._cycles[i] = [0]
+            x = i
+            while x:
+                cycle.append(x)
+                x = self.mul(x, i)
+        return cycle[n % len(cycle)]
+
+    def left_table(self, g):
+        return [self.mul(g, x) for x in range(self.order)]
 
 
 def gm1(s):

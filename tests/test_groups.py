@@ -1,5 +1,11 @@
+import math
+import os
+import random
+import re
+from unittest import mock
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from torgrad.groups import (
     FiniteQuotient,
@@ -11,7 +17,9 @@ from torgrad.groups import (
     reduce_word,
     word_to_str,
 )
+from torgrad.verify import QUOTIENT_SPECS
 from helpers import (
+    ReferenceQuotient,
     fox_identity_defect,
     ring_add,
     ring_from_word,
@@ -49,6 +57,22 @@ def test_parse_rejects_garbage():
 def test_word_to_str_round_trip():
     for text in ("", "aba-1b-1", "a2b-3", "c5"):
         assert word_to_str(parse_word(text)) == text
+
+
+def test_generators_past_z_are_braced():
+    # index k >= 26 spells {k}, its exponent following as for a letter
+    word = ((0, 1), (26, 1), (27, -2), (25, 3))
+    assert word_to_str(word) == "a{26}{27}-2z3"
+    assert parse_word("a{26}{27}-2z3") == word
+    assert parse_word("{26}^2 {0}") == ((26, 2), (0, 1))
+    assert word_to_str(parse_word("{2}b-1")) == "cb-1"
+    with pytest.raises(ValueError, match=re.escape("'{26}' but only 26")):
+        parse_word("{26}", num_generators=26)
+    with pytest.raises(ValueError):
+        parse_word("{26")
+    with pytest.raises(ValueError,
+                       match=re.escape("relator '{30}' uses generator index")):
+        Presentation(27, [((30, 1),)])
 
 
 def test_reduce_merges_through_cancellation():
@@ -131,6 +155,9 @@ def test_permutation_quotient_s3():
 
 def test_word_of_round_trip():
     for q in (s3_quotient(), FiniteQuotient.abelian([4, 4])):
+        # words are built on request: a negative index still counts from
+        # the end before any other word exists
+        assert q.word_of(-1) == q.word_of(q.order - 1) != ()
         for i in range(q.order):
             assert q.evaluate_word(q.word_of(i)) == i
 
@@ -254,14 +281,21 @@ def test_quotient_json_rejects_unknown_kind():
 
 
 def test_order_cap(monkeypatch):
-    monkeypatch.setenv("TORGRAD_ORDER_CAP", "5")
-    with pytest.raises(OrderCapExceeded):
-        s3_quotient()
-    monkeypatch.setenv("TORGRAD_ORDER_CAP", "6")
-    assert s3_quotient().order == 6
-    monkeypatch.setenv("TORGRAD_ORDER_CAP", "zero")
-    with pytest.raises(ValueError):
-        s3_quotient()
+    # a level of order n is refused under the cap n - 1, accepted under n
+    for build, order in (
+        (s3_quotient, 6),
+        (lambda: FiniteQuotient.abelian([3, 4], images=[[1, 2], [0, 3]]), 12),
+    ):
+        monkeypatch.setenv("TORGRAD_ORDER_CAP", str(order - 1))
+        with pytest.raises(OrderCapExceeded, match=(
+                f"^quotient enumeration exceeded {order - 1} elements; raise "
+                "TORGRAD_ORDER_CAP to allow larger levels$")):
+            build()
+        monkeypatch.setenv("TORGRAD_ORDER_CAP", str(order))
+        assert build().order == order
+        monkeypatch.setenv("TORGRAD_ORDER_CAP", "zero")
+        with pytest.raises(ValueError):
+            build()
 
 
 def test_presentation_json():
@@ -279,3 +313,82 @@ def test_push_to_quotient_merges_words():
     assert push_to_quotient(elt, q) == {q.generator_images[0]: 2}
     elt = ring_sub(ring_from_word(parse_word("a2")), ring_one())
     assert push_to_quotient(elt, q) == {}
+
+
+# moduli 1, 2, 2^t and 2^t +- 1 up to 10^4: the field width b of a packed
+# key jumps at each power of two, and 2^t - 1 fills its field
+ORACLE_MODULI = sorted({1, 2} | {m for t in range(2, 14)
+                                 for m in (2 ** t - 1, 2 ** t, 2 ** t + 1)
+                                 if m <= 10 ** 4})
+image_entries = st.one_of(st.just(0), st.integers(-3, 3),
+                          st.integers(-10 ** 4, 10 ** 4))
+
+
+@st.composite
+def abelian_specs(draw):
+    """Up to 40 coordinates; at most three are active, with moduli whose
+    product is at most 10^4, so the level fits under the default order
+    cap.  An inert coordinate's image entries are multiples of its
+    modulus: zero residues, but raw entries negative, zero or positive."""
+    active = draw(st.lists(st.sampled_from(ORACLE_MODULI), min_size=1,
+                           max_size=3)
+                  .filter(lambda ms: math.prod(ms) <= 10 ** 4))
+    inert = draw(st.lists(st.sampled_from(ORACLE_MODULI),
+                          min_size=draw(st.integers(0, 40 - len(active))),
+                          max_size=40 - len(active)))
+    order = draw(st.permutations(range(len(active) + len(inert))))
+    moduli = [(active + inert)[c] for c in order]
+    if not inert and draw(st.booleans()):
+        return {"kind": "abelian", "moduli": moduli}
+    images = []
+    for _ in range(draw(st.integers(1, 3))):
+        entries = [draw(image_entries) for _ in active]
+        entries += [m * draw(st.integers(-2, 2)) for m in inert]
+        images.append([entries[c] for c in order])
+    return {"kind": "abelian", "moduli": moduli, "images": images}
+
+
+permutation_specs = st.integers(1, 6).flatmap(
+    lambda d: st.lists(st.permutations(range(d)), min_size=1, max_size=3)
+    .map(lambda images: {"kind": "permutation", "degree": d,
+                         "images": [list(p) for p in images]}))
+
+
+def _examples(specs):
+    def attach(test):
+        for spec in specs:
+            test = example(spec)(test)
+        return test
+    return attach
+
+
+@given(st.one_of(abelian_specs(), permutation_specs))
+@_examples(QUOTIENT_SPECS + (
+    {"kind": "abelian", "moduli": [2 ** 13 - 1], "images": [[-1]]},
+    {"kind": "abelian", "moduli": [1, 10 ** 4 - 1, 1],
+     "images": [[5, -10 ** 4, 0], [0, 0, -7]]},
+    {"kind": "abelian", "moduli": [2 ** 11 + 1, 2] + [1] * 37 + [2],
+     "images": [[-1] + [0] * 38 + [1], [0, 1] + [5] * 37 + [0]]},
+))
+@settings(deadline=None, max_examples=60)
+def test_quotient_matches_tuple_key_oracle(spec):
+    # packed keys and on-demand words against the enumeration on tuple
+    # keys: same element order (the generators' left tables are the
+    # labelled Cayley graph), products, inverses, powers and words
+    with mock.patch.dict(os.environ, {"TORGRAD_ORDER_CAP": "10000"}):
+        q = FiniteQuotient.from_json(spec)
+    ref = ReferenceQuotient(spec)
+    n = q.order
+    assert n == ref.order
+    assert q.generator_images == ref.generator_images
+    rng = random.Random(n)
+    sample = sorted({0, n - 1, *(rng.randrange(n) for _ in range(8))})
+    for g in sorted(set(q.generator_images)) + sample:
+        assert q.left_table(g) == ref.left_table(g)
+    pairs = [(i, j) for i in sample for j in sample]
+    assert [q.mul(i, j) for i, j in pairs] == [ref.mul(i, j) for i, j in pairs]
+    assert [q.inv(i) for i in range(n)] == [ref.inv(i) for i in range(n)]
+    for i in sample:
+        for e in (-n - 1, -2, -1, 0, 1, 2, 3, n):
+            assert q.power(i, e) == ref.power(i, e)
+    assert [q.word_of(i) for i in reversed(range(n))] == ref.words[::-1]

@@ -23,7 +23,7 @@ from torgrad.config import parse_gradient_config
 from torgrad.complexes import induce_resolution
 from torgrad.crossring import MarkedModule, MarkedMorphism
 from torgrad.discretize import coinvariants_complex, homology_of_complex
-from torgrad.groups import FiniteQuotient
+from torgrad.groups import FiniteQuotient, word_to_str
 from torgrad.lognorm import lognorm_exact, lognorm_upper
 from helpers import certificate_value
 from torgrad.pipeline import (
@@ -213,11 +213,11 @@ S3_LEVEL = {"kind": "permutation", "degree": 3,
     ({"family": "free_abelian", "param": 2,
       "levels": [FREE_CHAIN["levels"][0], S3_LEVEL]},
      "break a relation of the free_abelian family: the relator aba-1b-1"),
-    # generators past z are named by their indices
+    # generators past z are spelled {k}
     ({"family": "surface", "param": 14,
       "levels": [dict(FREE_CHAIN["levels"][0], images=[[1, 0], [0, 1]] * 14),
                  dict(S3_LEVEL, images=S3_LEVEL["images"] * 14)]},
-     "the relator [(0, 1), (1, 1), (0, -1), (1, -1), (2, 1),"),
+     "yzy-1z-1{26}{27}{26}-1{27}-1 is not the identity"),
 ], ids=["too_many_generators", "surface_over_s3", "free_abelian_over_s3",
         "surface_genus_14_over_s3"])
 def test_gradient_cli_refuses_levels_off_the_family(tmp_path, capsys, config,
@@ -749,6 +749,24 @@ def test_lognorm_cli_certificate(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("config error:")
     assert main(["lognorm", "--input", str(tmp_path / "gone.json")]) == 1
     capsys.readouterr()
+
+
+def test_lognorm_cli_generators_past_z(tmp_path, capsys):
+    # a level with 27 generators: the last one is the only one acting
+    space = FiniteQuotient.abelian([2], images=[[0]] * 26 + [[1]])
+    g = space.generator_images[26]
+    assert word_to_str(space.word_of(g)) == "{26}"
+    module = MarkedModule(space, [[0, 1]])
+    f = MarkedMorphism(module, module, [[{g: {0: 3, 1: -2}, 0: {1: 5}}]])
+    data = json.loads(json.dumps(f.to_json()))
+    assert {t["word"] for t in data["entries"][0][0]} == {"", "{26}"}
+    assert MarkedMorphism.from_json(data).to_json() == data
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(data))
+    assert main(["lognorm", "--input", str(path)]) == 0
+    value_line = capsys.readouterr().out.split("\n")[0]
+    assert abs(float(value_line) - lognorm_upper(f, "greedy")) < 1e-9
+    assert float(value_line) > 0
 
 
 def test_lognorm_cli_exact_small(tmp_path, capsys):
