@@ -22,10 +22,17 @@ reduce to the plain element statistics.
 
 The level is the FiniteQuotient itself, measured by the normalised
 counting measure (``measure``).  Sparse functions and ring elements are
-plain dicts, and the coefficient helpers (fn_add, celt_add, celt_indicator,
-vector_l1, ...) are plain functions on them.  A helper takes the level only
-when it reads the group (products, actions, words) or the measure
-(normalised statistics).
+plain dicts, and the coefficient helpers (fn_sub, celt_add, celt_mul,
+celt_indicator, vector_l1, ...) are plain functions on them.  A helper takes
+the level only when it reads the group (products, actions, words) or the
+measure (normalised statistics).
+
+Sums and products accumulate in place.  The private helpers _fn_add_into,
+_celt_add_into and _mul_into add into their first argument and return it;
+they are the only code here that writes into a dict it was given.  Every
+public helper and method builds its result in dicts of its own (celt_mul
+is _mul_into on {}), so none writes into an argument or a stored entry.
+Insertion order is that of copying the sum before each addition.
 """
 
 from __future__ import annotations
@@ -67,10 +74,11 @@ def level_from_json(data: dict) -> FiniteQuotient:
 # sparse functions
 
 
-def fn_add(f: Fn, g: Fn) -> Fn:
-    out = dict(f)
+def _fn_add_into(out: Fn, g: Fn, sign: int = 1) -> Fn:
+    """out + sign * g, accumulated into out and returned; a point that
+    cancels is deleted."""
     for u, c in g.items():
-        s = out.get(u, 0) + c
+        s = out.get(u, 0) + sign * c
         if s:
             out[u] = s
         else:
@@ -79,7 +87,7 @@ def fn_add(f: Fn, g: Fn) -> Fn:
 
 
 def fn_sub(f: Fn, g: Fn) -> Fn:
-    return fn_add(f, {u: -c for u, c in g.items()})
+    return _fn_add_into(dict(f), g, -1)
 
 
 def fn_from_json(pairs: list) -> Fn:
@@ -103,15 +111,21 @@ def celt_indicator(points: Iterable[int], g: int = 0) -> CElt:
     return {g: f} if f else {}
 
 
-def celt_add(x: CElt, y: CElt) -> CElt:
-    out = {g: dict(f) for g, f in x.items()}
+def _celt_add_into(out: CElt, y: CElt, sign: int = 1) -> CElt:
+    """out + sign * y, accumulated into out and returned, fibre by fibre
+    in the order of y; a fibre that cancels is deleted.  Fibres new to out
+    are fresh dicts, so nothing of y is shared."""
     for g, f in y.items():
-        merged = fn_add(out.get(g, {}), f)
-        if merged:
-            out[g] = merged
+        fib = _fn_add_into(out.get(g, {}), f, sign)
+        if fib:
+            out[g] = fib
         else:
             out.pop(g, None)
     return out
+
+
+def celt_add(x: CElt, y: CElt) -> CElt:
+    return _celt_add_into({g: dict(f) for g, f in x.items()}, y)
 
 
 def celt_neg(x: CElt) -> CElt:
@@ -119,29 +133,48 @@ def celt_neg(x: CElt) -> CElt:
 
 
 def celt_sub(x: CElt, y: CElt) -> CElt:
-    return celt_add(x, celt_neg(y))
+    return _celt_add_into({g: dict(f) for g, f in x.items()}, y, -1)
 
 
-def celt_mul(space: FiniteQuotient, x: CElt, y: CElt) -> CElt:
-    """(f, g)(h, k) = (f * (g.h), g k), extended bilinearly."""
-    out: CElt = {}
+def _mul_into(out: CElt, space: FiniteQuotient, x: CElt, y: CElt) -> CElt:
+    """out + x * y, accumulated into out and returned.
+
+    Each pair of terms (f, g) of x and (h, k) of y adds f * (g.h) into the
+    fibre at g k; a point or fibre that cancels is deleted.  Into an empty
+    out the product is accumulated directly; otherwise it is formed apart
+    first and then added, so the insertion order is always that of
+    celt_add(out, celt_mul(space, x, y)).  Writes into out and its fibres
+    only, never into x or y or a fibre they hold."""
+    if out:
+        return _celt_add_into(out, _mul_into({}, space, x, y))
     for g, f in x.items():
         table = space.left_table(g)
         for k, h in y.items():
             gk = table[k]
-            prod = {}
+            fib = out.get(gk)
+            new = fib is None
+            if new:
+                fib = {}
             for u, c in h.items():
                 gu = table[u]
                 fv = f.get(gu)
                 if fv is not None:
-                    prod[gu] = fv * c
-            if prod:
-                merged = fn_add(out.get(gk, {}), prod)
-                if merged:
-                    out[gk] = merged
-                else:
-                    out.pop(gk, None)
+                    s = fib.get(gu, 0) + fv * c
+                    if s:
+                        fib[gu] = s
+                    else:
+                        fib.pop(gu, None)
+            if fib:
+                if new:
+                    out[gk] = fib
+            elif not new:
+                del out[gk]
     return out
+
+
+def celt_mul(space: FiniteQuotient, x: CElt, y: CElt) -> CElt:
+    """(f, g)(h, k) = (f * (g.h), g k), extended bilinearly."""
+    return _mul_into({}, space, x, y)
 
 
 def celt_apply_l(space: FiniteQuotient, z: CElt, xi: Fn) -> Fn:
@@ -259,15 +292,21 @@ class MarkedModule:
         out[i] = self.normalize_component(i, z)
         return tuple(out)
 
+    def allowed(self, i: int, g: int) -> frozenset:
+        """g A_i, the support allowed to the fibre at g of component i;
+        cached."""
+        allowed = self._allowed.get((i, g))
+        if allowed is None:
+            table = self.space.left_table(g)
+            allowed = frozenset(table[u] for u in self.carriers[i])
+            self._allowed[i, g] = allowed
+        return allowed
+
     def normalize_component(self, i: int, z: CElt) -> CElt:
         """Project onto <A_i>: fibre at g is restricted to g A_i."""
         out = {}
         for g, f in z.items():
-            allowed = self._allowed.get((i, g))
-            if allowed is None:
-                table = self.space.left_table(g)
-                allowed = frozenset(table[u] for u in self.carriers[i])
-                self._allowed[i, g] = allowed
+            allowed = self.allowed(i, g)
             kept = {u: c for u, c in f.items() if c and u in allowed}
             if kept:
                 out[g] = kept
@@ -319,8 +358,7 @@ def celt_from_json(space: FiniteQuotient, terms: list) -> CElt:
     out: CElt = {}
     for term in terms:
         g = space.evaluate_word(parse_word(term["word"]))
-        f = fn_from_json(term["coeffs"])
-        out = celt_add(out, {g: f} if f else {})
+        _celt_add_into(out, {g: fn_from_json(term["coeffs"])})
     return out
 
 
@@ -356,10 +394,13 @@ class MarkedMorphism:
         self.entries = tuple(rows)
 
     def _normalize_entry(self, i: int, j: int, z: CElt) -> CElt:
+        """z restricted to A_i intersect g B_j fibre by fibre, in one pass."""
         A = self.domain.carriers[i]
+        allowed = self.codomain.allowed
         out = {}
-        for g, f in self.codomain.normalize_component(j, z).items():
-            kept = {u: c for u, c in f.items() if u in A}
+        for g, f in z.items():
+            B = allowed(j, g)
+            kept = {u: c for u, c in f.items() if c and u in B and u in A}
             if kept:
                 out[g] = kept
         return out
@@ -399,14 +440,11 @@ class MarkedMorphism:
             )
         space = self.space
         out = [{} for _ in range(self.codomain.rank)]
-        for i, z in enumerate(vec):
-            if not z:
-                continue
-            for j in range(self.codomain.rank):
-                e = self.entries[i][j]
-                if e:
-                    prod = celt_mul(space, z, e)
-                    out[j] = celt_add(out[j], prod) if out[j] else prod
+        for z, row in zip(vec, self.entries):
+            if z:
+                for acc, e in zip(out, row):
+                    if e:
+                        _mul_into(acc, space, z, e)
         return tuple(out)
 
     def then(self, other: "MarkedMorphism") -> "MarkedMorphism":
@@ -423,7 +461,7 @@ class MarkedMorphism:
                     a = self.entries[i][j]
                     b = other.entries[j][k]
                     if a and b:
-                        acc = celt_add(acc, celt_mul(space, a, b))
+                        _mul_into(acc, space, a, b)
                 row.append(acc)
             entries.append(row)
         # entries are automatically normalised; skip the projection pass
@@ -442,7 +480,12 @@ class MarkedMorphism:
         return MarkedMorphism(self.domain, self.codomain, entries, normalize=False)
 
     def sub(self, other: "MarkedMorphism") -> "MarkedMorphism":
-        return self.add(other.neg())
+        self._check_same_shape(other)
+        entries = [
+            [celt_sub(a, b) for a, b in zip(ra, rb)]
+            for ra, rb in zip(self.entries, other.entries)
+        ]
+        return MarkedMorphism(self.domain, self.codomain, entries, normalize=False)
 
     def is_zero(self) -> bool:
         return all(not z for row in self.entries for z in row)
@@ -622,7 +665,7 @@ class Augmentation:
         out: Fn = {}
         for z, xi in zip(vec, self.values):
             if z and xi:
-                out = fn_add(out, celt_apply_l(self.space, z, xi))
+                _fn_add_into(out, celt_apply_l(self.space, z, xi))
         return out
 
     def after(self, f: MarkedMorphism) -> "Augmentation":

@@ -255,12 +255,14 @@ def cmd_lognorm(args) -> int:
 def cmd_strictify_demo(args) -> int:
     if args.order < 2:
         raise ConfigError("order must be >= 2")
+    if args.cells < 0:
+        raise ConfigError("cells must be >= 0")
     rng = random.Random(args.seed)
     space = FiniteQuotient.abelian([args.order])
     ranks, mats = resolution_by_name("free_abelian", 2)
     t = space.generator_images[0]
     base = induce_resolution(space, ranks, mats, gen_images=[t, t])
-    pert = perturb_complex(rng, base, cells=max(0, args.cells))
+    pert = perturb_complex(rng, base, cells=args.cells)
     before = defect_report(pert)
     res = strictify_complex(pert)
     after = defect_report(res.complex)

@@ -1,10 +1,13 @@
 """Seeded verification suites: the paper's finite-level lemmas, checked
 exactly.  A suite is a function of one seeded trial that returns the
 fields of a failing case, or None; ``_per_trial`` numbers the trials.
-``rokhlin`` keeps its own runner: it checks a fixed grid first."""
+``rokhlin`` keeps its own runner: it checks a fixed grid first.  The
+levels are drawn from fixed specs, and one run enumerates each of them
+once (``shared_levels``)."""
 
 from __future__ import annotations
 
+import contextlib
 import math
 import random
 from fractions import Fraction
@@ -81,10 +84,48 @@ QUOTIENT_SPECS = (
     {"kind": "permutation", "degree": 3, "images": [[1, 0, 2], [1, 2, 0]]},
 )
 
+LOGNORM_SPECS = tuple(s for s in QUOTIENT_SPECS
+                      if s["kind"] == "abelian"
+                      and math.prod(s["moduli"]) <= 4)
+
+# the torsion levels: the abelian specs above, and S3 (the permutation spec
+# above) or the dihedral group of order 8
+ABELIAN_SPECS = tuple(s for s in QUOTIENT_SPECS if s["kind"] == "abelian")
+TORSION_PERMUTATION_SPECS = (
+    QUOTIENT_SPECS[-1],
+    {"kind": "permutation", "degree": 4,
+     "images": [[1, 2, 3, 0], [3, 2, 1, 0]]},
+)
+
+# id(spec) -> level for the specs above, inside a shared_levels block
+_shared: Optional[dict] = None
+
+
+@contextlib.contextmanager
+def shared_levels():
+    """Inside the block, each fixed spec above is enumerated once and its
+    level shared; outside, every draw enumerates afresh.  A run_verify call
+    is one block, so an order cap set between two runs applies."""
+    global _shared
+    outer, _shared = _shared, {}
+    try:
+        yield
+    finally:
+        _shared = outer
+
+
+def _fixed_level(spec: dict) -> FiniteQuotient:
+    """The level of one of the fixed specs above (see shared_levels)."""
+    if _shared is None:
+        return FiniteQuotient.from_json(spec)
+    level = _shared.get(id(spec))
+    if level is None:
+        level = _shared[id(spec)] = FiniteQuotient.from_json(spec)
+    return level
+
 
 def random_space(rng: random.Random) -> FiniteQuotient:
-    spec = QUOTIENT_SPECS[rng.randrange(len(QUOTIENT_SPECS))]
-    return FiniteQuotient.from_json(spec)
+    return _fixed_level(QUOTIENT_SPECS[rng.randrange(len(QUOTIENT_SPECS))])
 
 
 def random_carrier(rng: random.Random, order: int) -> list:
@@ -359,15 +400,9 @@ def _suite_rokhlin(rng: random.Random, trials: int) -> list:
     return failures
 
 
-LOGNORM_SPECS = tuple(s for s in QUOTIENT_SPECS
-                      if s["kind"] == "abelian"
-                      and math.prod(s["moduli"]) <= 4)
-
-
 @_per_trial
 def _suite_lognorm(rng: random.Random) -> Optional[dict]:
-    spec = LOGNORM_SPECS[rng.randrange(len(LOGNORM_SPECS))]
-    space = FiniteQuotient.from_json(spec)
+    space = _fixed_level(LOGNORM_SPECS[rng.randrange(len(LOGNORM_SPECS))])
     f = random_morphism(rng, space, max_rank=2)
     exact = lognorm_exact(f)
     greedy = lognorm_upper(f, "greedy")
@@ -449,13 +484,11 @@ def random_torsion_level(rng: random.Random) -> tuple:
     element of S3 or of the dihedral group of order 8, so the elements
     commute at the level and the complex is strict."""
     if rng.random() < 0.3:
-        q = FiniteQuotient.permutation(*rng.choice((
-            (3, [[1, 0, 2], [1, 2, 0]]), (4, [[1, 2, 3, 0], [3, 2, 1, 0]]))))
+        q = _fixed_level(rng.choice(TORSION_PERMUTATION_SPECS))
         h = rng.randrange(q.order)
         images = [q.power(h, rng.randint(1, q.order)) for _ in range(2)]
     else:
-        q = FiniteQuotient.abelian(rng.choice(
-            [s["moduli"] for s in QUOTIENT_SPECS if s["kind"] == "abelian"]))
+        q = _fixed_level(rng.choice(ABELIAN_SPECS))
         images = [rng.randrange(q.order) for _ in range(2)]
     elements = []
     for _ in range(rng.randint(2, 3)):
@@ -506,5 +539,6 @@ def run_verify(suite: str, seed: int, trials: int) -> list:
     if trials < 0:
         raise ConfigError("trials must be >= 0")
     runner = VERIFY_SUITES[suite][0]
-    return [{"suite": suite, **case}
-            for case in runner(random.Random(seed), trials)]
+    with shared_levels():
+        return [{"suite": suite, **case}
+                for case in runner(random.Random(seed), trials)]

@@ -1,6 +1,7 @@
 """Builders shared by the test modules, the free group ring arithmetic
-that the Fox calculus oracle needs, a tuple-key quotient enumeration, and a
-lognorm certificate check."""
+that the Fox calculus oracle needs, a tuple-key quotient enumeration,
+pointwise and copying crossed-ring products, and a lognorm certificate
+check."""
 
 import math
 from collections import deque
@@ -15,7 +16,6 @@ from torgrad.crossring import (
     MarkedMorphism,
     atom_norms,
     celt_add,
-    fn_add,
 )
 from torgrad.complexes import MarkedComplex, induce_resolution
 from torgrad.discretize import coinvariants_matrix, coinvariants_rank, to_dense
@@ -180,6 +180,101 @@ class ReferenceQuotient:
         return [self.mul(g, x) for x in range(self.order)]
 
 
+# crossed-ring arithmetic evaluated point by point, as an oracle for the
+# values of the in-place products of torgrad.crossring
+
+def _pruned(z):
+    return {g: {v: c for v, c in f.items() if c}
+            for g, f in z.items() if any(f.values())}
+
+
+def reference_celt_mul(space, x, y):
+    """x * y from (f, g)(h, k) = (f * (g.h), g k) at every point v of the
+    level, with (g.h)(v) = h(g^-1 v) read through mul and inv."""
+    out = {}
+    for g, f in x.items():
+        back = space.inv(g)
+        for k, h in y.items():
+            fib = out.setdefault(space.mul(g, k), {})
+            for v in range(space.order):
+                fib[v] = (fib.get(v, 0)
+                          + f.get(v, 0) * h.get(space.mul(back, v), 0))
+    return _pruned(out)
+
+
+def reference_celt_add(space, x, y, sign=1):
+    """x + sign * y at every (group element, point) pair of the level."""
+    return _pruned({g: {v: x.get(g, {}).get(v, 0)
+                        + sign * y.get(g, {}).get(v, 0)
+                        for v in range(space.order)}
+                    for g in range(space.order)})
+
+
+def reference_sum(space, terms):
+    out = {}
+    for z in terms:
+        out = reference_celt_add(space, out, z)
+    return out
+
+
+def reference_apply(f, vec):
+    return tuple(
+        reference_sum(f.space, [reference_celt_mul(f.space, z, row[j])
+                                for z, row in zip(vec, f.entries)])
+        for j in range(f.codomain.rank))
+
+
+def reference_then(f, g):
+    """Entries of g after f: entry (i, k) is sum_j f_ij * g_jk."""
+    return tuple(
+        tuple(reference_sum(f.space, [reference_celt_mul(f.space, a, col)
+                                      for a, col in zip(row, cols)])
+              for cols in zip(*g.entries))
+        for row in f.entries)
+
+
+# crossed-ring sums and products that copy before they add, as an oracle
+# for the insertion order of the in-place products of torgrad.crossring
+
+def copying_fn_add(f, g):
+    out = dict(f)
+    for u, c in g.items():
+        s = out.get(u, 0) + c
+        if s:
+            out[u] = s
+        else:
+            out.pop(u, None)
+    return out
+
+
+def copying_celt_add(x, y):
+    out = {g: dict(f) for g, f in x.items()}
+    for g, f in y.items():
+        merged = copying_fn_add(out.get(g, {}), f)
+        if merged:
+            out[g] = merged
+        else:
+            out.pop(g, None)
+    return out
+
+
+def copying_celt_mul(space, x, y):
+    out = {}
+    for g, f in x.items():
+        table = space.left_table(g)
+        for k, h in y.items():
+            prod = {table[u]: f[table[u]] * c for u, c in h.items()
+                    if table[u] in f}
+            if prod:
+                out = copying_celt_add(out, {table[k]: prod})
+    return out
+
+
+def insertion_order(z):
+    """A ring element as nested lists of items, so == compares order."""
+    return [(g, list(f.items())) for g, f in z.items()]
+
+
 def gm1(s):
     # g - 1 in the group ring
     return {w(s): 1, (): -1}
@@ -244,7 +339,7 @@ def with_boundary_extra(cx, r, i, j, extra):
 
 def with_aug_extra(cx, i, delta_fn):
     values = list(cx.augmentation.values)
-    values[i] = fn_add(values[i], delta_fn)
+    values[i] = copying_fn_add(values[i], delta_fn)
     return rebuild(cx, aug_values=values)
 
 

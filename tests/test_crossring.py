@@ -1,3 +1,5 @@
+import copy
+import random
 from fractions import Fraction
 
 import pytest
@@ -28,7 +30,17 @@ from torgrad.crossring import (
 )
 from torgrad.complexes import MarkedComplex
 from torgrad.discretize import coinvariants_rank, matrix_rank
-from helpers import coinvariants_dense
+from torgrad.verify import random_celt, random_module, random_vector
+from helpers import (
+    coinvariants_dense,
+    copying_celt_add,
+    copying_celt_mul,
+    insertion_order,
+    reference_apply,
+    reference_celt_add,
+    reference_celt_mul,
+    reference_then,
+)
 
 SP = FiniteQuotient.abelian([4])
 SPS3 = FiniteQuotient.permutation(3, [[1, 0, 2], [1, 2, 0]])
@@ -375,3 +387,109 @@ raw_vectors = st.lists(
 @settings(deadline=None, max_examples=80)
 def test_vector_l1_is_unnormalised_l1(x):
     assert vector_l1(x) == vector_stats(SP, x).l1 * SP.order
+
+
+# abelian levels, S3 and the dihedral group of order 8
+ORACLE_LEVELS = {
+    "Z4": SP,
+    "Z2xZ3": FiniteQuotient.abelian([2, 3]),
+    "S3": SPS3,
+    "D8": FiniteQuotient.permutation(4, [[1, 2, 3, 0], [3, 2, 1, 0]]),
+}
+
+
+def random_morphism_between(rng, dom, cod):
+    """Dense, small coefficients: sums and products often cancel."""
+    order = dom.space.order
+    return MarkedMorphism(dom, cod, [
+        [random_celt(rng, dom.space, range(order), max_terms=4,
+                     coeff_bound=2) if rng.random() < 0.8 else {}
+         for _ in cod.carriers]
+        for _ in dom.carriers])
+
+
+def fibres(*objs):
+    """Every fibre dict held by nested tuples, lists and ring elements."""
+    out = []
+    for obj in objs:
+        if isinstance(obj, (tuple, list)):
+            out += fibres(*obj)
+        else:
+            out += obj.values()
+    return out
+
+
+@pytest.mark.parametrize("name", ORACLE_LEVELS)
+def test_ring_products_match_pointwise_oracle(name):
+    space = ORACLE_LEVELS[name]
+    rng = random.Random(name)
+    for _ in range(25):
+        dom, mid, cod = (random_module(rng, space) for _ in range(3))
+        f = random_morphism_between(rng, dom, mid)
+        same = random_morphism_between(rng, dom, mid)
+        g = random_morphism_between(rng, mid, cod)
+        vec = random_vector(rng, dom, max_terms=3)
+        x, y = f.entries[0][0], g.entries[0][0]
+        args = (f.entries, same.entries, g.entries, vec)
+        before = copy.deepcopy(args)
+        results = {
+            "celt_mul": celt_mul(space, x, y),
+            "celt_add": celt_add(x, y),
+            "celt_sub": celt_sub(x, y),
+            "apply": f.apply(vec),
+            "then": f.then(g).entries,
+            "add": f.add(same).entries,
+            "sub": f.sub(same).entries,
+        }
+        # nothing written into an argument or a stored entry, and no
+        # result shares a fibre with one
+        assert args == before
+        held = {id(fib) for fib in fibres(*args)}
+        assert not any(id(fib) in held for fib in fibres(*results.values()))
+
+        assert results["celt_mul"] == reference_celt_mul(space, x, y)
+        assert results["celt_add"] == reference_celt_add(space, x, y)
+        assert results["celt_sub"] == reference_celt_add(space, x, y, -1)
+        assert results["apply"] == reference_apply(f, vec)
+        assert results["then"] == reference_then(f, g)
+        assert results["add"] == tuple(
+            tuple(reference_celt_add(space, a, b) for a, b in zip(ra, rb))
+            for ra, rb in zip(f.entries, same.entries))
+        assert results["sub"] == tuple(
+            tuple(reference_celt_add(space, a, b, -1) for a, b in zip(ra, rb))
+            for ra, rb in zip(f.entries, same.entries))
+
+        # insertion order is that of copying before every addition
+        assert (insertion_order(results["celt_mul"])
+                == insertion_order(copying_celt_mul(space, x, y)))
+        assert (insertion_order(results["celt_add"])
+                == insertion_order(copying_celt_add(x, y)))
+        for j, z in enumerate(results["apply"]):
+            acc = {}
+            for v, row in zip(vec, f.entries):
+                if v and row[j]:
+                    acc = copying_celt_add(
+                        acc, copying_celt_mul(space, v, row[j]))
+            assert insertion_order(z) == insertion_order(acc)
+        for row, z_row in zip(f.entries, results["then"]):
+            for cols, z in zip(zip(*g.entries), z_row):
+                acc = {}
+                for a, b in zip(row, cols):
+                    if a and b:
+                        acc = copying_celt_add(
+                            acc, copying_celt_mul(space, a, b))
+                assert insertion_order(z) == insertion_order(acc)
+
+
+def test_accumulation_keeps_the_order_of_adding_whole_products():
+    # over Z/2 the second product cancels in its own fibre at e; adding it
+    # term by term would delete point 0 of the first product's fibre and
+    # append it again, so the fibre's order would change
+    space = FiniteQuotient.abelian([2])
+    full = MarkedModule.full(space, 1)
+    f = MarkedMorphism(MarkedModule.full(space, 2), full,
+                       [[{0: {0: 1, 1: 1}}], [{0: {0: 1}, 1: {1: 1}}]])
+    x2 = {0: {0: -1}, 1: {0: 1}}
+    assert celt_mul(space, x2, f.entries[1][0]) == {}
+    out = f.apply(({0: {0: 1, 1: 2}}, x2))
+    assert insertion_order(out[0]) == [(0, [(0, 1), (1, 2)])]

@@ -2,6 +2,7 @@ import ast
 import contextlib
 import copy
 import dataclasses
+import hashlib
 import importlib.util
 import io
 import json
@@ -35,9 +36,11 @@ from torgrad.pipeline import (
 from torgrad.verify import (
     ROKHLIN_GRID,
     VERIFY_SUITES,
+    random_base_complex,
     random_morphism,
     random_torsion_level,
     run_verify,
+    shared_levels,
 )
 
 
@@ -910,6 +913,21 @@ def test_strictify_demo_cli(capsys):
     capsys.readouterr()
 
 
+def test_strictify_demo_refuses_negative_cells(capsys):
+    # a negative count is refused, as verify refuses negative trials
+    assert main(["strictify-demo", "--cells", "-3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "config error: cells must be >= 0\n"
+    assert main(["verify", "opnorm", "--trials", "-1"]) == 1
+    assert capsys.readouterr().err == "config error: trials must be >= 0\n"
+    # no cell leaves the strict base complex as it is
+    assert main(["strictify-demo", "--cells", "0"]) == 0
+    out = capsys.readouterr().out
+    assert "input defect 0, error dim 0" in out
+    assert "output strict: True" in out
+
+
 def test_usage_errors_map_to_one(capsys):
     assert main([]) == 1
     assert main(["nonsense"]) == 1
@@ -924,3 +942,55 @@ def test_random_morphism_deterministic():
     assert a.to_json() == b.to_json()
     c = random_morphism(random.Random(43))
     assert a.to_json() != c.to_json()
+
+
+def _seeded_draws(seed):
+    q, ranks, mats, images = random_torsion_level(random.Random(seed))
+    return {
+        "morphism": random_morphism(random.Random(seed)).to_json(),
+        "complex": random_base_complex(random.Random(seed)).to_json(),
+        "torsion_level": {
+            "quotient": q.to_json(), "ranks": ranks, "images": images,
+            "mats": [[[sorted([word_to_str(w), c] for w, c in x.items())
+                       for x in row] for row in m] for m in mats]},
+    }
+
+
+# sha256 of the sorted-key JSON of the draws at seeds 0-299, taken when
+# every draw still enumerated its own level
+SEEDED_DRAWS_SHA256 = (
+    "1d11beefcf67b8716d3a4621ff1c7b903bca8a2a659ee1ded04cc5a11f759973")
+
+
+def test_seeded_draws_are_unchanged():
+    def digest():
+        text = json.dumps([_seeded_draws(s) for s in range(300)],
+                          sort_keys=True)
+        return hashlib.sha256(text.encode()).hexdigest()
+    assert digest() == SEEDED_DRAWS_SHA256
+    # and with the levels shared, as within a verify run
+    with shared_levels():
+        assert digest() == SEEDED_DRAWS_SHA256
+
+
+def test_verify_levels_are_shared_within_one_run_only(monkeypatch, capsys):
+    argv = ["verify", "opnorm", "--trials", "20", "--seed", "0"]
+    assert main(argv) == 0
+    assert capsys.readouterr().err == ""
+    # the same draws under a lower cap: a level of order 6 or more left
+    # over from the first run would hide the refusal
+    monkeypatch.setenv("TORGRAD_ORDER_CAP", "5")
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith(
+        "config error: quotient enumeration exceeded 5 elements")
+    # within one run, each spec is enumerated at most once
+    calls = []
+    real = FiniteQuotient.from_json
+    monkeypatch.delenv("TORGRAD_ORDER_CAP")
+    monkeypatch.setattr(FiniteQuotient, "from_json", staticmethod(
+        lambda spec: calls.append(id(spec)) or real(spec)))
+    for suite in ("opnorm", "strictify", "lognorm", "retract",
+                  "discretize"):
+        calls.clear()
+        run_verify(suite, seed=1, trials=40)
+        assert calls and len(calls) == len(set(calls)), suite
