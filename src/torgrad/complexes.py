@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 from typing import Optional, Sequence
 
 from .crossring import (
@@ -26,6 +27,7 @@ from .crossring import (
     MarkedModule,
     MarkedMorphism,
     Vector,
+    _check_prefix,
     carriers_from_json,
     celt_from_json,
     celt_to_json,
@@ -33,8 +35,6 @@ from .crossring import (
     fn_sub,
     level_from_json,
     level_to_json,
-    marked_inclusion,
-    marked_projection,
     measure,
     morphism_stats,
     op_norm,
@@ -323,16 +323,14 @@ def tensor_complex(left: MarkedComplex, right: MarkedComplex) -> MarkedComplex:
 class GHWitness:
     """Two complexes embedded in shared ambient modules, degree by degree.
 
-    ambients[r] is the shared module P_r; the assignments give the marked
-    inclusions (summand i of the complex sits inside ambient summand
-    assignment[i], with carrier containment).  delta bounds, per degree,
-    both the carrier symmetric difference and the size of the boundary
-    comparison; k bounds the comparison operator norms.
+    ambients[r] is the shared module P_r.  Each complex embeds by the
+    prefix rule: summand i of its degree r module sits in summand i of
+    P_r, with carrier containment.  delta bounds, per degree, both the
+    carrier symmetric difference and the size of the boundary comparison;
+    k bounds the comparison operator norms.
     """
 
     ambients: tuple
-    left_assignments: tuple
-    right_assignments: tuple
     delta: Fraction
     k: int
 
@@ -366,63 +364,63 @@ class GHReport:
         return self.max_size < self.delta and self.max_norm <= self.k
 
 
-def _comparison_map(cx: MarkedComplex, witness_side, ambients, r: int
-                    ) -> MarkedMorphism:
-    """phi_{r-1} o d_r o pi_{phi_r} on the ambient modules."""
-    pi = marked_projection(ambients[r], cx.module(r), witness_side[r])
-    iota = marked_inclusion(cx.module(r - 1), ambients[r - 1], witness_side[r - 1])
-    return pi.then(cx.boundary(r)).then(iota)
+def _padded(f: MarkedMorphism, domain: MarkedModule, codomain: MarkedModule
+            ) -> MarkedMorphism:
+    """f as a map domain -> codomain, its entries zero-padded: the ambients
+    of f's own domain and codomain under the prefix rule.  Stored entries
+    already lie in A_i intersect g B_j, so no normalisation is needed."""
+    zero = ({},) * codomain.rank
+    rows = [row + zero[len(row):] for row in f.entries]
+    rows += [zero] * (domain.rank - len(rows))
+    return MarkedMorphism(domain, codomain, rows, normalize=False)
 
 
 def gh_verify(left: MarkedComplex, right: MarkedComplex, witness: GHWitness
               ) -> GHReport:
     """Measure the witness: carrier symmetric differences and boundary
-    comparisons per degree, augmentation row collapsed."""
+    comparisons per degree, augmentation row collapsed.
+
+    Both complexes embed in the ambients by the prefix rule, so the
+    comparison pi o d o iota of a side is its boundary zero-padded to the
+    ambient's shape, and the augmentation after pi its values padded with
+    zeros; the report measures the differences of the padded maps."""
     if left.top_degree != right.top_degree:
         raise ValueError("ambient comparison expects equal top degrees")
     if (left.augmentation is None) != (right.augmentation is None):
         raise ValueError("either both or neither complex may be augmented")
     top = left.top_degree
-    if len(witness.ambients) != top + 1:
-        raise ValueError(f"{len(witness.ambients)} ambients for top degree {top}")
+    ambients = witness.ambients
+    if len(ambients) != top + 1:
+        raise ValueError(f"{len(ambients)} ambients for top degree {top}")
+    for cx in (left, right):
+        for m, P in zip(cx.modules, ambients):
+            _check_prefix(m, P)
     space = left.space
-    symdiff = []
-    for r in range(top + 1):
-        P = witness.ambients[r]
-        # also validates carrier containments
-        marked_inclusion(left.module(r), P, witness.left_assignments[r])
-        marked_inclusion(right.module(r), P, witness.right_assignments[r])
-        left_at = {t: left.module(r).carriers[i]
-                   for i, t in enumerate(witness.left_assignments[r])}
-        right_at = {t: right.module(r).carriers[j]
-                    for j, t in enumerate(witness.right_assignments[r])}
-        total = Fraction(0)
-        for t in range(P.rank):
-            S = left_at.get(t, frozenset())
-            T = right_at.get(t, frozenset())
-            total += measure(space, len(S ^ T))
-        symdiff.append(total)
+    symdiff = tuple(
+        measure(space, sum(len(S ^ T) for S, T in zip_longest(
+            L.carriers, R.carriers, fillvalue=frozenset())))
+        for L, R in zip(left.modules, right.modules))
 
     map_sizes = []
     map_norms = []
     for r in range(1, top + 1):
-        F = _comparison_map(left, witness.left_assignments, witness.ambients, r)
-        G = _comparison_map(right, witness.right_assignments, witness.ambients, r)
-        diff = F.sub(G)
+        P, Q = ambients[r], ambients[r - 1]
+        diff = _padded(left.boundary(r), P, Q).sub(
+            _padded(right.boundary(r), P, Q))
         map_sizes.append(morphism_stats(diff).size1)
         map_norms.append(op_norm(diff))
 
     aug_size = aug_linf = None
     if left.augmentation is not None:
-        piL = marked_projection(witness.ambients[0], left.module(0),
-                                witness.left_assignments[0])
-        piR = marked_projection(witness.ambients[0], right.module(0),
-                                witness.right_assignments[0])
-        diff = left.augmentation.after(piL).sub(right.augmentation.after(piR))
+        P = ambients[0]
+        L, R = (Augmentation(P, cx.augmentation.values
+                             + ({},) * (P.rank - cx.module(0).rank))
+                for cx in (left, right))
+        diff = L.sub(R)
         aug_size = diff.size1()
         aug_linf = diff.linf()
     return GHReport(
-        symdiff=tuple(symdiff),
+        symdiff=symdiff,
         map_sizes=tuple(map_sizes),
         map_norms=tuple(map_norms),
         aug_size=aug_size,

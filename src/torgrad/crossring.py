@@ -268,11 +268,8 @@ class MarkedModule:
                     raise ValueError(f"carrier point {u} outside the level")
             fixed.append(A)
         self.carriers = tuple(fixed)
+        self.rank = len(fixed)
         self._allowed: dict = {}
-
-    @property
-    def rank(self) -> int:
-        return len(self.carriers)
 
     def dim(self) -> Fraction:
         return measure(self.space, sum(len(A) for A in self.carriers))
@@ -593,42 +590,40 @@ def op_norm(f: MarkedMorphism) -> int:
 # marked inclusions and projections
 
 
-def _check_assignment(sub: MarkedModule, ambient: MarkedModule,
-                      assignment: Sequence[int]):
-    if len(assignment) != sub.rank:
-        raise ValueError("assignment length must equal the submodule rank")
-    seen = set()
-    for i, j in enumerate(assignment):
-        if not 0 <= j < ambient.rank:
-            raise ValueError(f"assignment target {j} out of range")
-        if j in seen:
-            raise ValueError("assignment must be injective on summands")
-        seen.add(j)
-        if not sub.carriers[i] <= ambient.carriers[j]:
+def _check_prefix(sub: MarkedModule, ambient: MarkedModule):
+    """The prefix rule of an ambient: summand i of sub sits in summand i
+    of ambient.  Both live over the same level, sub has no more summands
+    than ambient, and each carrier A_i is contained in the ambient's P_i."""
+    if sub.space != ambient.space:
+        raise ValueError("module and ambient live over different levels")
+    if sub.rank > ambient.rank:
+        raise ValueError(f"{sub.rank} summands do not fit in an ambient "
+                         f"of {ambient.rank}")
+    for i, (A, P) in enumerate(zip(sub.carriers, ambient.carriers)):
+        if not A <= P:
             raise ValueError(
-                f"carrier {i} is not contained in ambient carrier {j}"
-            )
+                f"carrier {i} is not contained in ambient carrier {i}")
 
 
-def marked_inclusion(sub: MarkedModule, ambient: MarkedModule,
-                     assignment: Sequence[int]) -> MarkedMorphism:
-    """The inclusion <A_i> -> <A'_sigma(i)> given A_i <= A'_sigma(i), each
-    entry the identity indicator chi_{A_i}."""
-    _check_assignment(sub, ambient, assignment)
+def marked_inclusion(sub: MarkedModule, ambient: MarkedModule
+                     ) -> MarkedMorphism:
+    """The inclusion of sub into ambient by the prefix rule: <A_i> into
+    <P_i> given A_i <= P_i, each entry the identity indicator chi_{A_i}."""
+    _check_prefix(sub, ambient)
     entries = [[{} for _ in range(ambient.rank)] for _ in range(sub.rank)]
-    for i, j in enumerate(assignment):
-        entries[i][j] = celt_indicator(sub.carriers[i])
+    for i, A in enumerate(sub.carriers):
+        entries[i][i] = celt_indicator(A)
     return MarkedMorphism(sub, ambient, entries)
 
 
-def marked_projection(ambient: MarkedModule, sub: MarkedModule,
-                      assignment: Sequence[int]) -> MarkedMorphism:
-    """The left inverse of marked_inclusion with the same assignment:
-    restricts summand sigma(i) to <A_i> and kills unassigned summands."""
-    _check_assignment(sub, ambient, assignment)
+def marked_projection(ambient: MarkedModule, sub: MarkedModule
+                      ) -> MarkedMorphism:
+    """The left inverse of marked_inclusion: restricts summand i of the
+    ambient to <A_i> and kills the summands past sub.rank."""
+    _check_prefix(sub, ambient)
     entries = [[{} for _ in range(sub.rank)] for _ in range(ambient.rank)]
-    for i, j in enumerate(assignment):
-        entries[j][i] = celt_indicator(sub.carriers[i])
+    for i, A in enumerate(sub.carriers):
+        entries[i][i] = celt_indicator(A)
     return MarkedMorphism(ambient, sub, entries)
 
 

@@ -235,16 +235,16 @@ def gabber_column_bound(a) -> float:
 
 
 def gabber_split_bound(a) -> float:
-    """One-block bound min(columns, rank) * log+ (max column norm).
+    """One-block bound rank * log+ (max column norm); the rank never
+    exceeds the number of columns.
 
     It dominates the greedy column bound, which in turn dominates the
     exact cokernel torsion.
     """
-    cols = mat_shape(a)[1]
     peak = max(column_l1s(a), default=0)
     if peak <= 1:
         return 0.0
-    return min(cols, matrix_rank(list(zip(*a)))) * math.log(peak)
+    return matrix_rank(a) * math.log(peak)
 
 
 def gabber_exact(a) -> float:

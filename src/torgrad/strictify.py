@@ -100,16 +100,11 @@ def strictify_complex(cx: MarkedComplex) -> StrictifyComplexResult:
 
 
 def _strictify_witness(before: MarkedComplex, after: MarkedComplex) -> GHWitness:
-    """Ambient comparison witness: the output modules contain the input
-    modules as their first summand blocks.  delta is the measured maximum
-    plus half an atom, k the measured norm maximum."""
-    probe = GHWitness(
-        ambients=tuple(after.modules),
-        left_assignments=tuple(tuple(range(m.rank)) for m in before.modules),
-        right_assignments=tuple(tuple(range(m.rank)) for m in after.modules),
-        delta=Fraction(1),
-        k=0,
-    )
+    """Ambient comparison witness: the output modules are the ambients,
+    and the input modules are their first summand blocks, so both embed by
+    the prefix rule.  delta is the measured maximum plus half an atom, k
+    the measured norm maximum."""
+    probe = GHWitness(ambients=tuple(after.modules), delta=Fraction(1), k=0)
     rep = gh_verify(before, after, probe)
     return replace(probe,
                    delta=rep.max_size + Fraction(1, 2 * before.space.order),

@@ -15,6 +15,7 @@ from typing import Optional, Sequence
 
 from .complexes import (
     MarkedComplex,
+    _padded,
     check_chain_map,
     defect_report,
     gh_verify,
@@ -420,8 +421,7 @@ def _suite_lognorm(rng: random.Random) -> Optional[dict]:
     }
     ambient = f.codomain.direct_sum(
         MarkedModule(space, [random_carrier(rng, space.order)]))
-    incl = marked_inclusion(f.codomain, ambient,
-                            list(range(f.codomain.rank)))
+    incl = marked_inclusion(f.codomain, ambient)
     checks["inclusion_invariance"] = abs(
         lognorm_exact(f.then(incl)) - exact) <= LOG_SLACK
     g = perturb_morphism(rng, f)
@@ -453,19 +453,12 @@ def _suite_retract(rng: random.Random) -> Optional[dict]:
     # the ambient: core plus random summands on which every boundary is 0
     modules = [m.direct_sum(random_module(rng, space, 2))
                for m in core.modules]
-    boundaries = []
-    for r, boundary in enumerate(core.boundaries(), start=1):
-        zero = ({},) * modules[r - 1].rank
-        entries = [row + zero[len(row):] for row in boundary.entries]
-        entries += [zero] * (modules[r].rank - boundary.domain.rank)
-        boundaries.append(MarkedMorphism(modules[r], modules[r - 1],
-                                         entries, normalize=False))
-    ambient = MarkedComplex(modules, boundaries)
-    forward = [marked_inclusion(core.module(r), ambient.module(r),
-                                list(range(core.module(r).rank)))
+    ambient = MarkedComplex(modules, [
+        _padded(boundary, modules[r], modules[r - 1])
+        for r, boundary in enumerate(core.boundaries(), start=1)])
+    forward = [marked_inclusion(core.module(r), ambient.module(r))
                for r in range(core.top_degree + 1)]
-    backward = [marked_projection(ambient.module(r), core.module(r),
-                                  list(range(core.module(r).rank)))
+    backward = [marked_projection(ambient.module(r), core.module(r))
                 for r in range(core.top_degree + 1)]
     homotopies = [MarkedMorphism.zero(core.module(r), core.module(r + 1))
                   for r in range(core.top_degree)]

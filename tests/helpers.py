@@ -1,10 +1,11 @@
 """Builders shared by the test modules, the free group ring arithmetic
 that the Fox calculus oracle needs, a tuple-key quotient enumeration,
-pointwise and copying crossed-ring products, and a lognorm certificate
-check."""
+pointwise and copying crossed-ring products, an ambient comparison by
+composed maps, and a lognorm certificate check."""
 
 import math
 from collections import deque
+from fractions import Fraction
 from operator import add, mod
 
 from sympy import Matrix as SymMatrix
@@ -16,8 +17,13 @@ from torgrad.crossring import (
     MarkedMorphism,
     atom_norms,
     celt_add,
+    marked_inclusion,
+    marked_projection,
+    measure,
+    morphism_stats,
+    op_norm,
 )
-from torgrad.complexes import MarkedComplex, induce_resolution
+from torgrad.complexes import GHReport, MarkedComplex, induce_resolution
 from torgrad.discretize import coinvariants_matrix, coinvariants_rank, to_dense
 
 
@@ -341,6 +347,48 @@ def with_aug_extra(cx, i, delta_fn):
     values = list(cx.augmentation.values)
     values[i] = copying_fn_add(values[i], delta_fn)
     return rebuild(cx, aug_values=values)
+
+
+def reference_gh_report(left, right, witness):
+    """gh_verify by composed maps, as an oracle for its padded boundaries:
+    each side's comparison in degree r is pi_r o d_r o iota_{r-1} through
+    the prefix projection and inclusion, its augmentation row eta o pi_0,
+    and the carrier symmetric difference is summed over every summand of
+    the ambient."""
+    ambients = witness.ambients
+    space = left.space
+
+    def carrier(m, t):
+        return m.carriers[t] if t < m.rank else frozenset()
+
+    symdiff = tuple(
+        sum((measure(space, len(carrier(L, t) ^ carrier(R, t)))
+             for t in range(P.rank)), Fraction(0))
+        for L, R, P in zip(left.modules, right.modules, ambients))
+
+    def comparison(cx, r):
+        pi = marked_projection(ambients[r], cx.module(r))
+        iota = marked_inclusion(cx.module(r - 1), ambients[r - 1])
+        return pi.then(cx.boundary(r)).then(iota)
+
+    diffs = [comparison(left, r).sub(comparison(right, r))
+             for r in range(1, left.top_degree + 1)]
+    aug_size = aug_linf = None
+    if left.augmentation is not None:
+        rows = [cx.augmentation.after(marked_projection(ambients[0],
+                                                        cx.module(0)))
+                for cx in (left, right)]
+        diff = rows[0].sub(rows[1])
+        aug_size, aug_linf = diff.size1(), diff.linf()
+    return GHReport(
+        symdiff=symdiff,
+        map_sizes=tuple(morphism_stats(d).size1 for d in diffs),
+        map_norms=tuple(op_norm(d) for d in diffs),
+        aug_size=aug_size,
+        aug_linf=aug_linf,
+        delta=witness.delta,
+        k=witness.k,
+    )
 
 
 def certificate_value(f, blocks):

@@ -280,8 +280,7 @@ def test_criterion_9_lognorm_calculus():
         # marked-inclusion invariance
         ambient = f.codomain.direct_sum(
             MarkedModule.full(space, 1))
-        incl = marked_inclusion(f.codomain, ambient,
-                                list(range(f.codomain.rank)))
+        incl = marked_inclusion(f.codomain, ambient)
         assert abs(lognorm_exact(f.then(incl)) - exact) <= 1e-9
 
         # almost-equality stability at measured (delta, K)

@@ -4,8 +4,11 @@ import pytest
 
 from torgrad.groups import FiniteQuotient
 from torgrad.crossring import (
+    MarkedModule,
     MarkedMorphism,
     celt_indicator,
+    marked_inclusion,
+    marked_projection,
     morphism_stats,
     op_norm,
 )
@@ -109,9 +112,7 @@ def test_tensor_matches_koszul():
 
 
 def identity_witness(cx, delta, k):
-    assignments = tuple(tuple(range(m.rank)) for m in cx.modules)
-    return GHWitness(ambients=tuple(cx.modules), left_assignments=assignments,
-                     right_assignments=assignments, delta=delta, k=k)
+    return GHWitness(ambients=tuple(cx.modules), delta=delta, k=k)
 
 
 def test_gh_identity_witness():
@@ -137,19 +138,31 @@ def test_gh_perturbed_and_composed():
     assert rep.within
 
 
-def test_gh_rejects_bad_assignments():
+def test_prefix_violations_raise():
+    # summand i of a module sits in summand i of its ambient; each way to
+    # break that rule is refused by gh_verify, the inclusion and the
+    # projection alike
     cx = koszul2(SP33)
-    other = restricted_copy(cx, 1, 0, frozenset({0}))
-    witness = GHWitness(
-        ambients=tuple(other.modules),
-        left_assignments=tuple(tuple(range(m.rank)) for m in cx.modules),
-        right_assignments=tuple(tuple(range(m.rank)) for m in cx.modules),
-        delta=Fraction(1, 2),
-        k=4,
-    )
-    # cx carriers are not contained in the shaved ambient
-    with pytest.raises(ValueError):
-        gh_verify(cx, other, witness)
+    shaved = restricted_copy(cx, 1, 0, frozenset({0})).module(1)
+    # Z/9 has the order of Z/3 x Z/3, so carrier containment alone holds
+    z9 = FiniteQuotient.abelian([9])
+    cases = [
+        (cx.modules[:1] + (shaved,) + cx.modules[2:],
+         "carrier 0 is not contained in ambient carrier 0"),
+        (cx.modules[:1] + (MarkedModule.full(SP33, 1),) + cx.modules[2:],
+         "2 summands do not fit in an ambient of 1"),
+        (tuple(MarkedModule.full(z9, m.rank) for m in cx.modules),
+         "module and ambient live over different levels"),
+    ]
+    m = cx.module(1)
+    for ambients, message in cases:
+        witness = GHWitness(ambients=ambients, delta=Fraction(1), k=100)
+        with pytest.raises(ValueError, match=message):
+            gh_verify(cx, cx, witness)
+        with pytest.raises(ValueError, match=message):
+            marked_inclusion(m, ambients[1])
+        with pytest.raises(ValueError, match=message):
+            marked_projection(ambients[1], m)
 
 
 def test_complex_json_round_trip():

@@ -180,8 +180,8 @@ def test_identity_and_projection():
     ident = MarkedMorphism.identity(dom)
     vec = project(dom, (celt_indicator(range(4)), unit(SP)))
     assert ident.apply(vec) == vec
-    iota = marked_inclusion(dom, MarkedModule.full(SP, 2), [0, 1])
-    pi = marked_projection(MarkedModule.full(SP, 2), dom, [0, 1])
+    iota = marked_inclusion(dom, MarkedModule.full(SP, 2))
+    pi = marked_projection(MarkedModule.full(SP, 2), dom)
     assert iota.then(pi) == MarkedMorphism.identity(dom)
     assert op_norm(iota) <= 1 and op_norm(pi) <= 1
 

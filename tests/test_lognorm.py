@@ -148,8 +148,8 @@ def test_subadditive_under_direct_sum(a, b):
 def test_invariant_under_marked_inclusion():
     f = full_morphism(SP4, {0: {0: 2, 2: 3}, 1: {1: -4}})
     big = f.codomain.direct_sum(MarkedModule(SP4, [frozenset({0, 1})]))
-    incl = marked_inclusion(f.codomain, big, [0])
-    proj = marked_projection(big, f.domain, [0])
+    incl = marked_inclusion(f.codomain, big)
+    proj = marked_projection(big, f.domain)
     assert lognorm_exact(f.then(incl)) == pytest.approx(lognorm_exact(f))
     # extra zero-norm atoms from the projection change nothing
     assert lognorm_exact(proj.then(f)) == pytest.approx(lognorm_exact(f))

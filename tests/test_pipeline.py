@@ -928,6 +928,44 @@ def test_strictify_demo_refuses_negative_cells(capsys):
     assert "output strict: True" in out
 
 
+# (order, seed, cells) -> input defect and error dim of degrees 0 and 1,
+# then the witness's delta and k, as strictify-demo prints them
+STRICTIFY_DEMO_LEDGERS = {
+    (2, 0, 0): ("0", "0", "0", "0", "1/4", "0"),
+    (2, 0, 1): ("0", "0", "1/2", "1/2", "3/4", "2"),
+    (2, 0, 3): ("1/2", "1/2", "1", "1", "7/4", "4"),
+    (2, 1, 0): ("0", "0", "0", "0", "1/4", "0"),
+    (2, 1, 1): ("1/2", "1/2", "1", "1", "7/4", "2"),
+    (2, 1, 3): ("1/2", "1/2", "1/2", "1/2", "5/4", "2"),
+    (6, 0, 0): ("0", "0", "0", "0", "1/12", "0"),
+    (6, 0, 1): ("0", "0", "1/6", "1/6", "1/4", "2"),
+    (6, 0, 3): ("1/6", "1/6", "1/3", "1/3", "7/12", "2"),
+    (6, 1, 0): ("0", "0", "0", "0", "1/12", "0"),
+    (6, 1, 1): ("1/6", "1/6", "1/3", "1/3", "7/12", "2"),
+    (6, 1, 3): ("1/6", "1/6", "1/3", "1/3", "7/12", "4"),
+    (12, 0, 0): ("0", "0", "0", "0", "1/24", "0"),
+    (12, 0, 1): ("0", "0", "1/12", "1/12", "1/8", "2"),
+    (12, 0, 3): ("1/12", "1/12", "1/4", "1/4", "3/8", "4"),
+    (12, 1, 0): ("0", "0", "0", "0", "1/24", "0"),
+    (12, 1, 1): ("1/12", "1/12", "1/6", "1/6", "7/24", "2"),
+    (12, 1, 3): ("1/12", "1/12", "1/6", "1/6", "7/24", "6"),
+}
+
+
+def test_strictify_demo_stdout_is_pinned(capsys):
+    # the whole stdout, so the printed witness delta and k are pinned too
+    for (order, seed, cells), ledger in STRICTIFY_DEMO_LEDGERS.items():
+        d0, e0, d1, e1, delta, k = ledger
+        assert main(["strictify-demo", "--order", str(order), "--seed",
+                     str(seed), "--cells", str(cells)]) == 0
+        assert capsys.readouterr().out == (
+            f"level order {order}, degrees 0..2\n"
+            f"degree 0: input defect {d0}, error dim {e0}\n"
+            f"degree 1: input defect {d1}, error dim {e1}\n"
+            "output strict: True\n"
+            f"witness delta={delta} k={k} verified: True\n")
+
+
 def test_usage_errors_map_to_one(capsys):
     assert main([]) == 1
     assert main(["nonsense"]) == 1

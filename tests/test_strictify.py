@@ -1,8 +1,15 @@
+import random
 from fractions import Fraction
 
 import pytest
 
-from helpers import koszul2, restricted_copy, with_aug_extra, with_boundary_extra
+from helpers import (
+    koszul2,
+    reference_gh_report,
+    restricted_copy,
+    with_aug_extra,
+    with_boundary_extra,
+)
 from torgrad.groups import FiniteQuotient
 from torgrad.crossring import (
     celt_indicator,
@@ -19,6 +26,7 @@ from torgrad.complexes import (
     witness_defect,
 )
 from torgrad.strictify import strictify_complex
+from torgrad.verify import perturb_complex, random_base_complex
 
 SP33 = FiniteQuotient.abelian([3, 3])
 
@@ -109,14 +117,7 @@ def test_strictify_requires_augmentation():
 def test_transported_witness_bounds():
     cx = koszul2(SP33)
     other = restricted_copy(cx, 0, 0, {0})
-    assignments = tuple(tuple(range(m.rank)) for m in cx.modules)
-    probe = GHWitness(
-        ambients=tuple(cx.modules),
-        left_assignments=assignments,
-        right_assignments=assignments,
-        delta=Fraction(1),
-        k=100,
-    )
+    probe = GHWitness(ambients=tuple(cx.modules), delta=Fraction(1), k=100)
     rep = gh_verify(cx, other, probe)
     eps_candidates = list(rep.symdiff) + list(rep.map_sizes) + [rep.aug_size]
     eps = max(eps_candidates)
@@ -124,8 +125,8 @@ def test_transported_witness_bounds():
 
     # move z across the witness: project the inclusion of z to other_0
     z = cx.module(0).element(0, celt_indicator(cx.module(0).carriers[0]))
-    iota = marked_inclusion(cx.module(0), probe.ambients[0], assignments[0])
-    pi = marked_projection(probe.ambients[0], other.module(0), assignments[0])
+    iota = marked_inclusion(cx.module(0), probe.ambients[0])
+    pi = marked_projection(probe.ambients[0], other.module(0))
     zt = pi.apply(iota.apply(z))
     old = vector_stats(SP33, z)
     new = vector_stats(SP33, zt)
@@ -137,3 +138,52 @@ def test_transported_witness_bounds():
     nu = max([cx.augmentation.linf()]
              + [morphism_stats(d).n1 for d in cx.boundaries()])
     assert defect_report(other).max_size <= (1 + nu) * eps
+
+
+# ---------------------------------------------------------------------------
+# padded comparisons against the composed maps
+
+
+def _variants(rng, cx):
+    """A copy of cx with one carrier shaved, one with an extra boundary
+    cell and one with an extra augmentation value; each embeds in cx's
+    modules by the prefix rule."""
+    r = rng.randint(0, cx.top_degree)
+    i = rng.randrange(cx.module(r).rank)
+    A = sorted(cx.module(r).carriers[i])
+    shaved = restricted_copy(cx, r, i, rng.sample(A, rng.randint(0, len(A))))
+    r = rng.randint(1, cx.top_degree)
+    d = cx.boundary(r)
+    i = rng.randrange(d.domain.rank)
+    j = rng.randrange(d.codomain.rank)
+    cell = {rng.randrange(cx.space.order):
+            {rng.randrange(cx.space.order): rng.choice((-2, -1, 1, 2))}}
+    i0 = rng.randrange(cx.module(0).rank)
+    aug = {rng.randrange(cx.space.order): rng.choice((-1, 1, 3))}
+    return [shaved, with_boundary_extra(cx, r, i, j, cell),
+            with_aug_extra(cx, i0, aug)]
+
+
+def test_gh_verify_matches_composed_reference():
+    # the ambients are the strictified modules, so the input and its
+    # variants have fewer summands than the ambient in every degree with
+    # an error summand, and the padding is exercised on both sides
+    rng = random.Random(18)
+    padded = [0, 0]
+    for _ in range(40):
+        cx = perturb_complex(rng, random_base_complex(rng),
+                             cells=rng.randint(0, 3))
+        res = strictify_complex(cx)
+        out = res.complex
+        assert gh_verify(cx, out, res.witness) == reference_gh_report(
+            cx, out, res.witness)
+        witness = GHWitness(ambients=tuple(out.modules), delta=Fraction(1),
+                            k=0)
+        for v in _variants(rng, cx) + _variants(rng, out):
+            for left, right in ((v, out), (cx, v)):
+                assert gh_verify(left, right, witness) == reference_gh_report(
+                    left, right, witness)
+        # draws whose ambient has extra summands in degree 0 and in 1
+        for r in (0, 1):
+            padded[r] += out.module(r).rank > cx.module(r).rank
+    assert min(padded) >= 3
