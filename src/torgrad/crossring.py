@@ -573,13 +573,6 @@ def _point_masses(f: MarkedMorphism) -> list:
     return out
 
 
-def atom_norms(f: MarkedMorphism) -> dict:
-    """The l1 mass of the image of each domain atom (i, u in A_i), an
-    integer, keyed in atom order."""
-    masses = _point_masses(f)
-    return {(i, u): masses[i].get(u, 0) for i, u in f.domain.atoms()}
-
-
 def op_norm(f: MarkedMorphism) -> int:
     """The largest atom norm: the l1 mass of the image of an atom,
     renormalised by the measure of the atom; an integer."""

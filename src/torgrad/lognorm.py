@@ -1,15 +1,16 @@
 """Log-norm bounds for torsion growth.
 
-A partition of the domain atoms of a morphism gives the bound
+The bound is read from the coinvariants matrix of a morphism and |G|.  A
+partition of its columns, the domain atoms, gives the bound
 
-    sum over blocks of  min(dim block, rank of f on block) * log+ |f on block|
+    sum over blocks of  min(dim block, rank of block) * log+ |block|
 
-normalised by the group order.  The block norm is the largest l1 mass of
-an atom image, the block rank is the integer rank of the corresponding
-columns of the coinvariants matrix, and log+ x = max(0, log x).  The value
-of a block depends only on its atom set, so the best bound over all
-decompositions is a minimum over set partitions; atoms with zero norm
-contribute nothing and are kept out of the search.
+normalised by |G|.  The block norm is the largest l1 norm of a column of
+the block (each cell gets one term, so that is the l1 mass of the atom's
+image), the block rank is the integer rank of its columns, and log+ x =
+max(0, log x).  The value of a block depends only on its column set, so
+the best bound over all decompositions is a minimum over set partitions;
+columns with zero norm contribute nothing and are kept out of the search.
 
 For plain integer matrices the same game is played on columns: the exact
 torsion of the cokernel (from its invariant factors: unit-pivot reduction
@@ -25,7 +26,7 @@ import math
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .crossring import MarkedMorphism, atom_norms
+from .crossring import MarkedMorphism
 from .discretize import (
     _transpose,
     coinvariants_matrix,
@@ -45,45 +46,42 @@ def log_plus(x) -> float:
 
 
 class _BlockContext:
-    """Shared data for evaluating blocks of one morphism, with caching.
-
-    rank, when given, is the rank over Q of coinvariants_matrix(f).  A
-    block holding every atom of nonzero norm holds every nonzero column
-    of that matrix, so it takes this rank as is; the columns are built
+    """Shared data for evaluating blocks of one coinvariants matrix, with
+    caching.  A block is a sorted tuple of live column positions (those of
+    nonzero norm), which is also its cache key.  rank, when given, is the
+    rank over Q of the rows: a block of every live column holds every
+    nonzero column, so it takes this rank as is, and the columns are built
     only when some other block needs an elimination."""
 
-    def __init__(self, f: MarkedMorphism, rank: Optional[int] = None):
-        self.f = f
-        self.order = f.space.order
-        self.norms = atom_norms(f)
-        self.live = frozenset(a for a, n in self.norms.items() if n)
-        self.rank = rank
+    def __init__(self, rows: list, width: int, order: int,
+                 rank: Optional[int]):
+        norms = self.norms = [0] * width
+        for row in rows:
+            for k, v in row.items():
+                norms[k] += abs(v)
+        self.live = tuple(k for k, n in enumerate(norms) if n)
+        self.rows, self.order, self.rank = rows, order, rank
         self._columns = None
         self._cache = {}
 
-    def block_rank(self, key: frozenset) -> int:
-        if self.rank is not None and key >= self.live:
+    def block_rank(self, block: tuple) -> int:
+        if self.rank is not None and len(block) == len(self.live):
             return self.rank
         if self._columns is None:
             # a block's rank is that of its columns, so keep them as rows
-            columns = _transpose(coinvariants_matrix(self.f),
-                                 coinvariants_rank(self.f.domain))
-            self._columns = dict(zip(self.f.domain.atoms(), columns))
-        return sparse_rank([self._columns[a] for a in key],
-                           coinvariants_rank(self.f.codomain))
+            self._columns = _transpose(self.rows, len(self.norms))
+        return sparse_rank([self._columns[k] for k in block], len(self.rows))
 
-    def value(self, block) -> float:
-        key = frozenset(block)
-        hit = self._cache.get(key)
+    def value(self, block: tuple) -> float:
+        hit = self._cache.get(block)
         if hit is not None:
             return hit
-        norm = max((self.norms[a] for a in key), default=0)
-        if norm <= 1:
-            self._cache[key] = 0.0
-            return 0.0
-        weight = Fraction(min(len(key), self.block_rank(key)), self.order)
-        val = float(weight) * math.log(norm)
-        self._cache[key] = val
+        norm = max(self.norms[k] for k in block)
+        val = 0.0
+        if norm > 1:
+            rank = min(len(block), self.block_rank(block))
+            val = float(Fraction(rank, self.order)) * math.log(norm)
+        self._cache[block] = val
         return val
 
     def total(self, blocks) -> float:
@@ -92,19 +90,18 @@ class _BlockContext:
 
 def _atoms_blocks(ctx: _BlockContext) -> list:
     by_norm = {}
-    for atom, n in ctx.norms.items():
-        if n:
-            by_norm.setdefault(n, []).append(atom)
-    return [sorted(v) for _, v in sorted(by_norm.items())]
+    for k in ctx.live:
+        by_norm.setdefault(ctx.norms[k], []).append(k)
+    return [tuple(v) for _, v in sorted(by_norm.items())]
 
 
 def _greedy_blocks(ctx: _BlockContext) -> list:
-    blocks = [frozenset(b) for b in _atoms_blocks(ctx)]
+    blocks = _atoms_blocks(ctx)
     while len(blocks) > 1:
         best = None
         for i in range(len(blocks)):
             for j in range(i + 1, len(blocks)):
-                merged = blocks[i] | blocks[j]
+                merged = tuple(sorted(blocks[i] + blocks[j]))
                 gain = (ctx.value(merged)
                         - ctx.value(blocks[i]) - ctx.value(blocks[j]))
                 if gain < -1e-12 and (best is None or gain < best[0]):
@@ -114,11 +111,11 @@ def _greedy_blocks(ctx: _BlockContext) -> list:
         _, i, j, merged = best
         blocks = [b for k, b in enumerate(blocks) if k not in (i, j)]
         blocks.append(merged)
-    return [sorted(b) for b in blocks]
+    return blocks
 
 
 def set_partitions(items: Sequence):
-    """All partitions of items into nonempty blocks."""
+    """All partitions of items into nonempty tuple blocks."""
     items = list(items)
     if not items:
         yield []
@@ -126,28 +123,28 @@ def set_partitions(items: Sequence):
     first, rest = items[0], items[1:]
     for part in set_partitions(rest):
         for k in range(len(part)):
-            yield part[:k] + [[first] + part[k]] + part[k + 1:]
-        yield [[first]] + part
+            yield part[:k] + [(first,) + part[k]] + part[k + 1:]
+        yield [(first,)] + part
 
 
-def lognorm_certificate(
-    f: MarkedMorphism,
-    strategy: str = "greedy",
-    rank: Optional[int] = None,
-) -> tuple:
-    """Value plus the decomposition realising it, for audit output.
+def lognorm_rows(rows: list, width: int, order: int, strategy: str,
+                 rank: Optional[int] = None) -> tuple:
+    """The bound by the named search strategy of a coinvariants matrix,
+    sparse rows of the given width over a level of the given order, and
+    the partition realising it, so exact <= greedy <= atoms and exact <=
+    block always holds.
 
-    Blocks are lists of (summand, point) atoms; atoms of zero norm are
+    Blocks are sorted tuples of column positions; columns of zero norm are
     left out, they never contribute.  rank, when the caller already has
-    it, is the rank over Q of coinvariants_matrix(f); it saves the
-    elimination of any block that covers every atom of nonzero norm.
+    it, is the rank over Q of the rows; it saves the elimination of any
+    block that covers every column of nonzero norm.
     """
-    ctx = _BlockContext(f, rank)
-    live = sorted(ctx.live)
+    ctx = _BlockContext(rows, width, order, rank)
+    live = ctx.live
     if not live:
         return 0.0, []
     if strategy == "block":
-        return ctx.value(live), [list(live)]
+        return ctx.value(live), [live]
     if strategy == "atoms":
         blocks = _atoms_blocks(ctx)
         return ctx.total(blocks), blocks
@@ -156,7 +153,7 @@ def lognorm_certificate(
         total = ctx.total(blocks)
         single = ctx.value(live)
         if single < total:
-            return single, [list(live)]
+            return single, [live]
         return total, blocks
     if strategy == "exact":
         if len(live) > EXACT_ATOM_CAP:
@@ -172,18 +169,23 @@ def lognorm_certificate(
     raise ValueError(f"unknown strategy {strategy!r}")
 
 
-def lognorm_upper(
-    f: MarkedMorphism,
-    strategy: str = "greedy",
-    rank: Optional[int] = None,
-) -> float:
-    """Upper bound for the log-norm of f by the named search strategy.
+def lognorm_certificate(f: MarkedMorphism, strategy: str = "greedy") -> tuple:
+    """Value plus the decomposition realising it, for audit output.
 
-    Every returned value is realised by some decomposition, so the chain
-    exact <= greedy <= atoms and exact <= block always holds.  rank is as
-    in lognorm_certificate.
+    Blocks are lists of (summand, point) atoms of f's domain, read off the
+    column positions that lognorm_rows gives on coinvariants_matrix(f).
     """
-    return lognorm_certificate(f, strategy, rank)[0]
+    atoms = list(f.domain.atoms())
+    value, blocks = lognorm_rows(coinvariants_matrix(f), len(atoms),
+                                 f.space.order, strategy)
+    return value, [[atoms[k] for k in block] for block in blocks]
+
+
+def lognorm_upper(f: MarkedMorphism, strategy: str = "greedy") -> float:
+    """Upper bound for the log-norm of f by the named search strategy:
+    lognorm_rows on coinvariants_matrix(f)."""
+    return lognorm_rows(coinvariants_matrix(f), coinvariants_rank(f.domain),
+                        f.space.order, strategy)[0]
 
 
 def lognorm_exact(f: MarkedMorphism) -> float:

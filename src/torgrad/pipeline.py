@@ -44,6 +44,7 @@ from .groups import FiniteQuotient, OrderCapExceeded, order_cap
 from .lognorm import (
     LOG_SLACK,
     lognorm_certificate,
+    lognorm_rows,
     lognorm_upper,
 )
 from .strictify import strictify_complex
@@ -122,15 +123,16 @@ def run_gradient(cfg: GradientConfig) -> GradientTable:
     here.  Each coinvariant boundary is factored once per level: betti_q,
     logtors and, by universal coefficients, betti_p.  dim_upper and
     lognorm_upper come from the target complex (the induced resolution,
-    whose boundary ranks the factorisation gave, or the Rokhlin tile
-    complex, with the bound columns and verdict).  A degree above the
-    resolution reads zero homology and an empty target."""
+    whose coinvariant rows and boundary ranks are already built, or the
+    Rokhlin tile complex, with the bound columns and verdict).  A degree
+    above the resolution reads zero homology and an empty target."""
     embedded = cfg.tile is not None
     rows = []
     for idx, quotient in enumerate(cfg.levels, start=1):
         induced = induce_resolution(quotient, *cfg.resolution,
                                     augmented=False)
-        homology = homology_of_complex(*coinvariants_complex(induced))
+        dims, mats = coinvariants_complex(induced)
+        homology = homology_of_complex(dims, mats)
         betti_p = betti_mod_p(homology, cfg.p)
         per_degree = dict(enumerate(zip(homology, betti_p)))
         target = (rokhlin_partition(quotient.order, cfg.tile).complex
@@ -139,11 +141,13 @@ def run_gradient(cfg: GradientConfig) -> GradientTable:
             h, bp = per_degree.get(n, (HomologyResult(0, (), 0), 0))
             dim_upper = (target.module(n).dim()
                          if n <= target.top_degree else Fraction(0))
-            # the induced target's boundary n + 1 has the rank h holds
-            rank = None if embedded else h.boundary_rank
-            ln_upper = (lognorm_upper(target.boundary(n + 1), cfg.strategy,
-                                      rank=rank)
-                        if n + 1 <= target.top_degree else 0.0)
+            if n + 1 > target.top_degree:
+                ln_upper = 0.0
+            elif embedded:
+                ln_upper = lognorm_upper(target.boundary(n + 1), cfg.strategy)
+            else:  # mats[n] is boundary n + 1, of the rank h holds
+                ln_upper = lognorm_rows(mats[n], dims[n + 1], quotient.order,
+                                        cfg.strategy, h.boundary_rank)[0]
             bounds = ()
             if embedded:
                 betti_bound = quotient.order * dim_upper

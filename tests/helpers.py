@@ -1,7 +1,8 @@
 """Builders shared by the test modules, the free group ring arithmetic
 that the Fox calculus oracle needs, a tuple-key quotient enumeration,
 pointwise and copying crossed-ring products, an ambient comparison by
-composed maps, and a lognorm certificate check."""
+composed maps, a lognorm certificate check and the lognorm certificate by
+its route on morphisms."""
 
 import math
 from collections import deque
@@ -15,16 +16,23 @@ from torgrad.crossring import (
     Augmentation,
     MarkedModule,
     MarkedMorphism,
-    atom_norms,
     celt_add,
     marked_inclusion,
     marked_projection,
     measure,
     morphism_stats,
     op_norm,
+    vector_l1,
 )
 from torgrad.complexes import GHReport, MarkedComplex, induce_resolution
-from torgrad.discretize import coinvariants_matrix, coinvariants_rank, to_dense
+from torgrad.discretize import (
+    _transpose,
+    coinvariants_matrix,
+    coinvariants_rank,
+    sparse_rank,
+    to_dense,
+)
+from torgrad.lognorm import EXACT_ATOM_CAP
 
 
 def coinvariants_dense(f):
@@ -396,7 +404,7 @@ def certificate_value(f, blocks):
     checking that its blocks are disjoint and cover every atom of nonzero
     norm: each block adds min(size, rank) * log+ (largest atom norm) / |G|,
     the rank taken by sympy over the block's coinvariant columns."""
-    norms = atom_norms(f)
+    norms = atom_image_masses(f)
     atoms = [atom for block in blocks for atom in block]
     assert len(atoms) == len(set(atoms)), "blocks overlap"
     assert {a for a, n in norms.items() if n} <= set(atoms), "atoms uncovered"
@@ -408,3 +416,95 @@ def certificate_value(f, blocks):
             rank = SymMatrix([list(columns[a]) for a in block]).rank()
             total += min(len(block), rank) * math.log(peak)
     return total / f.space.order
+
+
+def atom_image_masses(f):
+    """The l1 mass of the image of each domain atom (i, u), by applying f
+    to the atom, keyed in atom order."""
+    return {(i, u): vector_l1(f.apply(f.domain.atom(i, u)))
+            for i, u in f.domain.atoms()}
+
+
+def _list_partitions(items):
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for part in _list_partitions(rest):
+        for k in range(len(part)):
+            yield part[:k] + [[first] + part[k]] + part[k + 1:]
+        yield [[first]] + part
+
+
+def reference_lognorm_certificate(f, strategy):
+    """lognorm_certificate by its route on morphisms: atom norms summed
+    over the fibres of f, blocks hashed as frozensets of (summand, point)
+    atoms, and block ranks from the columns of coinvariants_matrix(f)."""
+    masses = [{} for _ in f.entries]
+    for i, row in enumerate(f.entries):
+        for z in row:
+            for fn in z.values():
+                for u, c in fn.items():
+                    masses[i][u] = masses[i].get(u, 0) + abs(c)
+    norms = {(i, u): masses[i].get(u, 0) for i, u in f.domain.atoms()}
+    columns = dict(zip(f.domain.atoms(),
+                       _transpose(coinvariants_matrix(f),
+                                  coinvariants_rank(f.domain))))
+    cache = {}
+
+    def value(block):
+        key = frozenset(block)
+        if key not in cache:
+            norm = max(norms[a] for a in key)
+            cache[key] = 0.0
+            if norm > 1:
+                rank = sparse_rank([columns[a] for a in key],
+                                   coinvariants_rank(f.codomain))
+                weight = Fraction(min(len(key), rank), f.space.order)
+                cache[key] = float(weight) * math.log(norm)
+        return cache[key]
+
+    def total(blocks):
+        return sum(value(b) for b in blocks)
+
+    live = sorted(a for a, n in norms.items() if n)
+    if not live:
+        return 0.0, []
+    by_norm = {}
+    for a in live:
+        by_norm.setdefault(norms[a], []).append(a)
+    singles = [sorted(v) for _, v in sorted(by_norm.items())]
+    if strategy == "block":
+        return value(live), [list(live)]
+    if strategy == "atoms":
+        return total(singles), singles
+    if strategy == "greedy":
+        blocks = [frozenset(b) for b in singles]
+        while len(blocks) > 1:
+            best = None
+            for i in range(len(blocks)):
+                for j in range(i + 1, len(blocks)):
+                    merged = blocks[i] | blocks[j]
+                    gain = value(merged) - value(blocks[i]) - value(blocks[j])
+                    if gain < -1e-12 and (best is None or gain < best[0]):
+                        best = (gain, i, j, merged)
+            if best is None:
+                break
+            _, i, j, merged = best
+            blocks = [b for k, b in enumerate(blocks) if k not in (i, j)]
+            blocks.append(merged)
+        blocks = [sorted(b) for b in blocks]
+        single, spread = value(live), total(blocks)
+        return (single, [list(live)]) if single < spread else (spread, blocks)
+    if strategy == "exact":
+        if len(live) > EXACT_ATOM_CAP:
+            raise ValueError(
+                f"{len(live)} atoms exceed the exhaustive cap {EXACT_ATOM_CAP}"
+            )
+        best_val, best_blocks = None, None
+        for part in _list_partitions(live):
+            val = total(part)
+            if best_val is None or val < best_val:
+                best_val, best_blocks = val, part
+        return best_val, best_blocks
+    raise ValueError(f"unknown strategy {strategy!r}")

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,13 +10,16 @@ from torgrad.groups import FiniteQuotient
 from torgrad.crossring import (
     MarkedModule,
     MarkedMorphism,
-    atom_norms,
     marked_inclusion,
     marked_projection,
     morphism_stats,
     op_norm,
 )
-from torgrad.discretize import matrix_rank
+from torgrad.discretize import (
+    coinvariants_matrix,
+    coinvariants_rank,
+    matrix_rank,
+)
 from torgrad.lognorm import (
     EXACT_ATOM_CAP,
     LOG_SLACK,
@@ -26,11 +30,17 @@ from torgrad.lognorm import (
     log_plus,
     lognorm_certificate,
     lognorm_exact,
+    lognorm_rows,
     lognorm_upper,
     set_partitions,
 )
-from torgrad.verify import random_morphism
-from helpers import certificate_value, coinvariants_dense
+from torgrad.verify import QUOTIENT_SPECS, random_morphism
+from helpers import (
+    atom_image_masses,
+    certificate_value,
+    coinvariants_dense,
+    reference_lognorm_certificate,
+)
 
 SP2 = FiniteQuotient.abelian([2])
 SP4 = FiniteQuotient.abelian([4])
@@ -53,7 +63,7 @@ def test_diagonal_23_partitions():
     # multiplication by 2 at one point and 3 at another; coinvariants is
     # diag(2, 3) and the exact bound meets the exact torsion log 6
     f = full_morphism(SP2, {0: {0: 2, 1: 3}})
-    assert sorted(atom_norms(f).values()) == [2, 3]
+    assert sorted(atom_image_masses(f).values()) == [2, 3]
     assert lognorm_upper(f, "atoms") == pytest.approx(math.log(6) / 2)
     assert lognorm_upper(f, "block") == pytest.approx(math.log(3))
     assert lognorm_exact(f) == pytest.approx(math.log(6) / 2)
@@ -252,24 +262,50 @@ def test_certificate_realizes_value():
 
 
 def test_rank_argument_changes_no_value():
-    # the caller's rank of the coinvariants matrix stands in for the
-    # elimination of a block covering every live atom, and for nothing else
+    # the caller's rank of the rows stands in for the elimination of a
+    # block covering every live column, and for nothing else
     for seed in range(40):
         f = random_morphism(random.Random(seed))
+        args = (coinvariants_matrix(f), coinvariants_rank(f.domain),
+                f.space.order)
         rank = matrix_rank(coinvariants_dense(f))
-        live = sum(1 for n in atom_norms(f).values() if n)
+        live = sum(1 for n in atom_image_masses(f).values() if n)
         strategies = ["atoms", "greedy", "block"]
         if live <= 6:
             strategies.append("exact")
         for strategy in strategies:
-            assert lognorm_upper(f, strategy, rank=rank) == lognorm_upper(
-                f, strategy), (seed, strategy)
+            assert lognorm_rows(*args, strategy, rank) == lognorm_rows(
+                *args, strategy), (seed, strategy)
 
 
 def test_rank_argument_only_for_covering_blocks():
-    # atoms splits the live atoms of diag(2, 3) into two blocks, so even a
-    # wrong rank is never read; the one block of block strategy reads it
-    f = full_morphism(SP2, {0: {0: 2, 1: 3}})
-    assert lognorm_upper(f, "atoms", rank=0) == lognorm_upper(f, "atoms")
-    assert lognorm_upper(f, "block") == pytest.approx(math.log(3))
-    assert lognorm_upper(f, "block", rank=0) == 0.0
+    # atoms splits the live columns of diag(2, 3) into two blocks, so even
+    # a wrong rank is never read; the one block of block strategy reads it
+    diag = ([{0: 2}, {1: 3}], 2, 2)
+    assert lognorm_rows(*diag, "atoms", 0) == lognorm_rows(*diag, "atoms")
+    assert lognorm_rows(*diag, "block") == (pytest.approx(math.log(3)),
+                                            [(0, 1)])
+    assert lognorm_rows(*diag, "block", 0) == (0.0, [(0, 1)])
+
+
+def test_rows_route_matches_reference():
+    # the bound read off the coinvariant rows gives the values and blocks
+    # of the route on morphisms, repr for repr, on seeded morphisms over
+    # every verify level; exact runs where the search is small or capped
+    rng = random.Random(19)
+    levels = [FiniteQuotient.from_json(spec) for spec in QUOTIENT_SPECS]
+    for draw in range(1000):
+        f = random_morphism(rng, levels[draw % len(levels)], max_rank=3)
+        live = len({k for row in coinvariants_matrix(f) for k in row})
+        for strategy in ("atoms", "greedy", "block", "exact"):
+            if strategy == "exact" and 7 < live <= EXACT_ATOM_CAP:
+                continue
+            try:
+                want = reference_lognorm_certificate(f, strategy)
+            except ValueError as exc:
+                with pytest.raises(ValueError, match=re.escape(str(exc))):
+                    lognorm_certificate(f, strategy)
+                continue
+            assert repr(lognorm_certificate(f, strategy)) == repr(want), (
+                draw, strategy)
+            assert repr(lognorm_upper(f, strategy)) == repr(want[0])

@@ -19,14 +19,21 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import torgrad
-from torgrad import constructions, pipeline, verify
+from torgrad import (
+    constructions,
+    crossring,
+    discretize,
+    lognorm,
+    pipeline,
+    verify,
+)
 from torgrad.config import parse_gradient_config
 from torgrad.complexes import induce_resolution
 from torgrad.crossring import MarkedModule, MarkedMorphism
 from torgrad.discretize import coinvariants_complex, homology_of_complex
 from torgrad.groups import FiniteQuotient, word_to_str
 from torgrad.lognorm import lognorm_exact, lognorm_upper
-from helpers import certificate_value
+from helpers import certificate_value, reference_lognorm_certificate
 from torgrad.pipeline import (
     ConfigError,
     GRADIENT_COLUMNS,
@@ -580,6 +587,56 @@ def test_gradient_cyclic_matches_golden_csv(tmp_path, capsys):
         assert main(inv.argv(str(cfg_path))) == 0
         golden = (workloads.GOLDEN / inv.golden).read_text()
         assert capsys.readouterr().out == golden, inv.label
+
+
+def test_gradient_lognorm_column_matches_reference():
+    # the lognorm_upper column is read off the coinvariant rows that the
+    # homology used; on the first two levels of each benchmark ladder
+    # family it equals the bound by the route on morphisms, bit for bit
+    for inv in _bench_workloads().invocations("gradient-ladder", 0):
+        for strategy in ("atoms", "greedy", "block"):
+            cfg = parse_gradient_config(dict(
+                inv.config, levels=inv.config["levels"][:2],
+                strategy=strategy))
+            rows = run_gradient(cfg).rows
+            assert {row.level for row in rows} == {1, 2}
+            for row in rows:
+                induced = induce_resolution(cfg.levels[row.level - 1],
+                                            *cfg.resolution, augmented=False)
+                n = row.degree
+                want = (reference_lognorm_certificate(
+                    induced.boundary(n + 1), strategy)[0]
+                    if n + 1 <= induced.top_degree else 0.0)
+                assert repr(row.lognorm_upper) == repr(want), (
+                    inv.label, strategy, row.level, n)
+
+
+def test_gradient_builds_each_coinvariant_boundary_once(monkeypatch):
+    # on the induced target, each boundary's coinvariant rows are built
+    # once per level, and the lognorm bound reads them instead of walking
+    # the boundary's fibres again
+    calls = {"coinvariants_matrix": 0, "_point_masses": 0}
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls[fn.__name__] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    matrix = counted(discretize.coinvariants_matrix)
+    monkeypatch.setattr(discretize, "coinvariants_matrix", matrix)
+    monkeypatch.setattr(lognorm, "coinvariants_matrix", matrix)
+    monkeypatch.setattr(crossring, "_point_masses",
+                        counted(crossring._point_masses))
+    inv = _bench_workloads().invocations("gradient-ladder", 0)[1]
+    cfg = parse_gradient_config(inv.config)
+    assert cfg.tile is None and len(cfg.levels) == 2
+    boundaries = sum(induce_resolution(q, *cfg.resolution,
+                                       augmented=False).top_degree
+                     for q in cfg.levels)
+    assert boundaries == 4
+    run_gradient(cfg)
+    assert calls == {"coinvariants_matrix": boundaries, "_point_masses": 0}
 
 
 def _bench_tracer(monkeypatch):
