@@ -38,9 +38,9 @@ from .discretize import (
     shapiro_complex,
 )
 from .lognorm import (
+    gabber_bounds,
     gabber_column_bound,
     gabber_exact,
-    gabber_split_bound,
     lognorm_certificate,
     lognorm_exact,
     lognorm_upper,
@@ -65,7 +65,7 @@ __all__ = [
     "betti_mod_p", "coinvariants_complex", "coinvariants_matrix",
     "homology_of_complex", "invariant_factors", "retract_inequality_check",
     "shapiro_complex",
-    "gabber_column_bound", "gabber_exact", "gabber_split_bound",
+    "gabber_bounds", "gabber_column_bound", "gabber_exact",
     "lognorm_certificate", "lognorm_exact", "lognorm_upper",
     "integers_embedding", "resolution_by_name",
     "rokhlin_partition",

@@ -26,6 +26,7 @@ from .crossring import (
     Augmentation,
     MarkedModule,
     MarkedMorphism,
+    _mul_into,
     celt_add,
     celt_indicator,
     celt_mul,
@@ -295,8 +296,16 @@ def rokhlin_tower_contraction(modulus: int, tile: int) -> bool:
 
 
 def rokhlin_level_contraction(result: RokhlinResult) -> bool:
-    """Check d_1 o c_0 = id - c_{-1} o eta at the level, with exponents
-    read from the canonical representatives 0 <= m < M."""
+    """Check d_1 o c_0 = id - c_{-1} o eta at the level on every atom
+    (chi_u, t^m) with u in t^m C, exponents read from the canonical
+    representatives 0 <= m < M.
+
+    c_0 of the atom is minus the sum of (chi_u, t^j) over j < m with u in
+    t^j C, so it grows by one term from m to m + 1.  d_1 o c_0 is kept as
+    one running sum per point u, and d_1 of the term at m is added once the
+    atoms at m are checked.  c_{-1} o eta(z) = eta(z) x is formed once per
+    distinct value of eta(z).  Every atom is compared exactly.
+    """
     M = result.modulus
     space = result.complex.space
     point = result.point
@@ -305,20 +314,24 @@ def rokhlin_level_contraction(result: RokhlinResult) -> bool:
     shifts = [frozenset(point[(exponent[p] + j) % M] for p in carrier)
               for j in range(M)]
     x = result.witness[0]
-    d1 = result.complex.boundary(1)
+    entry = result.complex.boundary(1).entries[0][0]
     aug = result.complex.augmentation
+    lhs = {}       # u -> d_1 o c_0 of (chi_u, t^m), m the current exponent
+    products = {}  # eta(z) as sorted items -> eta(z) x
 
     for m in range(M):
         g = point[m]
         for u in shifts[m]:
             z = {g: {u: 1}}
-            # c_0 of the atom (chi_u, t^m)
-            c0 = {point[j]: {u: -1} for j in range(m) if u in shifts[j]}
-            lhs = d1.apply((c0,))[0]
             eta = aug.apply((z,))
-            rhs = celt_sub(z, celt_mul(space, {0: eta}, x))
-            if lhs != rhs:
+            key = tuple(sorted(eta.items()))
+            prod = products.get(key)
+            if prod is None:
+                prod = products[key] = celt_mul(space, {0: eta}, x)
+            if lhs.get(u, {}) != celt_sub(z, prod):
                 return False
+        for u in shifts[m]:
+            _mul_into(lhs.setdefault(u, {}), space, {g: {u: -1}}, entry)
     return True
 
 

@@ -35,7 +35,6 @@ factors by universal coefficients, with no second elimination.
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from itertools import compress
@@ -482,10 +481,10 @@ def _composes_to_zero(a: list, b: list) -> bool:
     """Whether the product of the sparse rows a and b, a as wide as b has
     rows, is zero, summed over nonzero entries only."""
     for row in a:
-        acc = defaultdict(int)
+        acc = {}
         for k, v in row.items():
             for j, w in b[k].items():
-                acc[j] += v * w
+                acc[j] = acc.get(j, 0) + v * w
         if any(acc.values()):
             return False
     return True

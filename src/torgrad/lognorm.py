@@ -7,8 +7,8 @@ partition of its columns, the domain atoms, gives the bound
 
 normalised by |G|.  The block norm is the largest l1 norm of a column of
 the block (each cell gets one term, so that is the l1 mass of the atom's
-image), the block rank is the integer rank of its columns, and log+ x =
-max(0, log x).  The value of a block depends only on its column set, so
+image), the block rank is the integer rank of its columns (never more
+than their number, so the min is the rank), and log+ x = max(0, log x).  The value of a block depends only on its column set, so
 the best bound over all decompositions is a minimum over set partitions;
 columns with zero norm contribute nothing and are kept out of the search.
 
@@ -17,7 +17,10 @@ torsion of the cokernel (from its invariant factors: unit-pivot reduction
 plus a dense Smith form of the residual core) is dominated by the greedy
 column bound (sum of log column norms over a rationally spanning subset,
 cheapest columns first), which in turn is dominated by the one-block
-split bound.  Ranks come from the same sparse elimination, taken over Q.
+split bound.  The split bound takes its rank from the factorisation that
+gives the exact torsion: the rank over Q is the number of nonzero
+invariant factors.  Block ranks of a coinvariants matrix come from the
+sparse elimination, taken over Q.
 """
 
 from __future__ import annotations
@@ -33,7 +36,6 @@ from .discretize import (
     coinvariants_rank,
     invariant_factors,
     mat_shape,
-    matrix_rank,
     sparse_rank,
 )
 
@@ -79,8 +81,8 @@ class _BlockContext:
         norm = max(self.norms[k] for k in block)
         val = 0.0
         if norm > 1:
-            rank = min(len(block), self.block_rank(block))
-            val = float(Fraction(rank, self.order)) * math.log(norm)
+            val = (float(Fraction(self.block_rank(block), self.order))
+                   * math.log(norm))
         self._cache[block] = val
         return val
 
@@ -127,19 +129,9 @@ def set_partitions(items: Sequence):
         yield [(first,)] + part
 
 
-def lognorm_rows(rows: list, width: int, order: int, strategy: str,
-                 rank: Optional[int] = None) -> tuple:
-    """The bound by the named search strategy of a coinvariants matrix,
-    sparse rows of the given width over a level of the given order, and
-    the partition realising it, so exact <= greedy <= atoms and exact <=
-    block always holds.
-
-    Blocks are sorted tuples of column positions; columns of zero norm are
-    left out, they never contribute.  rank, when the caller already has
-    it, is the rank over Q of the rows; it saves the elimination of any
-    block that covers every column of nonzero norm.
-    """
-    ctx = _BlockContext(rows, width, order, rank)
+def _search(ctx: _BlockContext, strategy: str) -> tuple:
+    """The bound by the named search strategy over ctx, and the partition
+    realising it."""
     live = ctx.live
     if not live:
         return 0.0, []
@@ -167,6 +159,31 @@ def lognorm_rows(rows: list, width: int, order: int, strategy: str,
                 best_val, best_blocks = val, part
         return best_val, best_blocks
     raise ValueError(f"unknown strategy {strategy!r}")
+
+
+def lognorm_rows(rows: list, width: int, order: int, strategy: str,
+                 rank: Optional[int] = None) -> tuple:
+    """The bound by the named search strategy of a coinvariants matrix,
+    sparse rows of the given width over a level of the given order, and
+    the partition realising it, so exact <= greedy <= atoms and exact <=
+    block always holds.
+
+    Blocks are sorted tuples of column positions; columns of zero norm are
+    left out, they never contribute.  rank, when the caller already has
+    it, is the rank over Q of the rows; it saves the elimination of any
+    block that covers every column of nonzero norm.
+    """
+    return _search(_BlockContext(rows, width, order, rank), strategy)
+
+
+def lognorm_values(rows: list, width: int, order: int,
+                   strategies: Sequence[str]) -> list:
+    """lognorm_rows(rows, width, order, s)[0] for each named strategy s in
+    turn, searched over one block cache: a block's value depends on its
+    columns only, so a block that several strategies rank is evaluated
+    once and every value, tie and partition is unchanged."""
+    ctx = _BlockContext(rows, width, order, None)
+    return [_search(ctx, strategy)[0] for strategy in strategies]
 
 
 def lognorm_certificate(f: MarkedMorphism, strategy: str = "greedy") -> tuple:
@@ -236,19 +253,24 @@ def gabber_column_bound(a) -> float:
     return total
 
 
-def gabber_split_bound(a) -> float:
-    """One-block bound rank * log+ (max column norm); the rank never
-    exceeds the number of columns.
+def _log_torsion(factors) -> float:
+    return sum(math.log(d) for d in factors if d > 1)
 
-    It dominates the greedy column bound, which in turn dominates the
-    exact cokernel torsion.
+
+def gabber_bounds(a) -> tuple:
+    """(exact, column, split) for the integer matrix a, each dominating
+    the one before: the exact log torsion of the cokernel, the greedy
+    column bound, and the one-block bound rank * log+ (max column norm).
+
+    One factorisation gives both the exact torsion and the split bound's
+    rank over Q, the number of nonzero invariant factors.
     """
+    factors = invariant_factors(a)
     peak = max(column_l1s(a), default=0)
-    if peak <= 1:
-        return 0.0
-    return matrix_rank(a) * math.log(peak)
+    split = len(factors) * math.log(peak) if peak > 1 else 0.0
+    return _log_torsion(factors), gabber_column_bound(a), split
 
 
 def gabber_exact(a) -> float:
     """Exact log torsion of the cokernel, from its invariant factors."""
-    return sum(math.log(d) for d in invariant_factors(a) if d > 1)
+    return _log_torsion(invariant_factors(a))

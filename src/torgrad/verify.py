@@ -57,12 +57,11 @@ from .discretize import (
 from .groups import FiniteQuotient
 from .lognorm import (
     LOG_SLACK,
-    gabber_column_bound,
+    gabber_bounds,
     gabber_exact,
-    gabber_split_bound,
     log_plus,
     lognorm_exact,
-    lognorm_upper,
+    lognorm_values,
 )
 from .strictify import strictify_complex
 
@@ -284,9 +283,7 @@ def _suite_opnorm(rng: random.Random) -> Optional[dict]:
 @_per_trial
 def _suite_gabber(rng: random.Random) -> Optional[dict]:
     a = random_int_matrix(rng)
-    exact = gabber_exact(a)
-    column = gabber_column_bound(a)
-    split = gabber_split_bound(a)
+    exact, column, split = gabber_bounds(a)
     if not (exact <= column + LOG_SLACK and column <= split + LOG_SLACK):
         return {"matrix": a, "exact": exact, "column": column,
                 "split": split}
@@ -405,18 +402,16 @@ def _suite_rokhlin(rng: random.Random, trials: int) -> list:
 def _suite_lognorm(rng: random.Random) -> Optional[dict]:
     space = _fixed_level(LOGNORM_SPECS[rng.randrange(len(LOGNORM_SPECS))])
     f = random_morphism(rng, space, max_rank=2)
-    exact = lognorm_exact(f)
-    greedy = lognorm_upper(f, "greedy")
-    atoms = lognorm_upper(f, "atoms")
-    block = lognorm_upper(f, "block")
+    rows, width = coinvariants_matrix(f), coinvariants_rank(f.domain)
+    exact, greedy, atoms, block = lognorm_values(
+        rows, width, space.order, ("exact", "greedy", "atoms", "block"))
     checks = {
         "strategy_chain": (exact <= greedy + LOG_SLACK
                            and greedy <= atoms + LOG_SLACK
                            and exact <= block + LOG_SLACK),
         "dimension": exact <= (float(f.domain.dim())
                                * log_plus(op_norm(f)) + LOG_SLACK),
-        "torsion_dominated": gabber_exact(to_dense(
-            coinvariants_matrix(f), coinvariants_rank(f.domain)))
+        "torsion_dominated": gabber_exact(to_dense(rows, width))
         <= space.order * atoms + LOG_SLACK,
     }
     ambient = f.codomain.direct_sum(

@@ -1,8 +1,8 @@
 """Builders shared by the test modules, the free group ring arithmetic
 that the Fox calculus oracle needs, a tuple-key quotient enumeration,
 pointwise and copying crossed-ring products, an ambient comparison by
-composed maps, a lognorm certificate check and the lognorm certificate by
-its route on morphisms."""
+composed maps, a lognorm certificate check, the lognorm certificate by
+its route on morphisms and the Rokhlin level contraction atom by atom."""
 
 import math
 from collections import deque
@@ -17,6 +17,8 @@ from torgrad.crossring import (
     MarkedModule,
     MarkedMorphism,
     celt_add,
+    celt_mul,
+    celt_sub,
     marked_inclusion,
     marked_projection,
     measure,
@@ -508,3 +510,28 @@ def reference_lognorm_certificate(f, strategy):
                 best_val, best_blocks = val, part
         return best_val, best_blocks
     raise ValueError(f"unknown strategy {strategy!r}")
+
+
+def reference_level_contraction(result):
+    """rokhlin_level_contraction atom by atom: for every atom (chi_u, t^m)
+    with u in t^m C, c_0 built from scratch, d_1 applied to all of it, and
+    c_{-1} o eta(z) = eta(z) x formed by its own ring product."""
+    M = result.modulus
+    space = result.complex.space
+    point = result.point
+    exponent = {point[m]: m for m in range(M)}
+    shifts = [frozenset(point[(exponent[p] + j) % M] for p in result.carrier)
+              for j in range(M)]
+    x = result.witness[0]
+    d1 = result.complex.boundary(1)
+    aug = result.complex.augmentation
+    for m in range(M):
+        g = point[m]
+        for u in shifts[m]:
+            z = {g: {u: 1}}
+            c0 = {point[j]: {u: -1} for j in range(m) if u in shifts[j]}
+            lhs = d1.apply((c0,))[0]
+            eta = aug.apply((z,))
+            if lhs != celt_sub(z, celt_mul(space, {0: eta}, x)):
+                return False
+    return True

@@ -1,11 +1,13 @@
+import dataclasses
 import time
 from fractions import Fraction
 
 import pytest
 
 from torgrad.groups import FiniteQuotient, parse_word, word_to_str
-from torgrad.crossring import MarkedMorphism
+from torgrad.crossring import MarkedMorphism, celt_add
 from torgrad.complexes import (
+    MarkedComplex,
     check_chain_map,
     defect_report,
     induce_resolution,
@@ -27,7 +29,8 @@ from torgrad.constructions import (
     tower_contract,
     tower_mul,
 )
-from helpers import koszul2, w
+from torgrad.verify import ROKHLIN_GRID
+from helpers import koszul2, reference_level_contraction, w
 
 SP33 = FiniteQuotient.abelian([3, 3])
 
@@ -160,10 +163,45 @@ def test_rokhlin_tower_contraction_window():
     assert tower_contract(7, 2, tower_mul(7, z, s_d)) == z
 
 
+def with_witness_changed(res):
+    """res with the first coefficient of its witness raised by one."""
+    x = res.witness[0]
+    g, fib = next(iter(x.items()))
+    return dataclasses.replace(
+        res, witness=(celt_add(x, {g: {next(iter(fib)): 1}}),))
+
+
+def with_boundary_changed(res):
+    """res with the coefficient of its boundary at (the least point of C,
+    e) raised by one."""
+    cx = res.complex
+    d1 = cx.boundary(1)
+    entry = celt_add(d1.entries[0][0], {0: {min(res.carrier): 1}})
+    boundary = MarkedMorphism(d1.domain, d1.codomain, [[entry]])
+    return dataclasses.replace(res, complex=MarkedComplex(
+        cx.modules, [boundary], cx.augmentation))
+
+
+ROKHLIN_PAIRS = sorted({(m, n) for m in range(2, 31)
+                        for n in range(1, m + 1)} | set(ROKHLIN_GRID))
+
+
 def test_rokhlin_level_contraction():
-    assert rokhlin_level_contraction(rokhlin_partition(7, 2))
-    assert rokhlin_level_contraction(rokhlin_partition(12, 4))
-    assert rokhlin_level_contraction(rokhlin_partition(6, 2))
+    # the running sums along the tower agree with the atom-by-atom route
+    # on every tile of Z/2 .. Z/30 and the verify grid: both hold intact,
+    # and both refuse one witness or boundary coefficient changed.  At
+    # tile = modulus the boundary and every c_0 are zero, so the identity
+    # does not read the boundary, and only the witness is changed there
+    for modulus, tile in ROKHLIN_PAIRS:
+        res = rokhlin_partition(modulus, tile)
+        assert rokhlin_level_contraction(res), (modulus, tile)
+        assert reference_level_contraction(res), (modulus, tile)
+        broken = [with_witness_changed(res)]
+        if tile < modulus:
+            broken.append(with_boundary_changed(res))
+        for bad in broken:
+            assert not rokhlin_level_contraction(bad), (modulus, tile)
+            assert not reference_level_contraction(bad), (modulus, tile)
 
 
 @pytest.mark.parametrize("modulus,tile", [(7, 2), (12, 4)])

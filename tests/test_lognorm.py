@@ -24,17 +24,23 @@ from torgrad.lognorm import (
     EXACT_ATOM_CAP,
     LOG_SLACK,
     column_l1s,
+    gabber_bounds,
     gabber_column_bound,
     gabber_exact,
-    gabber_split_bound,
     log_plus,
     lognorm_certificate,
     lognorm_exact,
     lognorm_rows,
     lognorm_upper,
+    lognorm_values,
     set_partitions,
 )
-from torgrad.verify import QUOTIENT_SPECS, random_morphism
+from torgrad.verify import (
+    LOGNORM_SPECS,
+    QUOTIENT_SPECS,
+    random_int_matrix,
+    random_morphism,
+)
 from helpers import (
     atom_image_masses,
     certificate_value,
@@ -202,6 +208,9 @@ int_matrices = st.integers(1, 6).flatmap(
 )
 
 
+FROZEN_GABBER_MATRICES = ([[2, 0], [0, 3]], [[2, 1], [0, 2]])
+
+
 def test_gabber_frozen_values():
     assert gabber_exact([[2, 0], [0, 3]]) == pytest.approx(math.log(6))
     assert gabber_column_bound([[2, 0], [0, 3]]) == pytest.approx(math.log(6))
@@ -209,17 +218,33 @@ def test_gabber_frozen_values():
     assert gabber_exact([[2, 1], [0, 2]]) == pytest.approx(math.log(4))
     assert gabber_column_bound([[2, 1], [0, 2]]) == pytest.approx(math.log(6))
     assert column_l1s([[2, 1], [0, 2]]) == [2, 3]
-    assert gabber_split_bound([[2, 1], [0, 2]]) == pytest.approx(2 * math.log(3))
+    assert gabber_bounds([[2, 1], [0, 2]]) == pytest.approx(
+        (math.log(4), math.log(6), 2 * math.log(3)))
 
 
 @given(int_matrices)
 @settings(deadline=None, max_examples=120)
 def test_gabber_chain(a):
-    exact = gabber_exact(a)
-    column = gabber_column_bound(a)
-    split = gabber_split_bound(a)
+    exact, column, split = gabber_bounds(a)
     assert exact <= column + LOG_SLACK
     assert column <= split + LOG_SLACK
+
+
+def separate_split_bound(a):
+    """The one-block split bound with its rank from its own elimination
+    over Q: rank * log+ (max column norm)."""
+    peak = max(column_l1s(a), default=0)
+    return matrix_rank(a) * math.log(peak) if peak > 1 else 0.0
+
+
+def test_gabber_bounds_match_separate_routes():
+    # one factorisation gives the exact torsion and the split bound's rank;
+    # each value is equal, float for float, to the one of its own route
+    rng = random.Random(20)
+    draws = [random_int_matrix(rng) for _ in range(600)]
+    for a in draws + list(FROZEN_GABBER_MATRICES):
+        assert gabber_bounds(a) == (gabber_exact(a), gabber_column_bound(a),
+                                    separate_split_bound(a)), a
 
 
 def rerank_column_bound(a):
@@ -286,6 +311,27 @@ def test_rank_argument_only_for_covering_blocks():
     assert lognorm_rows(*diag, "block") == (pytest.approx(math.log(3)),
                                             [(0, 1)])
     assert lognorm_rows(*diag, "block", 0) == (0.0, [(0, 1)])
+
+
+def test_lognorm_values_match_each_strategy():
+    # the four strategies over one block cache give the value of each
+    # strategy on its own, repr for repr, and the bound of the route on
+    # morphisms, on the draws of the lognorm suite
+    rng = random.Random(20)
+    levels = [FiniteQuotient.from_json(spec) for spec in LOGNORM_SPECS]
+    strategies = ("exact", "greedy", "atoms", "block")
+    for draw in range(300):
+        f = random_morphism(rng, levels[rng.randrange(len(levels))],
+                            max_rank=2)
+        values = lognorm_values(coinvariants_matrix(f),
+                                coinvariants_rank(f.domain), f.space.order,
+                                strategies)
+        alone = [lognorm_exact(f)] + [lognorm_upper(f, s)
+                                      for s in strategies[1:]]
+        assert list(map(repr, values)) == list(map(repr, alone)), draw
+        reference = [reference_lognorm_certificate(f, s)[0]
+                     for s in strategies]
+        assert list(map(repr, values)) == list(map(repr, reference)), draw
 
 
 def test_rows_route_matches_reference():

@@ -1023,6 +1023,40 @@ def test_strictify_demo_stdout_is_pinned(capsys):
             f"witness delta={delta} k={k} verified: True\n")
 
 
+# (modulus, tile) -> the header fields base, remainder and dim of
+# `torgrad rokhlin`, and the norms line that --embedding adds
+ROKHLIN_DEMO_LEDGERS = {
+    (6, 2): ("3", "0", "1/2", "r1=2 h0=1"),
+    (7, 2): ("3", "1", "4/7", "r1=2 h0=1"),
+    (12, 4): ("3", "0", "1/4", "r1=4 h0=3"),
+    (30, 7): ("4", "2", "1/5", "r1=7 h0=6"),
+    (100, 10): ("10", "0", "1/10", "r1=10 h0=9"),
+}
+ROKHLIN_TILE_CHECKS = ("boundary_norm", "complex_strict", "dim_bound",
+                       "level_contraction", "tower_contraction",
+                       "witness_exact")
+ROKHLIN_EMBEDDING_CHECKS = ("backward_chain_map", "forward_chain_map",
+                            "homotopy_degree0", "homotopy_degree1",
+                            "norm_table")
+
+
+def test_rokhlin_stdout_is_pinned(capsys):
+    # the whole stdout, with and without the embedding, checks sorted
+    for (modulus, tile), ledger in ROKHLIN_DEMO_LEDGERS.items():
+        base, remainder, dim, norms = ledger
+        header = (f"rokhlin modulus={modulus} tile={tile} base={base} "
+                  f"remainder={remainder} dim={dim} boundary_norm=2\n")
+        argv = ["rokhlin", "--modulus", str(modulus), "--tile", str(tile)]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == header + "".join(
+            f"ok {name}\n" for name in ROKHLIN_TILE_CHECKS)
+        assert main(argv + ["--embedding"]) == 0
+        checks = sorted(ROKHLIN_TILE_CHECKS + ROKHLIN_EMBEDDING_CHECKS)
+        assert capsys.readouterr().out == header + "".join(
+            f"ok {name}\n" for name in checks) + (
+            f"norms f0=1 f1=1 r0=1 {norms}\n")
+
+
 def test_usage_errors_map_to_one(capsys):
     assert main([]) == 1
     assert main(["nonsense"]) == 1
