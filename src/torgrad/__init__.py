@@ -24,7 +24,6 @@ from .complexes import (
     defect_report,
     gh_verify,
     induce_resolution,
-    tensor_complex,
     witness_defect,
 )
 from .strictify import strictify_complex
@@ -60,7 +59,7 @@ __all__ = [
     "marked_inclusion", "marked_projection", "morphism_stats", "op_norm",
     "vector_stats",
     "MarkedComplex", "check_chain_map", "defect_report", "gh_verify",
-    "induce_resolution", "tensor_complex", "witness_defect",
+    "induce_resolution", "witness_defect",
     "strictify_complex",
     "betti_mod_p", "coinvariants_complex", "coinvariants_matrix",
     "homology_of_complex", "invariant_factors", "retract_inequality_check",

@@ -2,11 +2,10 @@
 
 A complex stores one marked module per degree 0..top, boundaries
 d_r: D_r -> D_{r-1} for r >= 1 and an optional augmentation eta: D_0 -> L.
-Complexes come from resolution data (induce_resolution) or as tensor
-products.  Nothing is assumed exact: defect_report measures how far d o d
-and eta o d_1 are from zero, witness_defect how far eta(z) is from 1, and
-the almost-equality comparisons below measure distances between complexes
-sharing an ambient.
+Complexes come from resolution data (induce_resolution).  Nothing is
+assumed exact: defect_report measures how far d o d and eta o d_1 are from
+zero, witness_defect how far eta(z) is from 1, and the almost-equality
+comparisons below measure distances between complexes sharing an ambient.
 
 Compositions that land in the base module (eta o d_1, augmentation rows of
 chain map checks and of ambient comparisons) are measured after collapsing
@@ -114,7 +113,8 @@ class MarkedComplex:
             boundaries.append(MarkedMorphism(modules[r], modules[r - 1], entries))
         aug = None
         if data.get("augmentation") is not None:
-            values = [fn_from_json(pairs) for pairs in data["augmentation"]]
+            values = [fn_from_json(space, pairs)
+                      for pairs in data["augmentation"]]
             aug = Augmentation(modules[0], values)
         return MarkedComplex(modules, boundaries, aug)
 
@@ -244,74 +244,6 @@ def induce_resolution(
         if ranks[0] != 1:
             raise ValueError("augmented induction expects a rank 1 degree 0")
         aug = Augmentation(modules[0], [dict.fromkeys(full, 1)])
-    return MarkedComplex(modules, boundaries, aug)
-
-
-# ---------------------------------------------------------------------------
-# tensor products
-
-
-def tensor_complex(left: MarkedComplex, right: MarkedComplex) -> MarkedComplex:
-    """Degreewise tensor product with intersected carriers.
-
-    (L @ R)_n sums <A_i intersect B_j> over p + q = n, stored by p, then
-    i, then j; the boundary acts by d_L on the left index and by (-1)^p d_R
-    on the right index, entries restricted to the intersected carriers by
-    the morphism normalisation.
-    The restriction is exact when entries do not distinguish the two factor
-    carriers (full carriers, e.g. induced resolutions); in general the
-    output is a well formed sequence whose defect_report measures the loss.
-    """
-    if left.space != right.space:
-        raise ValueError("tensor factors live over different levels")
-    space = left.space
-    top = left.top_degree + right.top_degree
-    summands = []
-    modules = []
-    for n in range(top + 1):
-        tags = []
-        carriers = []
-        for p in range(max(0, n - right.top_degree), min(n, left.top_degree) + 1):
-            q = n - p
-            for i, A in enumerate(left.module(p).carriers):
-                for j, B in enumerate(right.module(q).carriers):
-                    tags.append((p, i, j))
-                    carriers.append(A & B)
-        summands.append(tags)
-        modules.append(MarkedModule(space, carriers))
-
-    boundaries = []
-    for n in range(1, top + 1):
-        dom, cod = modules[n], modules[n - 1]
-        entries = [[{} for _ in range(cod.rank)] for _ in range(dom.rank)]
-        cod_pos = {tag: t for t, tag in enumerate(summands[n - 1])}
-        for s, (p, i, j) in enumerate(summands[n]):
-            q = n - p
-            if p >= 1:
-                dL = left.boundary(p)
-                for i2 in range(dL.codomain.rank):
-                    t = cod_pos.get((p - 1, i2, j))
-                    if t is not None:
-                        entries[s][t] = dL.entries[i][i2]
-            if q >= 1:
-                dR = right.boundary(q)
-                sign = -1 if p % 2 else 1
-                scaled = dR if sign == 1 else dR.neg()
-                for j2 in range(dR.codomain.rank):
-                    t = cod_pos.get((p, i, j2))
-                    if t is not None:
-                        entries[s][t] = scaled.entries[j][j2]
-        boundaries.append(MarkedMorphism(dom, cod, entries))
-
-    aug = None
-    if left.augmentation is not None and right.augmentation is not None:
-        values = []
-        for (p, i, j) in summands[0]:
-            vi = left.augmentation.values[i]
-            vj = right.augmentation.values[j]
-            # augmentation values are nonzero, so are their products
-            values.append({u: vi[u] * vj[u] for u in vi.keys() & vj.keys()})
-        aug = Augmentation(modules[0], values)
     return MarkedComplex(modules, boundaries, aug)
 
 

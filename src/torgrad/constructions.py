@@ -257,12 +257,11 @@ def rokhlin_tower_boundary(modulus: int, tile: int) -> dict:
     return {k: v for k, v in out.items() if v}
 
 
-def tower_contract(modulus: int, tile: int, elt: dict) -> dict:
+def tower_contract(modulus: int, carrier: set, elt: dict) -> dict:
     """c_0: on a basis element (u, m) of the lifted degree-0 module, minus
     the sum of (u, j) over 0 <= j < m with u in t^j C, and the mirrored
-    positive sum for negative m."""
-    base, rem = _rokhlin_residues(modulus, tile)
-    carrier = base | rem
+    positive sum for negative m.  carrier holds the residues of C = A u B,
+    built once by the caller."""
     out = {}
     for (u, m), c in elt.items():
         span = range(0, m) if m >= 0 else range(m, 0)
@@ -290,7 +289,7 @@ def rokhlin_tower_contraction(modulus: int, tile: int) -> bool:
         for c_res in carrier:
             u = (c_res + m) % modulus
             z = {(u, m): 1}
-            if tower_contract(modulus, tile, tower_mul(modulus, z, s_d)) != z:
+            if tower_contract(modulus, carrier, tower_mul(modulus, z, s_d)) != z:
                 return False
     return True
 

@@ -90,10 +90,17 @@ def fn_sub(f: Fn, g: Fn) -> Fn:
     return _fn_add_into(dict(f), g, -1)
 
 
-def fn_from_json(pairs: list) -> Fn:
-    """[[point, coeff], ...] as a sparse function; a point or coefficient
-    that is not an integer is refused rather than rounded."""
-    return {_as_int(u, "point"): _as_int(c, "coefficient") for u, c in pairs}
+def fn_from_json(space: FiniteQuotient, pairs: list) -> Fn:
+    """[[point, coeff], ...] as a sparse function on the level; a point or
+    coefficient that is not an integer is refused rather than rounded, and
+    a point outside the level rather than dropped."""
+    out = {}
+    for u, c in pairs:
+        u = _as_int(u, "point")
+        if not 0 <= u < space.order:
+            raise ValueError(f"point {u} outside the level")
+        out[u] = _as_int(c, "coefficient")
+    return out
 
 
 def carriers_from_json(carriers: list) -> list:
@@ -355,7 +362,7 @@ def celt_from_json(space: FiniteQuotient, terms: list) -> CElt:
     out: CElt = {}
     for term in terms:
         g = space.evaluate_word(parse_word(term["word"]))
-        _celt_add_into(out, {g: fn_from_json(term["coeffs"])})
+        _celt_add_into(out, {g: fn_from_json(space, term["coeffs"])})
     return out
 
 
@@ -470,10 +477,6 @@ class MarkedMorphism:
             [celt_add(a, b) for a, b in zip(ra, rb)]
             for ra, rb in zip(self.entries, other.entries)
         ]
-        return MarkedMorphism(self.domain, self.codomain, entries, normalize=False)
-
-    def neg(self) -> "MarkedMorphism":
-        entries = [[celt_neg(a) for a in row] for row in self.entries]
         return MarkedMorphism(self.domain, self.codomain, entries, normalize=False)
 
     def sub(self, other: "MarkedMorphism") -> "MarkedMorphism":

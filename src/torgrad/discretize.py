@@ -238,11 +238,6 @@ def sparse_rank(rows: list, width: int) -> int:
     return len(_eliminate(*_oriented(rows, width), over_q=True)[0])
 
 
-def matrix_rank(a: Matrix) -> int:
-    """Rank over Q of a dense matrix."""
-    return sparse_rank(_sparse_rows(a), mat_shape(a)[1])
-
-
 def invariant_factors(a: Matrix) -> tuple:
     """The nonzero invariant factors d_1 | d_2 | ... of a dense matrix a.
 

@@ -1,5 +1,6 @@
-"""Builders shared by the test modules, the free group ring arithmetic
-that the Fox calculus oracle needs, a tuple-key quotient enumeration,
+"""Builders shared by the test modules, the dense rank over Q that the
+tests check against sympy, the free group ring arithmetic that the Fox
+calculus oracle needs, a tuple-key quotient enumeration,
 pointwise and copying crossed-ring products, an ambient comparison by
 composed maps, a lognorm certificate check, the lognorm certificate by
 its route on morphisms and the Rokhlin level contraction atom by atom."""
@@ -28,9 +29,11 @@ from torgrad.crossring import (
 )
 from torgrad.complexes import GHReport, MarkedComplex, induce_resolution
 from torgrad.discretize import (
+    _sparse_rows,
     _transpose,
     coinvariants_matrix,
     coinvariants_rank,
+    mat_shape,
     sparse_rank,
     to_dense,
 )
@@ -40,6 +43,12 @@ from torgrad.lognorm import EXACT_ATOM_CAP
 def coinvariants_dense(f):
     """The coinvariants matrix of f as a dense list of rows."""
     return to_dense(coinvariants_matrix(f), coinvariants_rank(f.domain))
+
+
+def matrix_rank(a):
+    """Rank over Q of a dense matrix by the sparse elimination, the entry
+    that the tests check against sympy's rank."""
+    return sparse_rank(_sparse_rows(a), mat_shape(a)[1])
 
 
 def zeros(rows, cols):

@@ -18,10 +18,9 @@ from torgrad.complexes import (
     check_chain_map,
     defect_report,
     gh_verify,
-    tensor_complex,
     witness_defect,
 )
-from helpers import free_complex, koszul2, restricted_copy, zres
+from helpers import free_complex, koszul2, restricted_copy
 
 
 SP22 = FiniteQuotient.abelian([2, 2])
@@ -86,29 +85,6 @@ def test_chain_map_defect_is_measured():
     rep = check_chain_map(maps, cx, cx)
     assert rep.sizes[1] > 0
     assert not rep.is_strict
-
-
-def test_tensor_matches_koszul():
-    space = SP33
-    t1, t2 = space.generator_images
-    C = zres(space, t1)
-    D = zres(space, t2)
-    tensor = tensor_complex(C, D)
-    assert [m.rank for m in tensor.modules] == [1, 2, 1]
-    assert defect_report(tensor).is_strict
-    assert tensor.augmentation is not None
-    koszul = koszul2(space)
-    assert ([m.dim() for m in tensor.modules]
-            == [m.dim() for m in koszul.modules])
-    # the boundaries agree up to the summand order
-    maps = [MarkedMorphism.identity(m) for m in tensor.modules]
-    rep = check_chain_map(maps, tensor, tensor)
-    assert rep.is_strict
-    # the product augmentation is 1 on the product of the two generators
-    m0 = tensor.module(0)
-    unit = tensor.augmentation.apply(
-        m0.element(0, celt_indicator(m0.carriers[0])))
-    assert unit == dict.fromkeys(range(space.order), 1)
 
 
 def identity_witness(cx, delta, k):

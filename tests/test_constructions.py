@@ -160,7 +160,8 @@ def test_rokhlin_tower_contraction_window():
     # the boundary and contraction are honest tower operators
     s_d = rokhlin_tower_boundary(7, 2)
     z = {(3, 1): 1}
-    assert tower_contract(7, 2, tower_mul(7, z, s_d)) == z
+    # the tile 2 of Z/7 has base {0, 2, 4} and remainder {6}
+    assert tower_contract(7, {0, 2, 4, 6}, tower_mul(7, z, s_d)) == z
 
 
 def with_witness_changed(res):

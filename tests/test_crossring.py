@@ -28,13 +28,14 @@ from torgrad.crossring import (
     vector_supp1,
 )
 from torgrad.complexes import MarkedComplex
-from torgrad.discretize import coinvariants_rank, matrix_rank
+from torgrad.discretize import coinvariants_rank
 from torgrad.verify import random_celt, random_module, random_vector
 from helpers import (
     coinvariants_dense,
     copying_celt_add,
     copying_celt_mul,
     insertion_order,
+    matrix_rank,
     reference_apply,
     reference_celt_add,
     reference_celt_mul,
@@ -319,6 +320,19 @@ def test_augmentation_composition(f):
         assert comp.apply(atom) == eta.apply(f.apply(atom))
 
 
+def assert_refused(reader, data, path, value, match):
+    """reader reads data back, and refuses it once the item at path is
+    set to value."""
+    assert reader(data).to_json() == data
+    *head, last = path
+    target = data
+    for key in head:
+        target = target[key]
+    target[last] = value
+    with pytest.raises(ValueError, match=match):
+        reader(data)
+
+
 @pytest.mark.parametrize("value", [1.5, 1.0, "1", True],
                          ids=["1.5", "1.0", "string", "bool"])
 def test_json_readers_refuse_non_integer_numbers(value):
@@ -334,14 +348,26 @@ def test_json_readers_refuse_non_integer_numbers(value):
              (MarkedComplex.from_json, cx.to_json(),
               ("augmentation", 0, 1, 1))]
     for reader, data, path in cases:
-        assert reader(data).to_json() == data
-        *head, last = path
-        target = data
-        for key in head:
-            target = target[key]
-        target[last] = value
-        with pytest.raises(ValueError, match="must be an integer"):
-            reader(data)
+        assert_refused(reader, data, path, value, "must be an integer")
+
+
+@pytest.mark.parametrize("point", [-1, SP.order], ids=["-1", "order"])
+def test_json_readers_refuse_points_outside_the_level(point):
+    dom, _ = spaces_modules()
+    f = MarkedMorphism.identity(dom)
+    cx = MarkedComplex([dom, dom], [f],
+                       Augmentation(dom, [{0: 1, 1: -3}, {1: 2}]))
+    # a fibre point of an entry or an augmentation value's point outside
+    # the level is refused like a carrier point, not dropped
+    cases = [(MarkedMorphism.from_json, f.to_json(), ("domain", 1, 0)),
+             (MarkedMorphism.from_json, f.to_json(),
+              ("entries", 0, 0, 0, "coeffs", 0, 0)),
+             (MarkedComplex.from_json, cx.to_json(),
+              ("boundaries", 0, 0, 0, 0, "coeffs", 0, 0)),
+             (MarkedComplex.from_json, cx.to_json(),
+              ("augmentation", 0, 0, 0))]
+    for reader, data, path in cases:
+        assert_refused(reader, data, path, point, "outside the level")
 
 
 def test_char_p_coefficients():

@@ -25,7 +25,6 @@ from torgrad.discretize import (
     homology_of_complex,
     invariant_factors,
     mat_shape,
-    matrix_rank,
     retract_inequality_check,
     shapiro_complex,
     shapiro_matrix,
@@ -45,6 +44,7 @@ from helpers import (
     gm1,
     koszul2,
     mat_mul,
+    matrix_rank,
     restricted_copy,
     w,
     zeros,

@@ -15,11 +15,7 @@ from torgrad.crossring import (
     morphism_stats,
     op_norm,
 )
-from torgrad.discretize import (
-    coinvariants_matrix,
-    coinvariants_rank,
-    matrix_rank,
-)
+from torgrad.discretize import coinvariants_matrix, coinvariants_rank
 from torgrad.lognorm import (
     EXACT_ATOM_CAP,
     LOG_SLACK,
@@ -45,6 +41,7 @@ from helpers import (
     atom_image_masses,
     certificate_value,
     coinvariants_dense,
+    matrix_rank,
     reference_lognorm_certificate,
 )
 

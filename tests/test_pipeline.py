@@ -450,15 +450,12 @@ def test_module_start_runs_once():
     assert proc.stderr == ""
 
 
-# Paper constructions exported for callers that are planned but not yet
-# written: no command reaches them today.
-KEPT_CONSTRUCTIONS = frozenset({"tensor_complex"})
-
-
-def test_exported_names_have_a_caller():
-    # every other name in torgrad.__all__ is used somewhere in the package
-    # outside its own definition and __init__.py, so the public API does
-    # not grow helpers that only tests reach
+def test_top_level_definitions_have_a_caller():
+    # every top-level function and class of the package is used somewhere
+    # in the package outside its own definition and __init__.py, so the
+    # library does not keep code that only tests reach; torgrad.__all__
+    # names only such definitions
+    defined = set()
     used = set()
     for path in Path(torgrad.__file__).parent.glob("*.py"):
         if path.name == "__init__.py":
@@ -468,17 +465,14 @@ def test_exported_names_have_a_caller():
                      for node in ast.walk(stmt)
                      if isinstance(node, (ast.Name, ast.Attribute))}
             if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(stmt.name)
                 names.discard(stmt.name)
             used |= names
-    unused = set(torgrad.__all__) - used
-    assert not unused - KEPT_CONSTRUCTIONS, (
-        "exported but used only by tests: "
-        f"{sorted(unused - KEPT_CONSTRUCTIONS)}")
-    # an exemption cannot go stale: once its name gains a caller in the
-    # package or leaves the API, it leaves the list
-    assert not KEPT_CONSTRUCTIONS - unused, (
-        "exempt but exported with a caller, or not exported: "
-        f"{sorted(KEPT_CONSTRUCTIONS - unused)}")
+    assert not defined - used, (
+        f"defined but used only by tests: {sorted(defined - used)}")
+    assert not set(torgrad.__all__) - defined, (
+        "exported but not a top-level definition of the package: "
+        f"{sorted(set(torgrad.__all__) - defined)}")
 
 
 # The JSON readers and writers may lack a caller: failing verify cases print
@@ -933,6 +927,23 @@ def test_lognorm_cli_refuses_non_integer_numbers(tmp_path, capsys, mutate,
     assert captured.out == ""
     assert captured.err.startswith("config error:")
     assert "must be an integer" in captured.err
+
+
+@pytest.mark.parametrize("mutate, what", [(_set_point, "point"),
+                                          (_set_carrier, "carrier point")],
+                         ids=["point", "carrier"])
+@pytest.mark.parametrize("value", [-1, 4], ids=["-1", "order"])
+def test_lognorm_cli_refuses_points_outside_the_level(tmp_path, capsys,
+                                                      mutate, what, value):
+    # the morphism lives on Z/4
+    data = _one_atom_morphism()
+    mutate(data, value)
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(data))
+    assert main(["lognorm", "--input", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"config error: {what} {value} outside the level\n"
 
 
 def _set_word(data, value):
