@@ -24,6 +24,8 @@ from .complexes import (
     defect_report,
     gh_verify,
     induce_resolution,
+    push_complex,
+    push_resolution,
     witness_defect,
 )
 from .strictify import strictify_complex
@@ -59,7 +61,7 @@ __all__ = [
     "marked_inclusion", "marked_projection", "morphism_stats", "op_norm",
     "vector_stats",
     "MarkedComplex", "check_chain_map", "defect_report", "gh_verify",
-    "induce_resolution", "witness_defect",
+    "induce_resolution", "push_complex", "push_resolution", "witness_defect",
     "strictify_complex",
     "betti_mod_p", "coinvariants_complex", "coinvariants_matrix",
     "homology_of_complex", "invariant_factors", "retract_inequality_check",

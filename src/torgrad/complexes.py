@@ -2,7 +2,12 @@
 
 A complex stores one marked module per degree 0..top, boundaries
 d_r: D_r -> D_{r-1} for r >= 1 and an optional augmentation eta: D_0 -> L.
-Complexes come from resolution data (induce_resolution).  Nothing is
+Resolution data (free group ring matrices) are pushed to a level once per
+entry (push_resolution).  The gradient needs no marked complex: it checks
+d d = 0 on the pushed ranks x ranks matrices in the group ring of the level
+(push_complex) and builds its integer rows from them in discretize.  Marked
+complexes come from the same pushed data (induce_resolution), which is the
+gradient's independent oracle, and from the constructions.  Nothing is
 assumed exact: defect_report measures how far d o d and eta o d_1 are from
 zero, witness_defect how far eta(z) is from 1, and the almost-equality
 comparisons below measure distances between complexes sharing an ambient.
@@ -28,13 +33,13 @@ from .crossring import (
     Vector,
     _check_prefix,
     carriers_from_json,
-    celt_from_json,
     celt_to_json,
     fn_from_json,
     fn_sub,
     level_from_json,
     level_to_json,
     measure,
+    morphism_from_json,
     morphism_stats,
     op_norm,
 )
@@ -107,15 +112,19 @@ class MarkedComplex:
         space = level_from_json(data)
         modules = [MarkedModule(space, carriers_from_json(cs))
                    for cs in data["degrees"]]
-        boundaries = []
-        for r, rows in enumerate(data["boundaries"], start=1):
-            entries = [[celt_from_json(space, t) for t in row] for row in rows]
-            boundaries.append(MarkedMorphism(modules[r], modules[r - 1], entries))
+        boundaries = [morphism_from_json(modules[r], modules[r - 1], rows)
+                      for r, rows in enumerate(data["boundaries"], start=1)]
         aug = None
         if data.get("augmentation") is not None:
             values = [fn_from_json(space, pairs)
                       for pairs in data["augmentation"]]
             aug = Augmentation(modules[0], values)
+            # Augmentation keeps a value's points inside its carrier only
+            for i, (v, kept) in enumerate(zip(values, aug.values)):
+                for u, c in v.items():
+                    if c and u not in kept:
+                        raise ValueError(f"augmentation value {i}: point {u} "
+                                         f"lies outside carrier {i}")
         return MarkedComplex(modules, boundaries, aug)
 
 
@@ -196,7 +205,70 @@ def check_chain_map(
 
 
 # ---------------------------------------------------------------------------
-# induced resolutions
+# resolutions at a level
+
+
+def push_resolution(
+    space: FiniteQuotient,
+    ranks: Sequence[int],
+    matrices: Sequence[Sequence[Sequence[dict]]],
+    gen_images: Optional[Sequence[int]] = None,
+) -> list:
+    """Free resolution data pushed to the level, each entry once.
+
+    ranks[r] is the free rank in degree r; matrices[r] is the degree r+1
+    boundary, a ranks[r+1] x ranks[r] array of group ring elements over the
+    free group (dicts {word: coeff}).  Returns the same arrays with each
+    entry pushed to the quotient (push_to_quotient: words that merge add,
+    and only nonzero coefficients stay).  gen_images overrides the
+    quotient's generator images, so resolutions of a subgroup generator
+    can be pushed along a chosen embedding.  Nothing but the shapes is
+    checked."""
+    if len(matrices) != len(ranks) - 1:
+        raise ValueError(f"{len(matrices)} matrices for {len(ranks)} ranks")
+    pushed = []
+    for r, mat in enumerate(matrices, start=1):
+        if len(mat) != ranks[r]:
+            raise ValueError(f"matrix {r} has {len(mat)} rows, expected {ranks[r]}")
+        for row in mat:
+            if len(row) != ranks[r - 1]:
+                raise ValueError(
+                    f"matrix {r} row has {len(row)} columns, expected {ranks[r - 1]}"
+                )
+        pushed.append([[push_to_quotient(elt, space, gen_images) for elt in row]
+                       for row in mat])
+    return pushed
+
+
+def push_complex(
+    space: FiniteQuotient,
+    ranks: Sequence[int],
+    matrices: Sequence[Sequence[Sequence[dict]]],
+    gen_images: Optional[Sequence[int]] = None,
+) -> list:
+    """push_resolution's arrays, checked to form a complex at the level:
+    d_r d_{r+1} = 0 in the group ring of the level, for every r.
+
+    The products are ranks[r+1] x ranks[r-1] arrays of ring elements,
+    multiplied in the order of MarkedMorphism.then, so this is the check
+    that the coinvariants of the induced full-carrier complex compose to
+    zero, without the |G|-fold cells.  Raises ValueError if they do not."""
+    pushed = push_resolution(space, ranks, matrices, gen_images)
+    for r in range(1, len(pushed)):
+        lower = pushed[r - 1]
+        for row in pushed[r]:
+            for k in range(ranks[r - 1]):
+                acc = {}
+                for x, below in zip(row, lower):
+                    for g, c in x.items():
+                        for h, e in below[k].items():
+                            gh = space.mul(g, h)
+                            acc[gh] = acc.get(gh, 0) + c * e
+                if any(acc.values()):
+                    raise ValueError(
+                        f"boundaries {r} and {r + 1} do not compose to zero "
+                        "at the level; not a complex")
+    return pushed
 
 
 def induce_resolution(
@@ -208,37 +280,22 @@ def induce_resolution(
 ) -> MarkedComplex:
     """Induce free resolution data to the level, with full carriers.
 
-    ranks[r] is the free rank in degree r; matrices[r] is the degree r+1
-    boundary, a ranks[r+1] x ranks[r] array of group ring elements over the
-    free group (dicts {word: coeff}).  A word w becomes the ring element
-    (coeff * chi_G, image of w); words that merge in the quotient add.
-    gen_images overrides the quotient's generator images, so resolutions of
-    a subgroup generator can be pushed along a chosen embedding.
+    The data are read as in push_resolution; a pushed term (g, c) becomes
+    the ring element (c * chi_G, g).  d d = 0 is not checked, so that
+    defect_report can measure a complex that is not one.  The gradient
+    takes its rows from push_complex and discretize.shapiro_complex; this
+    marked route to the same rows, through coinvariants_complex, is their
+    independent check.
     """
-    if len(matrices) != len(ranks) - 1:
-        raise ValueError(f"{len(matrices)} matrices for {len(ranks)} ranks")
+    pushed = push_resolution(space, ranks, matrices, gen_images)
     modules = [MarkedModule.full(space, n) for n in ranks]
     full = range(space.order)
-    boundaries = []
-    for r, mat in enumerate(matrices, start=1):
-        if len(mat) != ranks[r]:
-            raise ValueError(f"matrix {r} has {len(mat)} rows, expected {ranks[r]}")
-        entries = []
-        for row in mat:
-            if len(row) != ranks[r - 1]:
-                raise ValueError(
-                    f"matrix {r} row has {len(row)} columns, expected {ranks[r - 1]}"
-                )
-            out_row = []
-            for elt in row:
-                # push_to_quotient keeps nonzero coefficients only
-                pushed = push_to_quotient(elt, space, gen_images)
-                out_row.append({g: dict.fromkeys(full, c)
-                                for g, c in pushed.items()})
-            entries.append(out_row)
-        boundaries.append(
-            MarkedMorphism(modules[r], modules[r - 1], entries, normalize=False)
-        )
+    boundaries = [
+        MarkedMorphism(modules[r], modules[r - 1],
+                       [[{g: dict.fromkeys(full, c) for g, c in elt.items()}
+                         for elt in row] for row in mat],
+                       normalize=False)
+        for r, mat in enumerate(pushed, start=1)]
     aug = None
     if augmented:
         if ranks[0] != 1:

@@ -525,10 +525,27 @@ class MarkedMorphism:
         space = level_from_json(data)
         domain = MarkedModule(space, carriers_from_json(data["domain"]))
         codomain = MarkedModule(space, carriers_from_json(data["codomain"]))
-        entries = [
-            [celt_from_json(space, t) for t in row] for row in data["entries"]
-        ]
-        return MarkedMorphism(domain, codomain, entries)
+        return morphism_from_json(domain, codomain, data["entries"])
+
+
+def morphism_from_json(domain: MarkedModule, codomain: MarkedModule,
+                       rows: list) -> MarkedMorphism:
+    """The morphism whose entries are the JSON rows of ring elements.  A
+    nonzero coefficient at a point outside A_i intersect g B_j, which
+    normalisation would drop, is refused: the morphism measured must be
+    the one in the file."""
+    space = domain.space
+    entries = [[celt_from_json(space, t) for t in row] for row in rows]
+    f = MarkedMorphism(domain, codomain, entries)
+    for i, (row, kept_row) in enumerate(zip(entries, f.entries)):
+        for j, (z, kept) in enumerate(zip(row, kept_row)):
+            for g, fibre in z.items():
+                for u, c in fibre.items():
+                    if c and u not in kept.get(g, ()):
+                        raise ValueError(
+                            f"entry ({i}, {j}): point {u} lies outside the "
+                            f"support A_{i} ∩ g B_{j} of its term")
+    return f
 
 
 # ---------------------------------------------------------------------------

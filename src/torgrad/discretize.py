@@ -4,9 +4,12 @@ The coinvariants of a marked module at a level form a free abelian group
 with one generator per atom (summand, point); a marked morphism becomes an
 integer matrix whose column l1 norms are bounded by its operator norm,
 built as sparse rows {column: value} and kept sparse through elimination.
-Induced resolutions can alternatively be discretised straight from the
-group ring data (one permutation block per word), giving an independent
-route to the same rows.
+The gradient builds its rows straight from resolution data pushed to the
+level (shapiro_complex: one permutation block per pushed term) and builds
+no marked complex; the coinvariants of the induced resolution
+(coinvariants_complex of complexes.induce_resolution) are the independent
+route to the same rows that the tests and `verify discretize` compare it
+with.
 
 The integer linear algebra lives here too, as one sparse elimination
 kernel (Dumas, Saunders, Villard, J. Symbolic Comput. 32, 2001;
@@ -42,7 +45,7 @@ from typing import Optional, Sequence
 
 from .crossring import MarkedModule, MarkedMorphism, morphism_stats
 from .complexes import MarkedComplex, check_chain_map
-from .groups import FiniteQuotient, push_to_quotient
+from .groups import FiniteQuotient
 
 Matrix = list  # list of rows, each a list of ints
 
@@ -341,46 +344,39 @@ def coinvariants_complex(cx: MarkedComplex) -> tuple[list, list]:
     return dims, mats
 
 
-def shapiro_matrix(
-    quotient: FiniteQuotient,
-    ring_matrix: Sequence[Sequence[dict]],
-    gen_images: Optional[Sequence[int]] = None,
-) -> list:
-    """Discretise group ring data directly: each word w contributes its
-    permutation block e_u -> e_{w^-1 u}.
+def shapiro_matrix(quotient: FiniteQuotient, pushed: Sequence, cod_rank: int
+                   ) -> list:
+    """Discretise one pushed group ring matrix directly (Shapiro): each
+    term (g, c) contributes the permutation block e_u -> e_{g^-1 u} times c.
 
-    Rows of ring_matrix index domain summands, so the output is |G| *
-    #columns sparse rows of width |G| * #rows, with no zero stored; it
-    equals the coinvariants matrix of the induced full-carrier morphism.
+    pushed is a boundary as push_resolution returns it, rows indexing
+    domain summands and cod_rank columns; the output is |G| * cod_rank
+    sparse rows of width |G| * len(pushed), with no zero stored.  It equals
+    the coinvariants matrix of the induced full-carrier morphism, dicts in
+    the same insertion order.
     """
     order = quotient.order
-    cod_rank = len(ring_matrix[0]) if ring_matrix else 0
     out = [{} for _ in range(order * cod_rank)]
-    for i, row in enumerate(ring_matrix):
-        for j, elt in enumerate(row):
-            pushed = push_to_quotient(elt, quotient, gen_images)
-            for g, c in pushed.items():
+    for i, row in enumerate(pushed):
+        base = i * order
+        for j, entry in enumerate(row):
+            block = out[j * order:(j + 1) * order]
+            for g, c in entry.items():
+                # one term per cell, as in coinvariants_matrix; c != 0
                 back = quotient.left_table(quotient.inv(g))
-                for u in range(order):
-                    # one term per cell, as in coinvariants_matrix; c != 0
-                    out[j * order + back[u]][i * order + u] = c
+                for col, v in enumerate(back, base):
+                    block[v][col] = c
     return out
 
 
-def shapiro_complex(
-    quotient: FiniteQuotient,
-    ranks: Sequence[int],
-    matrices: Sequence[Sequence[Sequence[dict]]],
-    gen_images: Optional[Sequence[int]] = None,
-) -> tuple[list, list]:
-    """dims and boundary rows at the level, straight from ring data."""
+def shapiro_complex(quotient: FiniteQuotient, ranks: Sequence[int],
+                    pushed: Sequence) -> tuple[list, list]:
+    """dims[r] and mats[r], the degree r+1 boundary's rows, at the level
+    straight from resolution data pushed there (push_resolution or
+    push_complex): the rows of coinvariants_complex of induce_resolution's
+    complex, with no marked complex built."""
     dims = [quotient.order * n for n in ranks]
-    mats = [shapiro_matrix(quotient, m, gen_images) for m in matrices]
-    for r, m in enumerate(mats):
-        rr, cc = len(m), quotient.order * len(matrices[r])
-        if rr != dims[r] or cc != dims[r + 1]:
-            raise ValueError(f"matrix {r} has shape {rr}x{cc}, "
-                             f"expected {dims[r]}x{dims[r + 1]}")
+    mats = [shapiro_matrix(quotient, m, ranks[r]) for r, m in enumerate(pushed)]
     return dims, mats
 
 
@@ -405,10 +401,26 @@ def homology_of_complex(dims: Sequence[int], mats: Sequence[list]) -> tuple:
 
     mats[r] is the boundary d_{r+1} from degree r+1 to degree r, as dims[r]
     sparse rows {column: value} of width dims[r+1], which are not modified.
-    d d = 0 is checked on those rows, then the complex is reduced from the
-    top boundary down, each boundary factored once: b_n = dims[n] - rk d_n
-    - rk d_{n+1}, and Tors H_n is the torsion of coker d_{n+1}, since
-    C_n / ker d_n is free.
+    d d = 0 is checked on those rows, then _reduced_homology reduces the
+    complex.
+    """
+    if any(len(m) != n for m, n in zip(mats, dims)):
+        raise ValueError(f"boundaries do not have {list(dims)} rows")
+    for r in range(1, len(mats)):
+        if not _composes_to_zero(mats[r - 1], mats[r]):
+            raise ValueError(
+                "boundaries do not compose to zero; not a complex"
+            )
+    return _reduced_homology(dims, mats)
+
+
+def _reduced_homology(dims: Sequence[int], mats: Sequence[list]) -> tuple:
+    """homology_of_complex without its checks, for rows known to form a
+    complex: the gradient's, whose ring matrices push_complex checked.
+
+    The complex is reduced from the top boundary down, each boundary
+    factored once: b_n = dims[n] - rk d_n - rk d_{n+1}, and Tors H_n is the
+    torsion of coker d_{n+1}, since C_n / ker d_n is free.
 
     A unit pivot of d_{n+1} pairs a generator a of C_n with a generator b
     of C_{n+1}; d_n d_{n+1} b = 0 puts d_n a in the span of d_n on the
@@ -423,13 +435,6 @@ def homology_of_complex(dims: Sequence[int], mats: Sequence[list]) -> tuple:
     eliminated in the orientation with the shorter columns, transposed
     when it has more live rows than live columns.
     """
-    if any(len(m) != n for m, n in zip(mats, dims)):
-        raise ValueError(f"boundaries do not have {list(dims)} rows")
-    for r in range(1, len(mats)):
-        if not _composes_to_zero(mats[r - 1], mats[r]):
-            raise ValueError(
-                "boundaries do not compose to zero; not a complex"
-            )
     factors = [()] * len(mats)  # factors[n] belongs to d_{n+1}
     paired = set()  # generators of C_{r+1} that d_{r+2} pairs off
     for r in reversed(range(len(mats))):

@@ -10,6 +10,7 @@ config + seed gives byte-identical CSV.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -21,6 +22,7 @@ from .complexes import (
     defect_report,
     gh_verify,
     induce_resolution,
+    push_complex,
 )
 from .config import (
     ConfigError,
@@ -36,9 +38,9 @@ from .constructions import (
 from .crossring import MarkedMorphism
 from .discretize import (
     HomologyResult,
+    _reduced_homology,
     betti_mod_p,
-    coinvariants_complex,
-    homology_of_complex,
+    shapiro_complex,
 )
 from .groups import FiniteQuotient, OrderCapExceeded, order_cap
 from .lognorm import (
@@ -119,42 +121,49 @@ class GradientTable:
 
 def run_gradient(cfg: GradientConfig) -> GradientTable:
     """Betti/torsion gradient table along the levels of a config that
-    parse_gradient_config has checked and enumerated; nothing is checked
-    here.  Each coinvariant boundary is factored once per level: betti_q,
-    logtors and, by universal coefficients, betti_p.  dim_upper and
-    lognorm_upper come from the target complex (the induced resolution,
-    whose coinvariant rows and boundary ranks are already built, or the
-    Rokhlin tile complex, with the bound columns and verdict).  A degree
-    above the resolution reads zero homology and an empty target."""
+    parse_gradient_config has checked and enumerated.
+
+    At each level the resolution's ring entries are pushed once and d d = 0
+    is checked on those ranks x ranks matrices (push_complex); the
+    coinvariant rows are built straight from them (shapiro_complex) and
+    each boundary is factored once: betti_q, logtors and, by universal
+    coefficients, betti_p.  No marked complex is built; the induced
+    resolution's coinvariants are the tests' independent route to the same
+    rows.  dim_upper and lognorm_upper come from the target: on the
+    induced target dim_upper is the free rank and the lognorm bound reads
+    the rows already built; the Rokhlin tile complex adds the bound columns
+    and the verdict.  A degree above the resolution reads zero homology and
+    an empty target."""
     embedded = cfg.tile is not None
+    ranks = cfg.resolution[0]
+    top = len(ranks) - 1
     rows = []
     for idx, quotient in enumerate(cfg.levels, start=1):
-        induced = induce_resolution(quotient, *cfg.resolution,
-                                    augmented=False)
-        dims, mats = coinvariants_complex(induced)
-        homology = homology_of_complex(dims, mats)
+        pushed = push_complex(quotient, *cfg.resolution)
+        dims, mats = shapiro_complex(quotient, ranks, pushed)
+        homology = _reduced_homology(dims, mats)
         betti_p = betti_mod_p(homology, cfg.p)
         per_degree = dict(enumerate(zip(homology, betti_p)))
         target = (rokhlin_partition(quotient.order, cfg.tile).complex
-                  if embedded else induced)
+                  if embedded else None)
         for n in cfg.degrees:
             h, bp = per_degree.get(n, (HomologyResult(0, (), 0), 0))
-            dim_upper = (target.module(n).dim()
-                         if n <= target.top_degree else Fraction(0))
-            if n + 1 > target.top_degree:
-                ln_upper = 0.0
-            elif embedded:
-                ln_upper = lognorm_upper(target.boundary(n + 1), cfg.strategy)
-            else:  # mats[n] is boundary n + 1, of the rank h holds
-                ln_upper = lognorm_rows(mats[n], dims[n + 1], quotient.order,
-                                        cfg.strategy, h.boundary_rank)[0]
-            bounds = ()
             if embedded:
+                dim_upper = (target.module(n).dim()
+                             if n <= target.top_degree else Fraction(0))
+                ln_upper = (lognorm_upper(target.boundary(n + 1), cfg.strategy)
+                            if n + 1 <= target.top_degree else 0.0)
                 betti_bound = quotient.order * dim_upper
                 torsion_bound = quotient.order * ln_upper
                 bounds = (betti_bound, torsion_bound,
                           h.betti <= betti_bound and bp <= betti_bound
                           and h.log_torsion <= torsion_bound + LOG_SLACK)
+            else:  # mats[n] is boundary n + 1, of the rank h holds
+                dim_upper = Fraction(ranks[n] if n <= top else 0)
+                ln_upper = (lognorm_rows(mats[n], dims[n + 1], quotient.order,
+                                         cfg.strategy, h.boundary_rank)[0]
+                            if n + 1 <= top else 0.0)
+                bounds = ()
             rows.append(GradientRow(idx, quotient.order, n, h.betti, bp,
                                     h.log_torsion, dim_upper, ln_upper,
                                     *bounds))
@@ -286,7 +295,11 @@ def cmd_strictify_demo(args) -> int:
 # argument parsing
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: parse_args keeps no state
+    between calls, and main runs many times in one process in the tests
+    and the benchmark."""
     parser = argparse.ArgumentParser(
         prog="torgrad",
         description="Betti and torsion gradients over finite quotient "

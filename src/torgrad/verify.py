@@ -20,6 +20,7 @@ from .complexes import (
     defect_report,
     gh_verify,
     induce_resolution,
+    push_complex,
     witness_defect,
 )
 from .config import ConfigError
@@ -502,8 +503,9 @@ def _suite_discretize(rng: random.Random) -> Optional[dict]:
         # the dense Smith loop on each whole boundary
         "dense": homology_from_factors(dims, [_core_invariant_factors(
             to_dense(m, w)) for m, w in zip(level, dims[1:])]),
-        "shapiro": homology_of_complex(
-            *shapiro_complex(q, ranks, mats, images)),
+        # the gradient's rows, from the ring entries pushed once
+        "shapiro": homology_of_complex(*shapiro_complex(
+            q, ranks, push_complex(q, ranks, mats, images))),
     }
     if not routes["reduced"] == routes["dense"] == routes["shapiro"]:
         return {"complex": cx.to_json(),

@@ -3,12 +3,16 @@ tests check against sympy, the free group ring arithmetic that the Fox
 calculus oracle needs, a tuple-key quotient enumeration,
 pointwise and copying crossed-ring products, an ambient comparison by
 composed maps, a lognorm certificate check, the lognorm certificate by
-its route on morphisms and the Rokhlin level contraction atom by atom."""
+its route on morphisms, the Rokhlin level contraction atom by atom, and
+the benchmark's workload definitions."""
 
+import importlib.util
 import math
+import sys
 from collections import deque
 from fractions import Fraction
 from operator import add, mod
+from pathlib import Path
 
 from sympy import Matrix as SymMatrix
 
@@ -544,3 +548,13 @@ def reference_level_contraction(result):
             if lhs != celt_sub(z, celt_mul(space, {0: eta}, x)):
                 return False
     return True
+
+
+def bench_workloads():
+    """perfbench/workloads.py, read only: its configs and golden CSVs."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look the module up
+    spec.loader.exec_module(module)
+    return module

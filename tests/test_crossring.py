@@ -370,6 +370,24 @@ def test_json_readers_refuse_points_outside_the_level(point):
         assert_refused(reader, data, path, point, "outside the level")
 
 
+def test_json_readers_refuse_points_outside_the_allowed_support():
+    dom, _ = spaces_modules()
+    f = MarkedMorphism.identity(dom)
+    cx = MarkedComplex([dom, dom], [f],
+                       Augmentation(dom, [{0: 1, 1: -3}, {1: 2}]))
+    # point 3 lies in the level but outside A_0 = {0, 1, 2}; normalisation
+    # would drop it and measure another map, so the readers refuse it
+    cases = [(MarkedMorphism.from_json, f.to_json(),
+              ("entries", 0, 0, 0, "coeffs", 0, 0), "outside the support"),
+             (MarkedComplex.from_json, cx.to_json(),
+              ("boundaries", 0, 0, 0, 0, "coeffs", 0, 0),
+              "outside the support"),
+             (MarkedComplex.from_json, cx.to_json(),
+              ("augmentation", 0, 0, 0), "outside carrier 0")]
+    for reader, data, path, match in cases:
+        assert_refused(reader, data, path, 3, match)
+
+
 def test_char_p_coefficients():
     # coefficients are integers: a serialized char must be absent or 0
     data = level_to_json(FiniteQuotient.abelian([4]))

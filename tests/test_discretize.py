@@ -36,10 +36,14 @@ from torgrad.discretize import (
     _oriented,
     _sparse_rows,
 )
+from torgrad.complexes import induce_resolution, push_complex, push_resolution
+from torgrad.constructions import resolution_by_name
 from torgrad.lognorm import gabber_exact
 from torgrad.config import parse_gradient_config
 from torgrad.pipeline import run_gradient
+from torgrad.verify import random_torsion_level
 from helpers import (
+    bench_workloads,
     free_complex,
     gm1,
     koszul2,
@@ -640,15 +644,19 @@ def test_coinvariants_functorial(data):
     assert to_dense(lhs, sp.order) == mat_mul(dense(g), dense(f))
 
 
+KOSZUL2_MATS = [
+    [[gm1("a")], [gm1("b")]],
+    [[{w("b"): -1, (): 1}, gm1("a")]],
+]
+
+
 def test_shapiro_matches_coinvariants_of_induced():
-    mats = [
-        [[gm1("a")], [gm1("b")]],
-        [[{w("b"): -1, (): 1}, gm1("a")]],
-    ]
     for sp in (SP33, SPS3):
         cx = koszul2(sp)
         dims, route_a = coinvariants_complex(cx)
-        dims_b, route_b = shapiro_complex(sp, [1, 2, 1], mats)
+        # unchecked: koszul2 at S3 is not a complex
+        pushed = push_resolution(sp, [1, 2, 1], KOSZUL2_MATS)
+        dims_b, route_b = shapiro_complex(sp, [1, 2, 1], pushed)
         assert dims == dims_b
         assert route_a == route_b
         for r, rows in enumerate(route_b):
@@ -659,15 +667,83 @@ def test_shapiro_matches_coinvariants_of_induced():
             assert _core_invariant_factors(dense) == sympy_factors(dense)
 
 
+def test_koszul_square_with_non_commuting_images_is_refused():
+    # at S3 the images of a and b do not commute, so d_1 d_2 = ab - ba is
+    # not zero: the check on the pushed ring matrices refuses the data, and
+    # homology_of_complex still refuses their coinvariant rows
+    ranks = [1, 2, 1]
+    assert SPS3.mul(*SPS3.generator_images) != SPS3.mul(
+        *reversed(SPS3.generator_images))
+    with pytest.raises(ValueError, match="do not compose to zero"):
+        push_complex(SPS3, ranks, KOSZUL2_MATS)
+    rows = shapiro_complex(SPS3, ranks, push_resolution(SPS3, ranks,
+                                                        KOSZUL2_MATS))
+    with pytest.raises(ValueError, match="do not compose to zero"):
+        homology_of_complex(*rows)
+    with pytest.raises(ValueError, match="do not compose to zero"):
+        homology_of_complex(*coinvariants_complex(koszul2(SPS3)))
+    # at (Z/3)^2 they commute, and both checks pass
+    pushed = push_complex(SP33, ranks, KOSZUL2_MATS)
+    assert pushed == push_resolution(SP33, ranks, KOSZUL2_MATS)
+    homology_of_complex(*shapiro_complex(SP33, ranks, pushed))
+
+
 def test_shapiro_with_generator_images():
     q = FiniteQuotient.abelian([6])
     image = q.power(q.generator_images[0], 2)  # t -> t^2 in Z/6
     cx = zres(q, image)
     dims, mats = coinvariants_complex(cx)
-    block = shapiro_matrix(q, [[gm1("a")]], gen_images=[image])
-    assert mats[0] == block
-    with pytest.raises(ValueError):
-        shapiro_complex(q, [1, 2], [[[gm1("a")]]])
+    (pushed,) = push_resolution(q, [1, 1], [[[gm1("a")]]], [image])
+    assert mats[0] == shapiro_matrix(q, pushed, 1)
+    with pytest.raises(ValueError, match="1 rows, expected 2"):
+        push_resolution(q, [1, 2], [[[gm1("a")]]])
+
+
+def _row_routes_agree(q, ranks, mats, images=None):
+    """Both routes to a level's coinvariant rows: the induced marked
+    complex and the Shapiro rows of the checked pushed entries; equal rows
+    (insertion order included) and equal homology.  Returns the homology."""
+    induced = induce_resolution(q, ranks, mats, gen_images=images,
+                                augmented=False)
+    dims, rows = coinvariants_complex(induced)
+    dims_s, rows_s = shapiro_complex(
+        q, ranks, push_complex(q, ranks, mats, images))
+    assert dims_s == dims
+    assert [[list(row.items()) for row in m] for m in rows_s] == [
+        [list(row.items()) for row in m] for m in rows]
+    homology = homology_of_complex(dims, rows)
+    assert homology_of_complex(dims_s, rows_s) == homology
+    return homology
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_row_routes_agree_on_the_benchmark_levels(seed):
+    workloads = bench_workloads()
+    for name in ("gradient-ladder", "gradient-cyclic"):
+        for inv in workloads.invocations(name, seed):
+            cfg = parse_gradient_config(inv.config)
+            for q in cfg.levels:
+                _row_routes_agree(q, *cfg.resolution)
+
+
+def test_row_routes_agree_with_generator_images():
+    q = FiniteQuotient.abelian([12])
+    ranks, mats = resolution_by_name("free_abelian", 2)
+    images = [q.power(q.generator_images[0], 4), q.generator_images[0]]
+    homology = _row_routes_agree(q, ranks, mats, images)
+    assert [h.betti for h in homology] == [1, 2, 1]
+    ranks, mats = resolution_by_name("integers", None)
+    _row_routes_agree(q, ranks, mats, [q.power(q.generator_images[0], 5)])
+
+
+def test_row_routes_agree_on_torsion_levels():
+    rng = random.Random(5)
+    kinds = set()
+    for _ in range(200):
+        q, ranks, mats, images = random_torsion_level(rng)
+        if any(h.torsion for h in _row_routes_agree(q, ranks, mats, images)):
+            kinds.add(q.spec["kind"])
+    assert kinds == {"abelian", "permutation"}
 
 
 def level_homology(cx):

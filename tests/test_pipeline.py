@@ -6,6 +6,7 @@ import hashlib
 import importlib.util
 import io
 import json
+import math
 import os
 import random
 import subprocess
@@ -20,6 +21,7 @@ from hypothesis import given, settings, strategies as st
 
 import torgrad
 from torgrad import (
+    complexes,
     constructions,
     crossring,
     discretize,
@@ -33,7 +35,11 @@ from torgrad.crossring import MarkedModule, MarkedMorphism
 from torgrad.discretize import coinvariants_complex, homology_of_complex
 from torgrad.groups import FiniteQuotient, word_to_str
 from torgrad.lognorm import lognorm_exact, lognorm_upper
-from helpers import certificate_value, reference_lognorm_certificate
+from helpers import (
+    bench_workloads,
+    certificate_value,
+    reference_lognorm_certificate,
+)
 from torgrad.pipeline import (
     ConfigError,
     GRADIENT_COLUMNS,
@@ -263,13 +269,13 @@ CYCLIC_CHAIN = {"family": "integers",
 def test_gradient_cli_checks_every_level_before_computing(
         tmp_path, capsys, monkeypatch, config, reason):
     calls = []
-    build = pipeline.induce_resolution
+    build = pipeline.push_complex
 
     def counted(*args, **kwargs):
         calls.append(args[0].order)
         return build(*args, **kwargs)
 
-    monkeypatch.setattr(pipeline, "induce_resolution", counted)
+    monkeypatch.setattr(pipeline, "push_complex", counted)
     code, err = _gradient_cli_error(tmp_path, capsys, config)
     assert code == 1
     assert err.startswith(f"config error: {reason}")
@@ -544,19 +550,9 @@ def test_dataclass_fields_are_read():
     assert not unread, f"dataclass fields that nothing reads: {unread}"
 
 
-def _bench_workloads():
-    """perfbench/workloads.py, read only: its configs and golden CSVs."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("bench_workloads", path)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # dataclasses look the module up
-    spec.loader.exec_module(module)
-    return module
-
-
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_gradient_ladder_matches_golden_csv(tmp_path, capsys, seed):
-    workloads = _bench_workloads()
+    workloads = bench_workloads()
     for inv in workloads.invocations("gradient-ladder", seed):
         cfg_path = tmp_path / "exp.json"
         cfg_path.write_text(json.dumps(inv.config))
@@ -568,7 +564,7 @@ def test_gradient_ladder_matches_golden_csv(tmp_path, capsys, seed):
 def test_gradient_cyclic_matches_golden_csv(tmp_path, capsys):
     # the benchmark's embedding configs, one per tile; the seed picks the
     # tile, so seeds are taken in order until every tile is seen
-    workloads = _bench_workloads()
+    workloads = bench_workloads()
     by_tile, seed = {}, 0
     while len(by_tile) < len(workloads.CYCLIC_TILES):
         inv, = workloads.invocations("gradient-cyclic", seed)
@@ -583,11 +579,39 @@ def test_gradient_cyclic_matches_golden_csv(tmp_path, capsys):
         assert capsys.readouterr().out == golden, inv.label
 
 
+@pytest.mark.parametrize("family, param, moduli, betti", [
+    ("surface", 2, [10] * 4, [1, 2 + 2 * 10 ** 4, 1]),
+    ("free_abelian", 3, [21] * 3, [1, 3, 3, 1]),
+], ids=["surface2-Z10^4", "free_abelian3-Z21^3"])
+def test_gradient_near_the_order_cap_matches_closed_forms(family, param,
+                                                          moduli, betti):
+    table = gradient({"family": family, "param": param,
+                      "levels": [{"kind": "abelian", "moduli": moduli}]})
+    order = math.prod(moduli)
+    assert [(row.order, row.degree, row.betti_q, row.betti_p, row.logtors)
+            for row in table.rows] == [(order, n, b, b, 0)
+                                       for n, b in enumerate(betti)]
+
+
+def test_main_builds_its_parser_once(tmp_path, capsys):
+    assert pipeline.build_parser() is pipeline.build_parser()
+    # a reused parser keeps nothing from one call to the next: without
+    # --output the second table goes to stdout
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps(FREE_CHAIN))
+    out_path = tmp_path / "table.csv"
+    assert main(["gradient", "--config", str(cfg_path),
+                 "--output", str(out_path)]) == 0
+    assert capsys.readouterr().out == ""
+    assert main(["gradient", "--config", str(cfg_path)]) == 0
+    assert capsys.readouterr().out == out_path.read_text() != ""
+
+
 def test_gradient_lognorm_column_matches_reference():
     # the lognorm_upper column is read off the coinvariant rows that the
     # homology used; on the first two levels of each benchmark ladder
     # family it equals the bound by the route on morphisms, bit for bit
-    for inv in _bench_workloads().invocations("gradient-ladder", 0):
+    for inv in bench_workloads().invocations("gradient-ladder", 0):
         for strategy in ("atoms", "greedy", "block"):
             cfg = parse_gradient_config(dict(
                 inv.config, levels=inv.config["levels"][:2],
@@ -605,11 +629,17 @@ def test_gradient_lognorm_column_matches_reference():
                     inv.label, strategy, row.level, n)
 
 
-def test_gradient_builds_each_coinvariant_boundary_once(monkeypatch):
-    # on the induced target, each boundary's coinvariant rows are built
-    # once per level, and the lognorm bound reads them instead of walking
-    # the boundary's fibres again
-    calls = {"coinvariants_matrix": 0, "_point_masses": 0}
+@pytest.mark.parametrize("embedded", [False, True])
+def test_gradient_builds_each_level_from_the_pushed_ring_data(monkeypatch,
+                                                              embedded):
+    # each level pushes every ring entry once and checks d d = 0 on the
+    # pushed matrices once; each boundary's rows are built once from them,
+    # and the lognorm bound reads those rows; no marked complex is built
+    # and no coinvariant cell is multiplied out
+    names = ("push_complex", "push_to_quotient", "shapiro_matrix",
+             "induce_resolution", "coinvariants_matrix", "_composes_to_zero",
+             "_point_masses")
+    calls = dict.fromkeys(names, 0)
 
     def counted(fn):
         def wrapper(*args, **kwargs):
@@ -617,26 +647,35 @@ def test_gradient_builds_each_coinvariant_boundary_once(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    matrix = counted(discretize.coinvariants_matrix)
-    monkeypatch.setattr(discretize, "coinvariants_matrix", matrix)
-    monkeypatch.setattr(lognorm, "coinvariants_matrix", matrix)
-    monkeypatch.setattr(crossring, "_point_masses",
-                        counted(crossring._point_masses))
-    inv = _bench_workloads().invocations("gradient-ladder", 0)[1]
-    cfg = parse_gradient_config(inv.config)
-    assert cfg.tile is None and len(cfg.levels) == 2
-    boundaries = sum(induce_resolution(q, *cfg.resolution,
-                                       augmented=False).top_degree
-                     for q in cfg.levels)
-    assert boundaries == 4
-    run_gradient(cfg)
-    assert calls == {"coinvariants_matrix": boundaries, "_point_masses": 0}
+    for module in (pipeline, complexes, discretize, lognorm, crossring):
+        for name in names:
+            if name in vars(module):
+                monkeypatch.setattr(module, name, counted(vars(module)[name]))
+    if embedded:
+        config = {"family": "integers",
+                  "levels": [{"kind": "abelian", "moduli": [m]}
+                             for m in (20, 30)],
+                  "embedding": {"kind": "rokhlin", "tile": 4}}
+    else:
+        config = bench_workloads().invocations("gradient-ladder", 0)[1].config
+    cfg = parse_gradient_config(config)
+    assert len(cfg.levels) == 2
+    ranks, mats = cfg.resolution
+    entries = sum(len(row) for mat in mats for row in mat)
+    table = run_gradient(cfg)
+    assert all(row.verdict is not None for row in table.rows) == embedded
+    # on the Rokhlin target the lognorm bound of the tile complex's one
+    # boundary reads that boundary's coinvariants, once per level
+    assert calls == {"push_complex": 2, "push_to_quotient": 2 * entries,
+                     "shapiro_matrix": 2 * len(mats), "induce_resolution": 0,
+                     "coinvariants_matrix": 2 if embedded else 0,
+                     "_composes_to_zero": 0, "_point_masses": 0}
 
 
 def _bench_tracer(monkeypatch):
     """perfbench/workloads.py and a Tracer of perfbench/tracer.py, read
     only."""
-    workloads = _bench_workloads()
+    workloads = bench_workloads()
     monkeypatch.setitem(sys.modules, "workloads", workloads)
     path = Path(workloads.__file__).with_name("tracer.py")
     spec = importlib.util.spec_from_file_location("bench_tracer", path)
@@ -944,6 +983,22 @@ def test_lognorm_cli_refuses_points_outside_the_level(tmp_path, capsys,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"config error: {what} {value} outside the level\n"
+
+
+def test_lognorm_cli_refuses_points_outside_the_allowed_support(tmp_path,
+                                                                capsys):
+    # point 2 is in Z/3 but outside the carrier {0}: it used to be dropped,
+    # and the bound of the zero map printed
+    data = {"quotient": {"kind": "abelian", "moduli": [3]},
+            "domain": [[0]], "codomain": [[0]],
+            "entries": [[[{"word": "", "coeffs": [[2, 5]]}]]]}
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(data))
+    assert main(["lognorm", "--input", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("config error: entry (0, 0): point 2 lies outside "
+                            "the support A_0 ∩ g B_0 of its term\n")
 
 
 def _set_word(data, value):
