@@ -41,10 +41,7 @@ from .discretize import (
 from .lognorm import (
     gabber_bounds,
     gabber_column_bound,
-    gabber_exact,
-    lognorm_certificate,
-    lognorm_exact,
-    lognorm_upper,
+    lognorm_rows,
 )
 from .constructions import (
     integers_embedding,
@@ -66,8 +63,7 @@ __all__ = [
     "betti_mod_p", "coinvariants_complex", "coinvariants_matrix",
     "homology_of_complex", "invariant_factors", "retract_inequality_check",
     "shapiro_complex",
-    "gabber_bounds", "gabber_column_bound", "gabber_exact",
-    "lognorm_certificate", "lognorm_exact", "lognorm_upper",
+    "gabber_bounds", "gabber_column_bound", "lognorm_rows",
     "integers_embedding", "resolution_by_name",
     "rokhlin_partition",
 ]

@@ -33,7 +33,7 @@ from .crossring import (
     celt_sub,
     op_norm,
 )
-from .complexes import MarkedComplex
+from .complexes import MarkedComplex, induce_resolution
 
 
 def _gm1(k: int) -> dict:
@@ -168,8 +168,13 @@ class RokhlinResult:
 
 
 def _residue_points(quotient: FiniteQuotient):
-    t = quotient.generator_images[0]
-    return tuple(quotient.power(t, r) for r in range(quotient.order))
+    """point[r] = t^r for 0 <= r < |G|, each found from the last by one
+    step of t's left table."""
+    step = quotient.left_table(quotient.generator_images[0])
+    point = [quotient.identity]
+    for _ in range(1, quotient.order):
+        point.append(step[point[-1]])
+    return tuple(point)
 
 
 def _shifted(point: tuple, points: frozenset, shift: int) -> frozenset:
@@ -367,19 +372,12 @@ def integers_embedding(rok: RokhlinResult) -> EmbeddingResult:
     resolution a retract.  Norms stay bounded by the tile: f, r0 by 1, r1
     by N and h0 by N - 1.
     """
-    M, N = rok.modulus, rok.tile
-    space = rok.complex.space
+    N = rok.tile
     point = rok.point
     # resolution of Z with the degree-1 generator oriented so that
     # d_1 = 1 - t; this matches the sign of the Rokhlin boundary
-    full = MarkedModule.full(space, 1)
-    d_entry = celt_sub(celt_indicator(range(M)),
-                       celt_indicator(range(M), point[1 % M]))
-    source = MarkedComplex(
-        [full, full],
-        [MarkedMorphism(full, full, [[d_entry]])],
-        Augmentation(full, [dict.fromkeys(range(M), 1)]),
-    )
+    source = induce_resolution(rok.complex.space, [1, 1],
+                               [[[{(): 1, ((0, 1),): -1}]]])
 
     tile_top = _shifted(point, rok.base, N)      # t^N A
     rem_up = _shifted(point, rok.remainder, 1)   # t B

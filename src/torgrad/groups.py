@@ -74,7 +74,7 @@ def reduce_word(pairs: Iterable[Sequence[int]]) -> Word:
 _TOKEN = re.compile(r"(?:([a-z])|\{(\d+)\})(?:\^?(-?\d+))?")
 
 
-def parse_word(text: str, num_generators: Optional[int] = None) -> Word:
+def parse_word(text: str) -> Word:
     """Parse a word like ``"aba-1b-1"``, ``"a^2 c-3"`` or ``"{26}b-1"``.
 
     Generators are lowercase letters a, b, c, ... mapped to indices 0, 1,
@@ -94,11 +94,6 @@ def parse_word(text: str, num_generators: Optional[int] = None) -> Word:
             raise ValueError(f"cannot parse word {text!r} near offset {pos}")
         letter, braced, exp = match.groups()
         g = ord(letter) - ord("a") if letter else int(braced)
-        if num_generators is not None and g >= num_generators:
-            raise ValueError(
-                f"word {text!r} uses generator {generator_name(g)!r} but "
-                f"only {num_generators} generators are declared"
-            )
         pairs.append((g, 1 if exp is None else int(exp)))
         pos = match.end()
     if stripped[pos:].strip():
@@ -172,18 +167,6 @@ class Presentation:
                         f"relator {word_to_str(r)!r} uses generator index {g}, "
                         f"outside the declared {self.num_generators}"
                     )
-
-    @staticmethod
-    def from_json(data: dict) -> "Presentation":
-        num = data["generators"]
-        rels = [parse_word(r, num) for r in data.get("relators", [])]
-        return Presentation(num, rels)
-
-    def to_json(self) -> dict:
-        return {
-            "generators": self.num_generators,
-            "relators": [word_to_str(r) for r in self.relators],
-        }
 
     def __repr__(self) -> str:
         rels = ", ".join(word_to_str(r) or "1" for r in self.relators)

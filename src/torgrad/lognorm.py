@@ -1,16 +1,20 @@
 """Log-norm bounds for torsion growth.
 
-The bound is read from the coinvariants matrix of a morphism and |G|.  A
-partition of its columns, the domain atoms, gives the bound
+Every function here reads integer matrices; none sees a marked morphism.
+The bound of a morphism is read from its coinvariants matrix, sparse rows
+that the caller builds (``discretize.coinvariants_matrix``, or the
+gradient's Shapiro rows), and |G|.  A partition of its columns, the domain
+atoms, gives the bound
 
     sum over blocks of  min(dim block, rank of block) * log+ |block|
 
 normalised by |G|.  The block norm is the largest l1 norm of a column of
 the block (each cell gets one term, so that is the l1 mass of the atom's
 image), the block rank is the integer rank of its columns (never more
-than their number, so the min is the rank), and log+ x = max(0, log x).  The value of a block depends only on its column set, so
-the best bound over all decompositions is a minimum over set partitions;
-columns with zero norm contribute nothing and are kept out of the search.
+than their number, so the min is the rank), and log+ x = max(0, log x).
+The value of a block depends only on its column set, so the best bound
+over all decompositions is a minimum over set partitions; columns with
+zero norm contribute nothing and are kept out of the search.
 
 For plain integer matrices the same game is played on columns: the exact
 torsion of the cokernel (from its invariant factors: unit-pivot reduction
@@ -29,15 +33,7 @@ import math
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .crossring import MarkedMorphism
-from .discretize import (
-    _transpose,
-    coinvariants_matrix,
-    coinvariants_rank,
-    invariant_factors,
-    mat_shape,
-    sparse_rank,
-)
+from .discretize import _transpose, invariant_factors, mat_shape, sparse_rank
 
 LOG_SLACK = 1e-9
 EXACT_ATOM_CAP = 10
@@ -186,29 +182,6 @@ def lognorm_values(rows: list, width: int, order: int,
     return [_search(ctx, strategy)[0] for strategy in strategies]
 
 
-def lognorm_certificate(f: MarkedMorphism, strategy: str = "greedy") -> tuple:
-    """Value plus the decomposition realising it, for audit output.
-
-    Blocks are lists of (summand, point) atoms of f's domain, read off the
-    column positions that lognorm_rows gives on coinvariants_matrix(f).
-    """
-    atoms = list(f.domain.atoms())
-    value, blocks = lognorm_rows(coinvariants_matrix(f), len(atoms),
-                                 f.space.order, strategy)
-    return value, [[atoms[k] for k in block] for block in blocks]
-
-
-def lognorm_upper(f: MarkedMorphism, strategy: str = "greedy") -> float:
-    """Upper bound for the log-norm of f by the named search strategy:
-    lognorm_rows on coinvariants_matrix(f)."""
-    return lognorm_rows(coinvariants_matrix(f), coinvariants_rank(f.domain),
-                        f.space.order, strategy)[0]
-
-
-def lognorm_exact(f: MarkedMorphism) -> float:
-    return lognorm_upper(f, "exact")
-
-
 # ---------------------------------------------------------------------------
 # integer matrix bounds
 
@@ -253,10 +226,6 @@ def gabber_column_bound(a) -> float:
     return total
 
 
-def _log_torsion(factors) -> float:
-    return sum(math.log(d) for d in factors if d > 1)
-
-
 def gabber_bounds(a) -> tuple:
     """(exact, column, split) for the integer matrix a, each dominating
     the one before: the exact log torsion of the cokernel, the greedy
@@ -268,9 +237,5 @@ def gabber_bounds(a) -> tuple:
     factors = invariant_factors(a)
     peak = max(column_l1s(a), default=0)
     split = len(factors) * math.log(peak) if peak > 1 else 0.0
-    return _log_torsion(factors), gabber_column_bound(a), split
-
-
-def gabber_exact(a) -> float:
-    """Exact log torsion of the cokernel, from its invariant factors."""
-    return _log_torsion(invariant_factors(a))
+    torsion = sum(math.log(d) for d in factors if d > 1)
+    return torsion, gabber_column_bound(a), split

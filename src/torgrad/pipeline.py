@@ -40,15 +40,12 @@ from .discretize import (
     HomologyResult,
     _reduced_homology,
     betti_mod_p,
+    coinvariants_complex,
+    coinvariants_matrix,
     shapiro_complex,
 )
 from .groups import FiniteQuotient, OrderCapExceeded, order_cap
-from .lognorm import (
-    LOG_SLACK,
-    lognorm_certificate,
-    lognorm_rows,
-    lognorm_upper,
-)
+from .lognorm import LOG_SLACK, lognorm_rows
 from .strictify import strictify_complex
 from .verify import (
     VERIFY_SUITES,
@@ -129,42 +126,44 @@ def run_gradient(cfg: GradientConfig) -> GradientTable:
     each boundary is factored once: betti_q, logtors and, by universal
     coefficients, betti_p.  No marked complex is built; the induced
     resolution's coinvariants are the tests' independent route to the same
-    rows.  dim_upper and lognorm_upper come from the target: on the
-    induced target dim_upper is the free rank and the lognorm bound reads
-    the rows already built; the Rokhlin tile complex adds the bound columns
-    and the verdict.  A degree above the resolution reads zero homology and
-    an empty target."""
+    rows.
+
+    dim_upper and lognorm_upper are read from one target pair (tdims,
+    tmats) of coinvariant dimensions and rows: the level's own rows on the
+    induced target, whose boundary ranks the homology already holds, or
+    the Rokhlin tile complex's under an embedding, which adds the bound
+    columns and the verdict.  A degree above the resolution reads zero
+    homology, and one above the target zero bounds."""
     embedded = cfg.tile is not None
     ranks = cfg.resolution[0]
-    top = len(ranks) - 1
     rows = []
     for idx, quotient in enumerate(cfg.levels, start=1):
+        order = quotient.order
         pushed = push_complex(quotient, *cfg.resolution)
         dims, mats = shapiro_complex(quotient, ranks, pushed)
         homology = _reduced_homology(dims, mats)
         betti_p = betti_mod_p(homology, cfg.p)
         per_degree = dict(enumerate(zip(homology, betti_p)))
-        target = (rokhlin_partition(quotient.order, cfg.tile).complex
-                  if embedded else None)
+        if embedded:
+            tdims, tmats = coinvariants_complex(
+                rokhlin_partition(order, cfg.tile).complex)
+        else:
+            tdims, tmats = dims, mats
         for n in cfg.degrees:
             h, bp = per_degree.get(n, (HomologyResult(0, (), 0), 0))
+            dim_upper = Fraction(tdims[n] if n < len(tdims) else 0, order)
+            hint = None if embedded else h.boundary_rank
+            ln_upper = (lognorm_rows(tmats[n], tdims[n + 1], order,
+                                     cfg.strategy, hint)[0]
+                        if n < len(tmats) else 0.0)
+            bounds = ()
             if embedded:
-                dim_upper = (target.module(n).dim()
-                             if n <= target.top_degree else Fraction(0))
-                ln_upper = (lognorm_upper(target.boundary(n + 1), cfg.strategy)
-                            if n + 1 <= target.top_degree else 0.0)
-                betti_bound = quotient.order * dim_upper
-                torsion_bound = quotient.order * ln_upper
+                betti_bound = order * dim_upper
+                torsion_bound = order * ln_upper
                 bounds = (betti_bound, torsion_bound,
                           h.betti <= betti_bound and bp <= betti_bound
                           and h.log_torsion <= torsion_bound + LOG_SLACK)
-            else:  # mats[n] is boundary n + 1, of the rank h holds
-                dim_upper = Fraction(ranks[n] if n <= top else 0)
-                ln_upper = (lognorm_rows(mats[n], dims[n + 1], quotient.order,
-                                         cfg.strategy, h.boundary_rank)[0]
-                            if n + 1 <= top else 0.0)
-                bounds = ()
-            rows.append(GradientRow(idx, quotient.order, n, h.betti, bp,
+            rows.append(GradientRow(idx, order, n, h.betti, bp,
                                     h.log_torsion, dim_upper, ln_upper,
                                     *bounds))
 
@@ -254,11 +253,14 @@ def cmd_lognorm(args) -> int:
     data = _read_json_object(args.input)
     try:
         f = MarkedMorphism.from_json(data)
-        value, blocks = lognorm_certificate(f, args.strategy)
+        # the matrix's columns are the domain atoms, in atom order
+        atoms = list(f.domain.atoms())
+        value, blocks = lognorm_rows(coinvariants_matrix(f), len(atoms),
+                                     f.space.order, args.strategy)
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from None
     certificate = {"strategy": args.strategy, "value": value,
-                   "blocks": [[list(atom) for atom in block]
+                   "blocks": [[list(atoms[k]) for k in block]
                               for block in blocks]}
     print(_fmt(value))
     print(json.dumps(certificate, sort_keys=True))

@@ -1,15 +1,19 @@
 """Builders shared by the test modules, the dense rank over Q that the
-tests check against sympy, the free group ring arithmetic that the Fox
+tests check against sympy, the lognorm bound of a morphism and the
+torsion of a cokernel, the free group ring arithmetic that the Fox
 calculus oracle needs, a tuple-key quotient enumeration,
 pointwise and copying crossed-ring products, an ambient comparison by
 composed maps, a lognorm certificate check, the lognorm certificate by
-its route on morphisms, the Rokhlin level contraction atom by atom, and
-the benchmark's workload definitions."""
+its route on morphisms and by the CLI, the Rokhlin level contraction atom
+by atom, and the benchmark's workload definitions."""
 
 import importlib.util
+import io
+import json
 import math
 import sys
 from collections import deque
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from operator import add, mod
 from pathlib import Path
@@ -37,11 +41,13 @@ from torgrad.discretize import (
     _transpose,
     coinvariants_matrix,
     coinvariants_rank,
+    invariant_factors,
     mat_shape,
     sparse_rank,
     to_dense,
 )
-from torgrad.lognorm import EXACT_ATOM_CAP
+from torgrad.lognorm import EXACT_ATOM_CAP, lognorm_rows
+from torgrad.pipeline import main
 
 
 def coinvariants_dense(f):
@@ -49,10 +55,40 @@ def coinvariants_dense(f):
     return to_dense(coinvariants_matrix(f), coinvariants_rank(f.domain))
 
 
+def lognorm_of(f, strategy):
+    """The lognorm bound of the morphism f by the named strategy, read
+    from its coinvariants matrix."""
+    return lognorm_rows(coinvariants_matrix(f), coinvariants_rank(f.domain),
+                        f.space.order, strategy)[0]
+
+
+def log_torsion(a):
+    """The log of the order of the torsion of the cokernel of the dense
+    integer matrix a, from its invariant factors."""
+    return sum(math.log(d) for d in invariant_factors(a) if d > 1)
+
+
 def matrix_rank(a):
     """Rank over Q of a dense matrix by the sparse elimination, the entry
     that the tests check against sympy's rank."""
     return sparse_rank(_sparse_rows(a), mat_shape(a)[1])
+
+
+def cli_certificate(f, strategy, path):
+    """The certificate that `torgrad lognorm` prints for f, run in this
+    process on f's JSON written to path, in the form the reference gives:
+    the value and blocks of (summand, point) atoms.  A refused input
+    raises ValueError with the message of its config error."""
+    path.write_text(json.dumps(f.to_json()))
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["lognorm", "--input", str(path), "--strategy", strategy])
+    if code:
+        raise ValueError(err.getvalue().removeprefix("config error: "))
+    cert = json.loads(out.getvalue().splitlines()[1])
+    assert cert["strategy"] == strategy
+    return cert["value"], [[tuple(atom) for atom in block]
+                           for block in cert["blocks"]]
 
 
 def zeros(rows, cols):
@@ -452,7 +488,7 @@ def _list_partitions(items):
 
 
 def reference_lognorm_certificate(f, strategy):
-    """lognorm_certificate by its route on morphisms: atom norms summed
+    """The lognorm certificate by its route on morphisms: atom norms summed
     over the fibres of f, blocks hashed as frozensets of (summand, point)
     atoms, and block ranks from the columns of coinvariants_matrix(f)."""
     masses = [{} for _ in f.entries]

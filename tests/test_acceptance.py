@@ -30,15 +30,9 @@ from torgrad.discretize import (
     homology_of_complex,
     retract_inequality_check,
 )
-from torgrad.lognorm import (
-    gabber_bounds,
-    gabber_exact,
-    log_plus,
-    lognorm_exact,
-    lognorm_upper,
-)
+from torgrad.lognorm import gabber_bounds, log_plus
 from torgrad.strictify import strictify_complex
-from helpers import coinvariants_dense
+from helpers import coinvariants_dense, log_torsion, lognorm_of
 from torgrad.verify import (
     ROKHLIN_GRID,
     brute_force_op_norm,
@@ -175,8 +169,8 @@ def test_criterion_6_torsion_growth_inequality():
         spec = TORSION_LEVELS[rng.randrange(len(TORSION_LEVELS))]
         space = FiniteQuotient.from_json(spec)
         f = random_morphism(rng, space)
-        lhs = gabber_exact(coinvariants_dense(f))
-        rhs = space.order * lognorm_upper(f, "atoms")
+        lhs = log_torsion(coinvariants_dense(f))
+        rhs = space.order * lognorm_of(f, "atoms")
         assert lhs <= rhs + 1e-9, (t, spec, lhs, rhs)
     _report(6, 30.0, started,
             "200 morphisms at |G| in {4,6,8}: cokernel log-torsion <= "
@@ -259,32 +253,33 @@ def test_criterion_9_lognorm_calculus():
         spec = SMALL_LEVELS[rng.randrange(len(SMALL_LEVELS))]
         space = FiniteQuotient.from_json(spec)
         f = random_morphism(rng, space, max_rank=2)
-        exact = lognorm_exact(f)
+        exact = lognorm_of(f, "exact")
 
         # dimension bound; every strategy stays above exact
         assert exact <= float(f.domain.dim()) * log_plus(op_norm(f)) + 1e-9
         for strategy in ("atoms", "greedy", "block"):
-            assert exact <= lognorm_upper(f, strategy) + 1e-9
+            assert exact <= lognorm_of(f, strategy) + 1e-9
 
         # subadditivity under direct sum (rank 1 pieces keep the atom
         # count of the sum under the exhaustive cap)
         u = random_morphism(rng, space, max_rank=1)
         v = random_morphism(rng, space, max_rank=1)
         both = _direct_sum_morphism(u, v)
-        assert lognorm_exact(both) <= (lognorm_exact(u)
-                                       + lognorm_exact(v) + 1e-9)
+        assert lognorm_of(both, "exact") <= (lognorm_of(u, "exact")
+                                             + lognorm_of(v, "exact") + 1e-9)
 
         # marked-inclusion invariance
         ambient = f.codomain.direct_sum(
             MarkedModule.full(space, 1))
         incl = marked_inclusion(f.codomain, ambient)
-        assert abs(lognorm_exact(f.then(incl)) - exact) <= 1e-9
+        assert abs(lognorm_of(f.then(incl), "exact") - exact) <= 1e-9
 
         # almost-equality stability at measured (delta, K)
         g = perturb_morphism(rng, f)
         delta = morphism_stats(f.sub(g)).size1
         kappa = log_plus(max(op_norm(f), op_norm(g)))
-        assert abs(lognorm_exact(g) - exact) <= float(delta) * kappa + 1e-9
+        assert abs(lognorm_of(g, "exact") - exact) <= (
+            float(delta) * kappa + 1e-9)
     _report(9, 60.0, started,
             "150 instances under the exhaustive cap: dimension bounds, "
             "subadditivity, inclusion invariance, stability")

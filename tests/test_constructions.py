@@ -18,6 +18,7 @@ from torgrad.discretize import (
     retract_inequality_check,
 )
 from torgrad.constructions import (
+    _residue_points,
     family_presentation,
     integers_embedding,
     resolution_by_name,
@@ -138,6 +139,15 @@ def test_rokhlin_frozen_7_2():
     assert res.boundary_norm == 2
     assert defect_report(res.complex).is_strict
     assert res.complex.augmentation.apply(res.witness) == ones(res.complex.space)
+
+
+def test_residue_points_are_the_powers_of_t():
+    # t^r is found from t^(r-1) by one step of t's left table
+    for modulus in (1, 2, 7, 1000):
+        q = FiniteQuotient.abelian([modulus])
+        t = q.generator_images[0]
+        assert _residue_points(q) == tuple(q.power(t, r)
+                                           for r in range(modulus))
 
 
 @pytest.mark.parametrize("modulus,tile", [(6, 2), (7, 2), (12, 4), (5, 5)])

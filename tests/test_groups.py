@@ -50,8 +50,6 @@ def test_parse_rejects_garbage():
         parse_word("a+b")
     with pytest.raises(ValueError):
         parse_word("2a")
-    with pytest.raises(ValueError):
-        parse_word("abc", num_generators=2)
 
 
 def test_word_to_str_round_trip():
@@ -66,8 +64,6 @@ def test_generators_past_z_are_braced():
     assert parse_word("a{26}{27}-2z3") == word
     assert parse_word("{26}^2 {0}") == ((26, 2), (0, 1))
     assert word_to_str(parse_word("{2}b-1")) == "cb-1"
-    with pytest.raises(ValueError, match=re.escape("'{26}' but only 26")):
-        parse_word("{26}", num_generators=26)
     with pytest.raises(ValueError):
         parse_word("{26")
     with pytest.raises(ValueError,
@@ -296,14 +292,6 @@ def test_order_cap(monkeypatch):
         monkeypatch.setenv("TORGRAD_ORDER_CAP", "zero")
         with pytest.raises(ValueError):
             build()
-
-
-def test_presentation_json():
-    data = {"generators": 2, "relators": ["aba-1b-1"]}
-    pres = Presentation.from_json(data)
-    assert pres.to_json() == data
-    with pytest.raises(ValueError):
-        Presentation.from_json({"generators": 1, "relators": ["ab"]})
 
 
 def test_push_to_quotient_merges_words():

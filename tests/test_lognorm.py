@@ -1,11 +1,14 @@
+import ast
 import math
 import random
 import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 from sympy import Matrix as SymMatrix
 
+from torgrad import lognorm
 from torgrad.groups import FiniteQuotient
 from torgrad.crossring import (
     MarkedModule,
@@ -22,12 +25,8 @@ from torgrad.lognorm import (
     column_l1s,
     gabber_bounds,
     gabber_column_bound,
-    gabber_exact,
     log_plus,
-    lognorm_certificate,
-    lognorm_exact,
     lognorm_rows,
-    lognorm_upper,
     lognorm_values,
     set_partitions,
 )
@@ -40,7 +39,10 @@ from torgrad.verify import (
 from helpers import (
     atom_image_masses,
     certificate_value,
+    cli_certificate,
     coinvariants_dense,
+    log_torsion,
+    lognorm_of,
     matrix_rank,
     reference_lognorm_certificate,
 )
@@ -57,9 +59,10 @@ def full_morphism(space, entry):
 def test_single_atom_frozen_value():
     f = full_morphism(SP4, {0: {0: 2}})
     want = math.log(2) / 4
-    assert lognorm_upper(f, "atoms") == pytest.approx(want)
-    assert lognorm_upper(f, "block") == pytest.approx(want)
-    assert lognorm_exact(f) == pytest.approx(0.17328679513998632, rel=1e-12)
+    assert lognorm_of(f, "atoms") == pytest.approx(want)
+    assert lognorm_of(f, "block") == pytest.approx(want)
+    assert lognorm_of(f, "exact") == pytest.approx(0.17328679513998632,
+                                                   rel=1e-12)
 
 
 def test_diagonal_23_partitions():
@@ -67,27 +70,27 @@ def test_diagonal_23_partitions():
     # diag(2, 3) and the exact bound meets the exact torsion log 6
     f = full_morphism(SP2, {0: {0: 2, 1: 3}})
     assert sorted(atom_image_masses(f).values()) == [2, 3]
-    assert lognorm_upper(f, "atoms") == pytest.approx(math.log(6) / 2)
-    assert lognorm_upper(f, "block") == pytest.approx(math.log(3))
-    assert lognorm_exact(f) == pytest.approx(math.log(6) / 2)
-    assert lognorm_upper(f, "greedy") == pytest.approx(math.log(6) / 2)
-    assert gabber_exact(coinvariants_dense(f)) == pytest.approx(math.log(6))
+    assert lognorm_of(f, "atoms") == pytest.approx(math.log(6) / 2)
+    assert lognorm_of(f, "block") == pytest.approx(math.log(3))
+    assert lognorm_of(f, "exact") == pytest.approx(math.log(6) / 2)
+    assert lognorm_of(f, "greedy") == pytest.approx(math.log(6) / 2)
+    assert log_torsion(coinvariants_dense(f)) == pytest.approx(math.log(6))
 
 
 def test_decomposition_validation():
     # a decomposition strategy outside the four is refused
     f = full_morphism(SP2, {0: {0: 2, 1: 3}})
     with pytest.raises(ValueError, match="unknown strategy"):
-        lognorm_upper(f, "unheard-of")
+        lognorm_of(f, "unheard-of")
 
 
 def test_zero_and_unit_atoms_are_free():
     f = full_morphism(SP4, {0: {0: 1, 1: 1, 2: 5}})
     # unit-norm atoms never contribute
-    assert lognorm_exact(f) == pytest.approx(math.log(5) / 4)
+    assert lognorm_of(f, "exact") == pytest.approx(math.log(5) / 4)
     zero = MarkedMorphism.zero(f.domain, f.codomain)
-    assert lognorm_upper(zero, "atoms") == 0.0
-    assert lognorm_exact(zero) == 0.0
+    assert lognorm_of(zero, "atoms") == 0.0
+    assert lognorm_of(zero, "exact") == 0.0
 
 
 def test_exact_cap_enforced():
@@ -98,9 +101,24 @@ def test_exact_cap_enforced():
         return full_morphism(space, {0: {u: 2 for u in range(order)}})
 
     assert EXACT_ATOM_CAP == 10
-    assert lognorm_exact(doubling(10)) == pytest.approx(math.log(2))
+    assert lognorm_of(doubling(10), "exact") == pytest.approx(math.log(2))
     with pytest.raises(ValueError, match="11 atoms exceed the exhaustive cap"):
-        lognorm_exact(doubling(11))
+        lognorm_of(doubling(11), "exact")
+
+
+def test_lognorm_imports_no_marked_type():
+    # the bounds read integer rows that their callers build, so the module
+    # imports nothing from the marked layers
+    tree = ast.parse(Path(lognorm.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.add("torgrad." + node.module if node.level
+                         else node.module)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    assert "torgrad.discretize" in imported
+    assert not imported & {"torgrad.crossring", "torgrad.complexes"}
 
 
 def test_set_partitions_count():
@@ -119,10 +137,10 @@ celt_entries = st.dictionaries(
 @settings(deadline=None, max_examples=60)
 def test_strategy_chain(entry):
     f = full_morphism(SP4, entry)
-    exact = lognorm_exact(f)
-    greedy = lognorm_upper(f, "greedy")
-    atoms = lognorm_upper(f, "atoms")
-    block = lognorm_upper(f, "block")
+    exact = lognorm_of(f, "exact")
+    greedy = lognorm_of(f, "greedy")
+    atoms = lognorm_of(f, "atoms")
+    block = lognorm_of(f, "block")
     assert 0.0 <= exact <= greedy + LOG_SLACK
     assert greedy <= atoms + LOG_SLACK
     assert greedy <= block + LOG_SLACK
@@ -135,8 +153,8 @@ def test_strategy_chain(entry):
 @settings(deadline=None, max_examples=40)
 def test_level_torsion_dominated(entry):
     f = full_morphism(SP4, entry)
-    bound = SP4.order * lognorm_upper(f, "atoms")
-    assert gabber_exact(coinvariants_dense(f)) <= bound + LOG_SLACK
+    bound = SP4.order * lognorm_of(f, "atoms")
+    assert log_torsion(coinvariants_dense(f)) <= bound + LOG_SLACK
 
 
 celt_entries2 = st.dictionaries(
@@ -153,8 +171,8 @@ def test_subadditive_under_direct_sum(a, b):
     fb = full_morphism(SP2, b)
     dom = fa.domain.direct_sum(fb.domain)
     both = MarkedMorphism(dom, dom, [[a, {}], [{}, b]])
-    assert lognorm_exact(both) <= (
-        lognorm_exact(fa) + lognorm_exact(fb) + LOG_SLACK
+    assert lognorm_of(both, "exact") <= (
+        lognorm_of(fa, "exact") + lognorm_of(fb, "exact") + LOG_SLACK
     )
 
 
@@ -163,12 +181,13 @@ def test_invariant_under_marked_inclusion():
     big = f.codomain.direct_sum(MarkedModule(SP4, [frozenset({0, 1})]))
     incl = marked_inclusion(f.codomain, big)
     proj = marked_projection(big, f.domain)
-    assert lognorm_exact(f.then(incl)) == pytest.approx(lognorm_exact(f))
+    exact = lognorm_of(f, "exact")
+    assert lognorm_of(f.then(incl), "exact") == pytest.approx(exact)
     # extra zero-norm atoms from the projection change nothing
-    assert lognorm_exact(proj.then(f)) == pytest.approx(lognorm_exact(f))
+    assert lognorm_of(proj.then(f), "exact") == pytest.approx(exact)
     for strategy in ("atoms", "greedy", "block"):
-        assert lognorm_upper(f.then(incl), strategy) == pytest.approx(
-            lognorm_upper(f, strategy)
+        assert lognorm_of(f.then(incl), strategy) == pytest.approx(
+            lognorm_of(f, strategy)
         )
 
 
@@ -180,7 +199,7 @@ def test_almost_equality_stability():
     delta = morphism_stats(f.sub(g)).size1
     assert delta == pytest.approx(1 / 4)
     peak = math.log(max(op_norm(f), op_norm(g)))
-    gap = abs(lognorm_exact(f) - lognorm_exact(g))
+    gap = abs(lognorm_of(f, "exact") - lognorm_of(g, "exact"))
     assert gap <= float(delta) * peak + LOG_SLACK
 
 
@@ -191,7 +210,7 @@ def test_almost_equality_stability_random(a, b):
     g = full_morphism(SP4, b)
     delta = float(morphism_stats(f.sub(g)).size1)
     peak = math.log(max(op_norm(f), op_norm(g), 1))
-    gap = abs(lognorm_exact(f) - lognorm_exact(g))
+    gap = abs(lognorm_of(f, "exact") - lognorm_of(g, "exact"))
     assert gap <= delta * peak + LOG_SLACK
 
 
@@ -209,10 +228,10 @@ FROZEN_GABBER_MATRICES = ([[2, 0], [0, 3]], [[2, 1], [0, 2]])
 
 
 def test_gabber_frozen_values():
-    assert gabber_exact([[2, 0], [0, 3]]) == pytest.approx(math.log(6))
+    assert gabber_bounds([[2, 0], [0, 3]])[0] == pytest.approx(math.log(6))
     assert gabber_column_bound([[2, 0], [0, 3]]) == pytest.approx(math.log(6))
     # [[2,1],[0,2]] has torsion Z/4 but column bound log 2 + log 3
-    assert gabber_exact([[2, 1], [0, 2]]) == pytest.approx(math.log(4))
+    assert gabber_bounds([[2, 1], [0, 2]])[0] == pytest.approx(math.log(4))
     assert gabber_column_bound([[2, 1], [0, 2]]) == pytest.approx(math.log(6))
     assert column_l1s([[2, 1], [0, 2]]) == [2, 3]
     assert gabber_bounds([[2, 1], [0, 2]]) == pytest.approx(
@@ -240,7 +259,7 @@ def test_gabber_bounds_match_separate_routes():
     rng = random.Random(20)
     draws = [random_int_matrix(rng) for _ in range(600)]
     for a in draws + list(FROZEN_GABBER_MATRICES):
-        assert gabber_bounds(a) == (gabber_exact(a), gabber_column_bound(a),
+        assert gabber_bounds(a) == (log_torsion(a), gabber_column_bound(a),
                                     separate_split_bound(a)), a
 
 
@@ -273,14 +292,16 @@ def test_gabber_column_bound_matches_rerank(a, combos):
     assert gabber_column_bound(a) == rerank_column_bound(a)
 
 
-def test_certificate_realizes_value():
+def test_certificate_realizes_value(tmp_path):
     f = full_morphism(SP2, {0: {0: 2, 1: 3}})
+    path = tmp_path / "m.json"
     for strategy in ("atoms", "greedy", "exact", "block"):
-        value, blocks = lognorm_certificate(f, strategy)
-        assert value == pytest.approx(lognorm_upper(f, strategy))
+        value, blocks = cli_certificate(f, strategy, path)
+        assert value == pytest.approx(lognorm_of(f, strategy))
         assert certificate_value(f, blocks) == pytest.approx(value)
     # the zero morphism certifies with no blocks at all
-    assert lognorm_certificate(full_morphism(SP2, {}), "exact") == (0.0, [])
+    zero = full_morphism(SP2, {})
+    assert cli_certificate(zero, "exact", path) == (0.0, [])
 
 
 def test_rank_argument_changes_no_value():
@@ -323,18 +344,19 @@ def test_lognorm_values_match_each_strategy():
         values = lognorm_values(coinvariants_matrix(f),
                                 coinvariants_rank(f.domain), f.space.order,
                                 strategies)
-        alone = [lognorm_exact(f)] + [lognorm_upper(f, s)
-                                      for s in strategies[1:]]
+        alone = [lognorm_of(f, s) for s in strategies]
         assert list(map(repr, values)) == list(map(repr, alone)), draw
         reference = [reference_lognorm_certificate(f, s)[0]
                      for s in strategies]
         assert list(map(repr, values)) == list(map(repr, reference)), draw
 
 
-def test_rows_route_matches_reference():
-    # the bound read off the coinvariant rows gives the values and blocks
-    # of the route on morphisms, repr for repr, on seeded morphisms over
-    # every verify level; exact runs where the search is small or capped
+def test_rows_route_matches_reference(tmp_path):
+    # the certificate that the CLI reads off the coinvariant rows gives
+    # the values and blocks of the route on morphisms, repr for repr, on
+    # seeded morphisms over every verify level; exact runs where the
+    # search is small or capped
+    path = tmp_path / "m.json"
     rng = random.Random(19)
     levels = [FiniteQuotient.from_json(spec) for spec in QUOTIENT_SPECS]
     for draw in range(1000):
@@ -347,8 +369,8 @@ def test_rows_route_matches_reference():
                 want = reference_lognorm_certificate(f, strategy)
             except ValueError as exc:
                 with pytest.raises(ValueError, match=re.escape(str(exc))):
-                    lognorm_certificate(f, strategy)
+                    cli_certificate(f, strategy, path)
                 continue
-            assert repr(lognorm_certificate(f, strategy)) == repr(want), (
+            assert repr(cli_certificate(f, strategy, path)) == repr(want), (
                 draw, strategy)
-            assert repr(lognorm_upper(f, strategy)) == repr(want[0])
+            assert repr(lognorm_of(f, strategy)) == repr(want[0])

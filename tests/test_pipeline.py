@@ -34,10 +34,10 @@ from torgrad.complexes import induce_resolution
 from torgrad.crossring import MarkedModule, MarkedMorphism
 from torgrad.discretize import coinvariants_complex, homology_of_complex
 from torgrad.groups import FiniteQuotient, word_to_str
-from torgrad.lognorm import lognorm_exact, lognorm_upper
 from helpers import (
     bench_workloads,
     certificate_value,
+    lognorm_of,
     reference_lognorm_certificate,
 )
 from torgrad.pipeline import (
@@ -482,8 +482,7 @@ def test_top_level_definitions_have_a_caller():
 
 
 # The JSON readers and writers may lack a caller: failing verify cases print
-# morphisms and complexes as JSON so that they can be read back and replayed,
-# and a Presentation's pair waits for a config family that reads one.
+# morphisms and complexes as JSON so that they can be read back and replayed.
 REPLAY_METHODS = frozenset({"to_json", "from_json"})
 
 
@@ -827,9 +826,11 @@ def test_lognorm_cli_certificate(tmp_path, capsys):
                      "--strategy", strategy]) == 0
         value_line, cert_line = capsys.readouterr().out.strip().split("\n")
         cert = json.loads(cert_line)
-        value = lognorm_upper(f, strategy)
-        assert abs(float(value_line) - value) < 1e-9
-        blocks = [[tuple(atom) for atom in block] for block in cert["blocks"]]
+        value, blocks = reference_lognorm_certificate(f, strategy)
+        assert value_line == pipeline._fmt(value)
+        assert repr(cert["value"]) == repr(value)
+        assert repr([[tuple(atom) for atom in block]
+                     for block in cert["blocks"]]) == repr(blocks)
         assert abs(certificate_value(f, blocks) - value) < 1e-9
     # coefficients are integers: char 0 reads as no char, any other is refused
     main(["lognorm", "--input", str(path)])
@@ -858,7 +859,7 @@ def test_lognorm_cli_generators_past_z(tmp_path, capsys):
     path.write_text(json.dumps(data))
     assert main(["lognorm", "--input", str(path)]) == 0
     value_line = capsys.readouterr().out.split("\n")[0]
-    assert abs(float(value_line) - lognorm_upper(f, "greedy")) < 1e-9
+    assert abs(float(value_line) - lognorm_of(f, "greedy")) < 1e-9
     assert float(value_line) > 0
 
 
@@ -870,7 +871,7 @@ def test_lognorm_cli_exact_small(tmp_path, capsys):
     path.write_text(json.dumps(f.to_json()))
     assert main(["lognorm", "--input", str(path), "--strategy", "exact"]) == 0
     value_line = capsys.readouterr().out.strip().split("\n")[0]
-    assert abs(float(value_line) - lognorm_exact(f)) < 1e-9
+    assert abs(float(value_line) - lognorm_of(f, "exact")) < 1e-9
 
 
 @pytest.mark.parametrize("command, flag", [("gradient", "--config"),
