@@ -21,6 +21,7 @@ from .crossring import (
 from .complexes import (
     MarkedComplex,
     check_chain_map,
+    check_retract,
     defect_report,
     gh_verify,
     induce_resolution,
@@ -35,7 +36,7 @@ from .discretize import (
     coinvariants_matrix,
     homology_of_complex,
     invariant_factors,
-    retract_inequality_check,
+    retract_inequalities,
     shapiro_complex,
 )
 from .lognorm import (
@@ -57,11 +58,12 @@ __all__ = [
     "Augmentation", "MarkedModule", "MarkedMorphism",
     "marked_inclusion", "marked_projection", "morphism_stats", "op_norm",
     "vector_stats",
-    "MarkedComplex", "check_chain_map", "defect_report", "gh_verify",
-    "induce_resolution", "push_complex", "push_resolution", "witness_defect",
+    "MarkedComplex", "check_chain_map", "check_retract", "defect_report",
+    "gh_verify", "induce_resolution", "push_complex", "push_resolution",
+    "witness_defect",
     "strictify_complex",
     "betti_mod_p", "coinvariants_complex", "coinvariants_matrix",
-    "homology_of_complex", "invariant_factors", "retract_inequality_check",
+    "homology_of_complex", "invariant_factors", "retract_inequalities",
     "shapiro_complex",
     "gabber_bounds", "gabber_column_bound", "lognorm_rows",
     "integers_embedding", "resolution_by_name",

@@ -9,7 +9,8 @@ d d = 0 on the pushed ranks x ranks matrices in the group ring of the level
 complexes come from the same pushed data (induce_resolution), which is the
 gradient's independent oracle, and from the constructions.  Nothing is
 assumed exact: defect_report measures how far d o d and eta o d_1 are from
-zero, witness_defect how far eta(z) is from 1, and the almost-equality
+zero, witness_defect how far eta(z) is from 1, check_retract how far a
+homotopy retract's identities are from holding, and the almost-equality
 comparisons below measure distances between complexes sharing an ambient.
 
 Compositions that land in the base module (eta o d_1, augmentation rows of
@@ -202,6 +203,50 @@ def check_chain_map(
         aug_size = target.augmentation.after(maps[0]).sub(
             source.augmentation).size1()
     return DefectReport(sizes, aug_size)
+
+
+@dataclass(frozen=True)
+class RetractReport:
+    """Chain map reports of forward and backward, and per degree the size
+    of the homotopy identity's difference."""
+
+    forward: DefectReport
+    backward: DefectReport
+    homotopy_sizes: tuple
+
+    @property
+    def is_strict(self) -> bool:
+        return (self.forward.is_strict and self.backward.is_strict
+                and not any(self.homotopy_sizes))
+
+
+def check_retract(
+    small: MarkedComplex,
+    big: MarkedComplex,
+    forward: Sequence[MarkedMorphism],
+    backward: Sequence[MarkedMorphism],
+    homotopies: Sequence[MarkedMorphism],
+) -> RetractReport:
+    """Measure how far small is from a homotopy retract of big.
+
+    forward: small -> big and backward: big -> small are checked as chain
+    maps; homotopies[r]: small_r -> small_{r+1} for r in 0..top-1, and
+    homotopy_sizes[r] is the size of
+    backward_r o forward_r - id - h_r d_{r+1} - d_r h_{r-1},
+    the terms past either end dropped.
+    """
+    top = small.top_degree
+    sizes = []
+    for r in range(top + 1):
+        diff = forward[r].then(backward[r]).sub(
+            MarkedMorphism.identity(small.module(r)))
+        if r < top:
+            diff = diff.sub(homotopies[r].then(small.boundary(r + 1)))
+        if r >= 1:
+            diff = diff.sub(small.boundary(r).then(homotopies[r - 1]))
+        sizes.append(morphism_stats(diff).size1)
+    return RetractReport(check_chain_map(forward, small, big),
+                         check_chain_map(backward, big, small), tuple(sizes))
 
 
 # ---------------------------------------------------------------------------

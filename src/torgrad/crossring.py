@@ -471,14 +471,6 @@ class MarkedMorphism:
         # entries are automatically normalised; skip the projection pass
         return MarkedMorphism(self.domain, other.codomain, entries, normalize=False)
 
-    def add(self, other: "MarkedMorphism") -> "MarkedMorphism":
-        self._check_same_shape(other)
-        entries = [
-            [celt_add(a, b) for a, b in zip(ra, rb)]
-            for ra, rb in zip(self.entries, other.entries)
-        ]
-        return MarkedMorphism(self.domain, self.codomain, entries, normalize=False)
-
     def sub(self, other: "MarkedMorphism") -> "MarkedMorphism":
         self._check_same_shape(other)
         entries = [
@@ -486,9 +478,6 @@ class MarkedMorphism:
             for ra, rb in zip(self.entries, other.entries)
         ]
         return MarkedMorphism(self.domain, self.codomain, entries, normalize=False)
-
-    def is_zero(self) -> bool:
-        return all(not z for row in self.entries for z in row)
 
     def _check_same_shape(self, other: "MarkedMorphism"):
         if self.domain != other.domain or self.codomain != other.codomain:

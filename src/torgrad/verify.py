@@ -16,9 +16,8 @@ from typing import Optional, Sequence
 from .complexes import (
     MarkedComplex,
     _padded,
-    check_chain_map,
+    check_retract,
     defect_report,
-    gh_verify,
     induce_resolution,
     push_complex,
     witness_defect,
@@ -51,7 +50,7 @@ from .discretize import (
     coinvariants_rank,
     homology_from_factors,
     homology_of_complex,
-    retract_inequality_check,
+    retract_inequalities,
     shapiro_complex,
     to_dense,
 )
@@ -144,15 +143,16 @@ def random_module(rng: random.Random, space: FiniteQuotient,
 
 
 def random_celt(rng: random.Random, space: FiniteQuotient,
-                pool: Sequence[int], max_terms: int = 2,
-                coeff_bound: int = 3) -> dict:
+                pool: Sequence[int], max_terms: int = 2) -> dict:
+    """Up to max_terms group elements of pool, each with a function of at
+    most three points and coefficients in -3..3."""
     celt: dict = {}
     pool = list(pool)
     for g in rng.sample(pool, rng.randint(1, min(max_terms, len(pool)))):
         fn = {}
         for u in rng.sample(range(space.order),
                             rng.randint(1, min(3, space.order))):
-            c = rng.randint(-coeff_bound, coeff_bound)
+            c = rng.randint(-3, 3)
             if c:
                 fn[u] = c
         if fn:
@@ -175,16 +175,14 @@ def random_vector(rng: random.Random, module: MarkedModule,
 
 def random_morphism(rng: random.Random,
                     space: Optional[FiniteQuotient] = None,
-                    max_rank: int = 3,
-                    max_group_elements: int = 4) -> MarkedMorphism:
+                    max_rank: int = 3) -> MarkedMorphism:
     """Seeded morphism over a level of order <= 8, ranks <= max_rank, with
-    at most max_group_elements distinct group elements across entries."""
+    at most four distinct group elements across entries."""
     if space is None:
         space = random_space(rng)
     dom = random_module(rng, space, max_rank)
     cod = random_module(rng, space, max_rank)
-    pool = rng.sample(range(space.order),
-                      min(max_group_elements, space.order))
+    pool = rng.sample(range(space.order), min(4, space.order))
     entries = []
     for _ in range(dom.rank):
         row = []
@@ -195,12 +193,11 @@ def random_morphism(rng: random.Random,
     return MarkedMorphism(dom, cod, entries)
 
 
-def random_int_matrix(rng: random.Random, max_size: int = 8,
-                      bound: int = 9) -> list:
-    rows = rng.randint(1, max_size)
-    cols = rng.randint(1, max_size)
-    return [[rng.randint(-bound, bound) for _ in range(cols)]
-            for _ in range(rows)]
+def random_int_matrix(rng: random.Random) -> list:
+    """At most 8 x 8, entries in -9..9."""
+    rows = rng.randint(1, 8)
+    cols = rng.randint(1, 8)
+    return [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
 
 
 def brute_force_op_norm(f: MarkedMorphism) -> int:
@@ -313,6 +310,21 @@ def strictify_error_bound(cx: MarkedComplex, delta: Fraction) -> Fraction:
     return (1 + rank * n1) * delta
 
 
+def strictify_witness_bounds(cx: MarkedComplex) -> tuple:
+    """Ceilings (delta, k) for the witness of strictifying cx, a
+    1/|G|-perturbation of a strict complex.  The carrier differences are
+    the error dimensions and a boundary comparison has size at most
+    dim E_r + dim E_{r-1}, so delta is at most twice the error bound plus
+    the witness's half atom; k is at most (n_r + 1)(n_{r+1} + 1), with n_0
+    the largest augmentation value and n_r the operator norm of d_r."""
+    order = cx.space.order
+    delta = (2 * strictify_error_bound(cx, Fraction(1, order))
+             + Fraction(1, 2 * order))
+    norms = [cx.augmentation.linf()] + [op_norm(d) for d in cx.boundaries()]
+    k = max((a + 1) * (b + 1) for a, b in zip(norms, norms[1:]))
+    return delta, k
+
+
 @_per_trial
 def _suite_strictify(rng: random.Random) -> Optional[dict]:
     base = random_base_complex(rng)
@@ -323,7 +335,8 @@ def _suite_strictify(rng: random.Random) -> Optional[dict]:
     pert = perturb_complex(rng, base, cells=1)
     res = strictify_complex(pert)
     checks["output_strict"] = defect_report(res.complex).is_strict
-    checks["witness"] = gh_verify(pert, res.complex, res.witness).within
+    delta, k = strictify_witness_bounds(pert)
+    checks["witness"] = res.witness.delta <= delta and res.witness.k <= k
     bound = strictify_error_bound(pert, Fraction(1, base.space.order))
     checks["error_dims"] = all(d <= bound for d in res.error_dims)
     bad = sorted(k for k, v in checks.items() if not v)
@@ -355,21 +368,15 @@ def rokhlin_checks(res: RokhlinResult,
 
 
 def embedding_checks(emb: EmbeddingResult) -> dict:
-    """The six exact identities plus the norm table for one embedding."""
+    """The retract identities (one check_retract report) plus the norm
+    table for one embedding."""
     tile = emb.rokhlin.tile
-    out = {}
-    out["forward_chain_map"] = check_chain_map(
-        emb.forward, emb.source, emb.target).is_strict
-    out["backward_chain_map"] = check_chain_map(
-        emb.backward, emb.target, emb.source).is_strict
-    f0, f1 = emb.forward
-    r0, r1 = emb.backward
-    h0 = emb.homotopies[0]
-    d1 = emb.source.boundary(1)
-    id0 = MarkedMorphism.identity(emb.source.module(0))
-    id1 = MarkedMorphism.identity(emb.source.module(1))
-    out["homotopy_degree0"] = h0.then(d1).sub(f0.then(r0).sub(id0)).is_zero()
-    out["homotopy_degree1"] = d1.then(h0).sub(f1.then(r1).sub(id1)).is_zero()
+    rep = check_retract(emb.source, emb.target, emb.forward, emb.backward,
+                        emb.homotopies)
+    out = {"forward_chain_map": rep.forward.is_strict,
+           "backward_chain_map": rep.backward.is_strict,
+           "homotopy_degree0": rep.homotopy_sizes[0] == 0,
+           "homotopy_degree1": rep.homotopy_sizes[1] == 0}
     norms = emb.norms
     out["norm_table"] = (norms["f0"] <= 1 and norms["f1"] <= 1
                          and norms["r0"] <= 1 and norms["r1"] <= tile
@@ -388,9 +395,8 @@ def _suite_rokhlin(rng: random.Random, trials: int) -> list:
         emb = integers_embedding(res) if tile < modulus else None
         checks = rokhlin_checks(res, emb)
         if modulus <= 16 and emb is not None:
-            checks["retract_inequalities"] = retract_inequality_check(
-                emb.source, emb.target, emb.forward, emb.backward,
-                emb.homotopies).ok
+            checks["retract_inequalities"] = retract_inequalities(
+                emb.source, emb.target)
         bad = sorted(k for k, v in checks.items() if not v)
         if bad:
             failures.append({"modulus": modulus, "tile": tile,
@@ -443,10 +449,11 @@ def _suite_retract(rng: random.Random) -> Optional[dict]:
         modulus = rng.randint(3, 16)
         tile = rng.randint(1, modulus - 1)
         emb = integers_embedding(rokhlin_partition(modulus, tile))
-        report = retract_inequality_check(
-            emb.source, emb.target, emb.forward, emb.backward,
-            emb.homotopies)
-        return None if report.ok else {"modulus": modulus, "tile": tile}
+        if not (check_retract(emb.source, emb.target, emb.forward,
+                              emb.backward, emb.homotopies).is_strict
+                and retract_inequalities(emb.source, emb.target)):
+            return {"modulus": modulus, "tile": tile}
+        return None
     space = random_space(rng)
     d = rng.randint(1, 2)
     ranks, mats = resolution_by_name("free", d)
@@ -465,9 +472,9 @@ def _suite_retract(rng: random.Random) -> Optional[dict]:
                 for r in range(core.top_degree + 1)]
     homotopies = [MarkedMorphism.zero(core.module(r), core.module(r + 1))
                   for r in range(core.top_degree)]
-    report = retract_inequality_check(core, ambient, forward, backward,
-                                      homotopies)
-    if not report.ok:
+    if not (check_retract(core, ambient, forward, backward,
+                          homotopies).is_strict
+            and retract_inequalities(core, ambient)):
         return {"complex": core.to_json()}
 
 

@@ -19,7 +19,12 @@ from torgrad.crossring import (
     op_norm,
     vector_l1,
 )
-from torgrad.complexes import defect_report, gh_verify, induce_resolution
+from torgrad.complexes import (
+    check_retract,
+    defect_report,
+    gh_verify,
+    induce_resolution,
+)
 from torgrad.constructions import (
     integers_embedding,
     resolution_by_name,
@@ -28,7 +33,7 @@ from torgrad.constructions import (
 from torgrad.discretize import (
     coinvariants_complex,
     homology_of_complex,
-    retract_inequality_check,
+    retract_inequalities,
 )
 from torgrad.lognorm import gabber_bounds, log_plus
 from torgrad.strictify import strictify_complex
@@ -44,6 +49,7 @@ from torgrad.verify import (
     random_vector,
     rokhlin_checks,
     strictify_error_bound,
+    strictify_witness_bounds,
 )
 
 
@@ -196,9 +202,13 @@ def test_criterion_7_strictification():
         for dim_e in res.error_dims:
             assert dim_e <= bound, (t, dim_e, bound)
         assert gh_verify(pert, res.complex, res.witness).within
+        delta_max, k_max = strictify_witness_bounds(pert)
+        assert res.witness.delta <= delta_max, (t, res.witness.delta)
+        assert res.witness.k <= k_max, (t, res.witness.k)
     _report(7, 60.0, started,
             "100 perturbations: outputs exactly strict, error dims within "
-            "(1 + rank*N1)*delta, witnesses verified, strict inputs fixed")
+            "(1 + rank*N1)*delta, witnesses verified and within their "
+            "ceilings, strict inputs fixed")
 
 
 def test_criterion_8_cheap_embeddings():
@@ -210,11 +220,11 @@ def test_criterion_8_cheap_embeddings():
             for r in (0, 1):
                 assert emb.target.module(r).dim() < eps
             assert op_norm(emb.target.boundary(1)) <= 2
-            report = retract_inequality_check(
+            assert check_retract(
                 emb.source, emb.target, emb.forward, emb.backward,
-                emb.homotopies)
-            assert report.ok, (eps, modulus)
-            h1 = report.retract_homology[1]
+                emb.homotopies).is_strict, (eps, modulus)
+            assert retract_inequalities(emb.source, emb.target), (eps, modulus)
+            h1 = homology_of_complex(*coinvariants_complex(emb.source))[1]
             assert h1.betti == 1 and not h1.torsion
     _report(8, 10.0, started,
             "eps in {1/2, 1/4, 1/8}: dim(D_r) < eps, boundary norm <= 2, "

@@ -5,17 +5,18 @@ from fractions import Fraction
 import pytest
 
 from torgrad.groups import FiniteQuotient, parse_word, word_to_str
-from torgrad.crossring import MarkedMorphism, celt_add
+from torgrad.crossring import MarkedMorphism, celt_add, morphism_stats
 from torgrad.complexes import (
     MarkedComplex,
     check_chain_map,
+    check_retract,
     defect_report,
     induce_resolution,
 )
 from torgrad.discretize import (
     coinvariants_complex,
     homology_of_complex,
-    retract_inequality_check,
+    retract_inequalities,
 )
 from torgrad.constructions import (
     _residue_points,
@@ -30,7 +31,7 @@ from torgrad.constructions import (
     tower_contract,
     tower_mul,
 )
-from torgrad.verify import ROKHLIN_GRID
+from torgrad.verify import ROKHLIN_GRID, embedding_checks
 from helpers import koszul2, reference_level_contraction, w
 
 SP33 = FiniteQuotient.abelian([3, 3])
@@ -227,17 +228,37 @@ def test_integers_embedding_identities(modulus, tile):
     rf1 = emb.forward[1].then(emb.backward[1])
     id0 = MarkedMorphism.identity(emb.source.module(0))
     id1 = MarkedMorphism.identity(emb.source.module(1))
-    assert h0.then(d1).sub(rf0.sub(id0)).is_zero()
-    assert d1.then(h0).sub(rf1.sub(id1)).is_zero()
+    assert morphism_stats(h0.then(d1).sub(rf0.sub(id0))).size1 == 0
+    assert morphism_stats(d1.then(h0).sub(rf1.sub(id1))).size1 == 0
     assert emb.norms == {"f0": 1, "f1": 1, "r0": 1, "r1": tile, "h0": tile - 1}
 
 
 def test_integers_embedding_retract_inequalities():
     emb = integers_embedding(rokhlin_partition(7, 2))
-    report = retract_inequality_check(
+    report = check_retract(
         emb.source, emb.target,
         list(emb.forward), list(emb.backward), list(emb.homotopies),
     )
-    assert report.ok
-    assert [h.betti for h in report.retract_homology] == [1, 1]
-    assert all(a.betti >= 1 for a in report.ambient_homology)
+    assert report.is_strict
+    assert retract_inequalities(emb.source, emb.target)
+    small = homology_of_complex(*coinvariants_complex(emb.source))
+    big = homology_of_complex(*coinvariants_complex(emb.target))
+    assert [h.betti for h in small] == [1, 1]
+    assert all(a.betti >= 1 for a in big)
+
+
+def test_embedding_ledger_detects_a_broken_homotopy():
+    emb = integers_embedding(rokhlin_partition(12, 4))
+    h0 = emb.homotopies[0]
+    # one more cell, at the identity and point 0, in h0's only entry
+    cell = celt_add(h0.entries[0][0], {0: {0: 1}})
+    bad = dataclasses.replace(emb, homotopies=(
+        MarkedMorphism(h0.domain, h0.codomain, [[cell]]),))
+    report = check_retract(bad.source, bad.target, bad.forward,
+                           bad.backward, bad.homotopies)
+    assert not report.is_strict
+    assert report.homotopy_sizes == (Fraction(1, 12), Fraction(1, 6))
+    checks = embedding_checks(bad)
+    assert checks["forward_chain_map"] and checks["backward_chain_map"]
+    assert not checks["homotopy_degree0"]
+    assert not checks["homotopy_degree1"]

@@ -25,7 +25,7 @@ from torgrad.discretize import (
     homology_of_complex,
     invariant_factors,
     mat_shape,
-    retract_inequality_check,
+    retract_inequalities,
     shapiro_complex,
     shapiro_matrix,
     sparse_rank,
@@ -36,7 +36,12 @@ from torgrad.discretize import (
     _oriented,
     _sparse_rows,
 )
-from torgrad.complexes import induce_resolution, push_complex, push_resolution
+from torgrad.complexes import (
+    check_retract,
+    induce_resolution,
+    push_complex,
+    push_resolution,
+)
 from torgrad.constructions import resolution_by_name
 from torgrad.config import parse_gradient_config
 from torgrad.pipeline import run_gradient
@@ -814,10 +819,11 @@ def test_identity_retract_passes():
     cx = koszul2(SP33)
     ident = [MarkedMorphism.identity(cx.module(r)) for r in range(3)]
     hzero = [MarkedMorphism.zero(cx.module(r), cx.module(r + 1)) for r in range(2)]
-    report = retract_inequality_check(cx, cx, ident, ident, hzero)
-    assert report.maps_ok
-    assert report.ok
-    assert [h.betti for h in report.retract_homology] == [1, 2, 1]
+    report = check_retract(cx, cx, ident, ident, hzero)
+    assert report.is_strict
+    assert retract_inequalities(cx, cx)
+    homology = homology_of_complex(*coinvariants_complex(cx))
+    assert [h.betti for h in homology] == [1, 2, 1]
     assert report.homotopy_sizes == (0, 0, 0)
 
 
@@ -826,6 +832,16 @@ def test_broken_retract_detected():
     ident = [MarkedMorphism.identity(cx.module(r)) for r in range(3)]
     zero = [MarkedMorphism.zero(cx.module(r), cx.module(r)) for r in range(3)]
     hzero = [MarkedMorphism.zero(cx.module(r), cx.module(r + 1)) for r in range(2)]
-    report = retract_inequality_check(cx, cx, ident, zero, hzero)
-    assert not report.maps_ok
+    report = check_retract(cx, cx, ident, zero, hzero)
+    assert not report.is_strict
     assert any(s > 0 for s in report.homotopy_sizes)
+
+
+def test_retract_inequalities_detect_undominated_homology():
+    # Z pushed along a generator of Z/3 x Z/3 has Betti numbers (3, 3),
+    # which the Koszul complex's (1, 2, 1) does not dominate in degree 0
+    small = zres(SP33, SP33.generator_images[0])
+    big = koszul2(SP33)
+    assert [h.betti for h in homology_of_complex(
+        *coinvariants_complex(small))] == [3, 3]
+    assert not retract_inequalities(small, big)

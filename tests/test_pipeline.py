@@ -14,6 +14,7 @@ import sys
 import tempfile
 import time
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -34,6 +35,7 @@ from torgrad.complexes import induce_resolution
 from torgrad.crossring import MarkedModule, MarkedMorphism
 from torgrad.discretize import coinvariants_complex, homology_of_complex
 from torgrad.groups import FiniteQuotient, word_to_str
+from torgrad.strictify import strictify_complex
 from helpers import (
     bench_workloads,
     certificate_value,
@@ -756,6 +758,19 @@ def test_verify_discretize_levels_have_torsion(monkeypatch):
     json.dumps(failures)
 
 
+def test_verify_strictify_witness_check_can_fail(monkeypatch):
+    # a witness whose delta is pushed past its ceiling is reported
+    def loose(cx):
+        res = strictify_complex(cx)
+        delta, _ = verify.strictify_witness_bounds(cx)
+        return dataclasses.replace(res, witness=dataclasses.replace(
+            res.witness, delta=delta + Fraction(1, cx.space.order)))
+    monkeypatch.setattr(verify, "strictify_complex", loose)
+    failures = run_verify("strictify", seed=11, trials=8)
+    assert len(failures) == 8
+    assert all(f["failed"] == ["witness"] for f in failures)
+
+
 def test_verify_unknown_suite():
     with pytest.raises(ConfigError):
         run_verify("meta", 0, 1)
@@ -1156,6 +1171,18 @@ def _seeded_draws(seed):
 # every draw still enumerated its own level
 SEEDED_DRAWS_SHA256 = (
     "1d11beefcf67b8716d3a4621ff1c7b903bca8a2a659ee1ded04cc5a11f759973")
+
+
+def test_distribution_takes_its_name_and_version_from_the_package():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    data = tomllib.loads(pyproject.read_text())
+    assert data["project"]["name"] == "torgrad"
+    assert data["project"]["dynamic"] == ["version"]
+    assert "version" not in data["project"]
+    assert data["tool"]["setuptools"]["dynamic"]["version"] == {
+        "attr": "torgrad.__version__"}
+    assert isinstance(torgrad.__version__, str) and torgrad.__version__
 
 
 def test_seeded_draws_are_unchanged():
