@@ -10,13 +10,14 @@ from typing import Optional
 
 from .constructions import family_presentation, resolution_by_name
 from .groups import FiniteQuotient, OrderCapExceeded, word_to_str
+from .lognorm import STRATEGIES
 
 
 class ConfigError(ValueError):
     """Bad experiment configuration; maps to exit code 1."""
 
 
-GRADIENT_STRATEGIES = ("atoms", "greedy", "block")
+GRADIENT_STRATEGIES = tuple(s for s in STRATEGIES if s != "exact")
 CONFIG_KEYS = ("family", "param", "levels", "degrees", "p", "strategy",
                "embedding", "output")
 P_CAP = 2 ** 31  # keeps the trial division below fast

@@ -26,8 +26,8 @@ from .crossring import (
     Augmentation,
     MarkedModule,
     MarkedMorphism,
+    _celt_add_into,
     _mul_into,
-    celt_add,
     celt_indicator,
     celt_mul,
     celt_sub,
@@ -177,42 +177,42 @@ def _residue_points(quotient: FiniteQuotient):
     return tuple(point)
 
 
-def _shifted(point: tuple, points: frozenset, shift: int) -> frozenset:
-    """t^shift points, where point[r] is the element index of t^r."""
+def _tile_points(point: tuple, residues, shift: int = 0) -> frozenset:
+    """t^shift t^R for the residues R, point[r] the element index of t^r."""
     M = len(point)
-    return frozenset(point[(r + shift) % M]
-                     for r in range(M) if point[r] in points)
+    return frozenset(point[(r + shift) % M] for r in residues)
 
 
 def rokhlin_partition(modulus: int, tile: int) -> RokhlinResult:
     """The two-term complex of the tile {0, N, ..., (q-1)N} in Z/M.
 
     Both modules sit on C = A u B where A is the tile base and B the
-    ragged top; the witness x = sum_{j<N} (chi_{t^j A}, t^j) + (chi_B, e)
-    has eta(x) = 1 exactly and the boundary has operator norm 2.
+    ragged top.  The boundary (chi_C, e) - (chi_{t^N A}, t^N) - (chi_{t B},
+    t) has operator norm 2 (it is zero at N = M), and the witness x =
+    sum_{j<N} (chi_{t^j A}, t^j) + (chi_B, e) has eta(x) = 1 exactly; its
+    pieces are disjoint, so x is written fibre by fibre.  Every set is the
+    image of _rokhlin_residues under point.
     """
     M, N = modulus, tile
     if not 1 <= N <= M:
         raise ValueError("need 1 <= tile <= modulus")
     space = FiniteQuotient.abelian([M])
     point = _residue_points(space)
-    q = M // N
-    base = frozenset(point[j * N] for j in range(q))
-    remainder = frozenset(point[k] for k in range(q * N, M))
+    base_res, rem_res = _rokhlin_residues(M, N)
+    base = _tile_points(point, base_res)
+    remainder = _tile_points(point, rem_res)
     carrier = base | remainder
     module = MarkedModule(space, [carrier])
     aug = Augmentation(module, [dict.fromkeys(carrier, 1)])
 
-    x = {}
-    for j in range(N):
-        x = celt_add(x, celt_indicator(_shifted(point, base, j), point[j]))
-    x = celt_add(x, celt_indicator(remainder))
+    x = {point[j]: dict.fromkeys(_tile_points(point, base_res, j), 1)
+         for j in range(N)}
+    x[point[0]].update(dict.fromkeys(remainder, 1))
 
-    tile_top = _shifted(point, base, N)      # t^N A
-    rem_up = _shifted(point, remainder, 1)   # t B
     entry = celt_indicator(carrier)
-    entry = celt_sub(entry, celt_indicator(tile_top, point[N % M]))
-    entry = celt_sub(entry, celt_indicator(rem_up, point[1 % M]))
+    for residues, shift in ((base_res, N), (rem_res, 1)):
+        _celt_add_into(entry, celt_indicator(
+            _tile_points(point, residues, shift), point[shift % M]), -1)
     boundary = MarkedMorphism(module, module, [[entry]])
     cx = MarkedComplex([module, module], [boundary], aug)
     return RokhlinResult(
@@ -245,21 +245,21 @@ def tower_mul(modulus: int, x: dict, y: dict) -> dict:
     return out
 
 
-def _rokhlin_residues(modulus: int, tile: int):
+def _rokhlin_residues(modulus: int, tile: int) -> tuple:
+    """The tile as exponents of t, each in increasing order: the base
+    A = {0, N, ..., (q-1)N} and the ragged top B = {qN, ..., M-1},
+    q = M // N."""
     q = modulus // tile
-    base = {j * tile for j in range(q)}
-    rem = set(range(q * tile, modulus))
-    return base, rem
+    return range(0, q * tile, tile), range(q * tile, modulus)
 
 
 def rokhlin_tower_boundary(modulus: int, tile: int) -> dict:
+    # exponents 0, N and 1 keep the pieces apart; B is empty at N = 1
     base, rem = _rokhlin_residues(modulus, tile)
-    out = {(u, 0): 1 for u in base | rem}
-    for a in base:
-        out[((a + tile) % modulus, tile)] = -1
-    for b in rem:
-        out[((b + 1) % modulus, 1)] = out.get(((b + 1) % modulus, 1), 0) - 1
-    return {k: v for k, v in out.items() if v}
+    out = {(u, 0): 1 for u in (*base, *rem)}
+    out.update({((a + tile) % modulus, tile): -1 for a in base})
+    out.update({((b + 1) % modulus, 1): -1 for b in rem})
+    return out
 
 
 def tower_contract(modulus: int, carrier: set, elt: dict) -> dict:
@@ -288,7 +288,7 @@ def rokhlin_tower_contraction(modulus: int, tile: int) -> bool:
     probe)."""
     half = min(2 * modulus, 24)
     base, rem = _rokhlin_residues(modulus, tile)
-    carrier = base | rem
+    carrier = {*base, *rem}
     s_d = rokhlin_tower_boundary(modulus, tile)
     for m in range(-half, half + 1):
         for c_res in carrier:
@@ -313,10 +313,7 @@ def rokhlin_level_contraction(result: RokhlinResult) -> bool:
     M = result.modulus
     space = result.complex.space
     point = result.point
-    exponent = {point[m]: m for m in range(M)}
-    carrier = result.carrier
-    shifts = [frozenset(point[(exponent[p] + j) % M] for p in carrier)
-              for j in range(M)]
+    base, rem = _rokhlin_residues(M, result.tile)
     x = result.witness[0]
     entry = result.complex.boundary(1).entries[0][0]
     aug = result.complex.augmentation
@@ -325,7 +322,8 @@ def rokhlin_level_contraction(result: RokhlinResult) -> bool:
 
     for m in range(M):
         g = point[m]
-        for u in shifts[m]:
+        shifted = [point[(c + m) % M] for c in (*base, *rem)]  # t^m C
+        for u in shifted:
             z = {g: {u: 1}}
             eta = aug.apply((z,))
             key = tuple(sorted(eta.items()))
@@ -334,7 +332,7 @@ def rokhlin_level_contraction(result: RokhlinResult) -> bool:
                 prod = products[key] = celt_mul(space, {0: eta}, x)
             if lhs.get(u, {}) != celt_sub(z, prod):
                 return False
-        for u in shifts[m]:
+        for u in shifted:
             _mul_into(lhs.setdefault(u, {}), space, {g: {u: -1}}, entry)
     return True
 
@@ -374,13 +372,11 @@ def integers_embedding(rok: RokhlinResult) -> EmbeddingResult:
     """
     N = rok.tile
     point = rok.point
+    base_res, rem_res = _rokhlin_residues(rok.modulus, N)
     # resolution of Z with the degree-1 generator oriented so that
     # d_1 = 1 - t; this matches the sign of the Rokhlin boundary
     source = induce_resolution(rok.complex.space, [1, 1],
                                [[[{(): 1, ((0, 1),): -1}]]])
-
-    tile_top = _shifted(point, rok.base, N)      # t^N A
-    rem_up = _shifted(point, rok.remainder, 1)   # t B
 
     f0 = MarkedMorphism(source.module(0), rok.complex.module(0),
                         [[rok.witness[0]]])
@@ -388,16 +384,15 @@ def integers_embedding(rok: RokhlinResult) -> EmbeddingResult:
                         [[celt_indicator(rok.carrier)]])
     r0 = MarkedMorphism(rok.complex.module(0), source.module(0),
                         [[celt_indicator(rok.carrier)]])
-    x_tilde = {}
-    for j in range(N):
-        x_tilde = celt_add(x_tilde, celt_indicator(tile_top, point[j]))
-    x_tilde = celt_add(x_tilde, celt_indicator(rem_up))
+    # x~ = sum_{j<N} (chi_{t^N A}, t^j) + (chi_{t B}, e), pieces disjoint
+    tile_top = _tile_points(point, base_res, N)
+    x_tilde = {point[j]: dict.fromkeys(tile_top, 1) for j in range(N)}
+    x_tilde[point[0]].update(dict.fromkeys(_tile_points(point, rem_res, 1), 1))
     r1 = MarkedMorphism(rok.complex.module(1), source.module(1), [[x_tilde]])
-    h_entry = {}
-    for j in range(N):
-        piece = _shifted(point, rok.base, j)
-        for k in range(j):
-            h_entry = celt_sub(h_entry, celt_indicator(piece, point[k]))
+    # h_0 = -sum_{k<j<N} (chi_{t^j A}, t^k), fibre t^k's pieces in order j
+    pieces = [_tile_points(point, base_res, j) for j in range(N)]
+    h_entry = {point[k]: {u: -1 for piece in pieces[k + 1:] for u in piece}
+               for k in range(N - 1)}
     h0 = MarkedMorphism(source.module(0), source.module(1), [[h_entry]])
     return EmbeddingResult(
         source=source,

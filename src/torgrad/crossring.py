@@ -92,13 +92,16 @@ def fn_sub(f: Fn, g: Fn) -> Fn:
 
 def fn_from_json(space: FiniteQuotient, pairs: list) -> Fn:
     """[[point, coeff], ...] as a sparse function on the level; a point or
-    coefficient that is not an integer is refused rather than rounded, and
-    a point outside the level rather than dropped."""
+    coefficient that is not an integer is refused rather than rounded, a
+    point outside the level rather than dropped, and a point listed twice
+    rather than read as its last coefficient."""
     out = {}
     for u, c in pairs:
         u = _as_int(u, "point")
         if not 0 <= u < space.order:
             raise ValueError(f"point {u} outside the level")
+        if u in out:
+            raise ValueError(f"point {u} listed twice")
         out[u] = _as_int(c, "coefficient")
     return out
 
@@ -545,7 +548,6 @@ def morphism_from_json(domain: MarkedModule, codomain: MarkedModule,
 class MorphismStats:
     size1: Fraction
     n1: int
-    n2: int
     n1_max: int
     n2_max: int
     linf: int
@@ -554,17 +556,16 @@ class MorphismStats:
 def morphism_stats(f: MarkedMorphism) -> MorphismStats:
     space = f.space
     size1 = Fraction(0)
-    n1 = n2 = n1_max = n2_max = linf = 0
+    n1 = n1_max = n2_max = linf = 0
     for i in range(f.domain.rank):
         s = vector_stats(space, f.row(i))
         size1 += s.size1
         n1 += s.n1
-        n2 += s.n2
         n1_max = max(n1_max, s.n1)
         n2_max = max(n2_max, s.n2)
         linf = max(linf, s.linf)
-    return MorphismStats(size1=size1, n1=n1, n2=n2, n1_max=n1_max,
-                         n2_max=n2_max, linf=linf)
+    return MorphismStats(size1=size1, n1=n1, n1_max=n1_max, n2_max=n2_max,
+                         linf=linf)
 
 
 def _point_masses(f: MarkedMorphism) -> list:

@@ -37,6 +37,8 @@ from .discretize import _transpose, invariant_factors, mat_shape, sparse_rank
 
 LOG_SLACK = 1e-9
 EXACT_ATOM_CAP = 10
+# the search strategies of lognorm_rows, in the order the CLI lists them
+STRATEGIES = ("atoms", "greedy", "exact", "block")
 
 
 def log_plus(x) -> float:
@@ -128,6 +130,8 @@ def set_partitions(items: Sequence):
 def _search(ctx: _BlockContext, strategy: str) -> tuple:
     """The bound by the named search strategy over ctx, and the partition
     realising it."""
+    if strategy not in STRATEGIES:
+        raise ValueError(f"unknown strategy {strategy!r}")
     live = ctx.live
     if not live:
         return 0.0, []
@@ -143,18 +147,16 @@ def _search(ctx: _BlockContext, strategy: str) -> tuple:
         if single < total:
             return single, [live]
         return total, blocks
-    if strategy == "exact":
-        if len(live) > EXACT_ATOM_CAP:
-            raise ValueError(
-                f"{len(live)} atoms exceed the exhaustive cap {EXACT_ATOM_CAP}"
-            )
-        best_val, best_blocks = None, None
-        for part in set_partitions(live):
-            val = ctx.total(part)
-            if best_val is None or val < best_val:
-                best_val, best_blocks = val, part
-        return best_val, best_blocks
-    raise ValueError(f"unknown strategy {strategy!r}")
+    if len(live) > EXACT_ATOM_CAP:
+        raise ValueError(
+            f"{len(live)} atoms exceed the exhaustive cap {EXACT_ATOM_CAP}"
+        )
+    best_val, best_blocks = None, None
+    for part in set_partitions(live):
+        val = ctx.total(part)
+        if best_val is None or val < best_val:
+            best_val, best_blocks = val, part
+    return best_val, best_blocks
 
 
 def lognorm_rows(rows: list, width: int, order: int, strategy: str,

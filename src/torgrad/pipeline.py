@@ -45,7 +45,7 @@ from .discretize import (
     shapiro_complex,
 )
 from .groups import FiniteQuotient, OrderCapExceeded, order_cap
-from .lognorm import LOG_SLACK, lognorm_rows
+from .lognorm import LOG_SLACK, STRATEGIES, lognorm_rows
 from .strictify import strictify_complex
 from .verify import (
     VERIFY_SUITES,
@@ -332,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="lognorm bound of a serialized morphism")
     ln.add_argument("--input", required=True, help="morphism JSON path")
     ln.add_argument("--strategy", default="greedy",
-                    choices=("atoms", "greedy", "exact", "block"))
+                    choices=STRATEGIES)
 
     d = sub.add_parser("strictify-demo",
                        help="strictify a perturbed complex, print the "

@@ -5,7 +5,8 @@ calculus oracle needs, a tuple-key quotient enumeration,
 pointwise and copying crossed-ring products, an ambient comparison by
 composed maps, a lognorm certificate check, the lognorm certificate by
 its route on morphisms and by the CLI, the Rokhlin level contraction atom
-by atom, and the benchmark's workload definitions."""
+by atom, the Rokhlin tile complex and embedding built by scans and
+copying sums, and the benchmark's workload definitions."""
 
 import importlib.util
 import io
@@ -26,6 +27,7 @@ from torgrad.crossring import (
     MarkedModule,
     MarkedMorphism,
     celt_add,
+    celt_indicator,
     celt_mul,
     celt_sub,
     marked_inclusion,
@@ -36,6 +38,7 @@ from torgrad.crossring import (
     vector_l1,
 )
 from torgrad.complexes import GHReport, MarkedComplex, induce_resolution
+from torgrad.constructions import rokhlin_partition
 from torgrad.discretize import (
     _sparse_rows,
     _transpose,
@@ -584,6 +587,56 @@ def reference_level_contraction(result):
             if lhs != celt_sub(z, celt_mul(space, {0: eta}, x)):
                 return False
     return True
+
+
+def _reference_shifted(point, points, shift):
+    """t^shift points, found by a scan of every residue."""
+    M = len(point)
+    return frozenset(point[(r + shift) % M]
+                     for r in range(M) if point[r] in points)
+
+
+def reference_rokhlin_partition(modulus, tile):
+    """The base, remainder, boundary entry and witness of
+    rokhlin_partition(modulus, tile) by name, each set found again by a
+    scan of the residues and each sum built by copying additions, one
+    piece at a time."""
+    M, N = modulus, tile
+    point = rokhlin_partition(M, N).point
+    q = M // N
+    base = frozenset(point[j * N] for j in range(q))
+    remainder = frozenset(point[k] for k in range(q * N, M))
+    x = {}
+    for j in range(N):
+        x = celt_add(x, celt_indicator(
+            _reference_shifted(point, base, j), point[j]))
+    x = celt_add(x, celt_indicator(remainder))
+    entry = celt_indicator(base | remainder)
+    entry = celt_sub(entry, celt_indicator(
+        _reference_shifted(point, base, N), point[N % M]))
+    entry = celt_sub(entry, celt_indicator(
+        _reference_shifted(point, remainder, 1), point[1 % M]))
+    return {"base": base, "remainder": remainder, "x": x, "entry": entry}
+
+
+def reference_integers_embedding(rok):
+    """The entries of f_0, f_1, r_0, r_1 and h_0 of integers_embedding(rok)
+    by name, built the same way as reference_rokhlin_partition."""
+    N, point = rok.tile, rok.point
+    tile_top = _reference_shifted(point, rok.base, N)
+    x_tilde = {}
+    for j in range(N):
+        x_tilde = celt_add(x_tilde, celt_indicator(tile_top, point[j]))
+    x_tilde = celt_add(x_tilde, celt_indicator(
+        _reference_shifted(point, rok.remainder, 1)))
+    h_entry = {}
+    for j in range(N):
+        piece = _reference_shifted(point, rok.base, j)
+        for k in range(j):
+            h_entry = celt_sub(h_entry, celt_indicator(piece, point[k]))
+    chi_c = celt_indicator(rok.carrier)
+    return {"f0": rok.witness[0], "f1": chi_c, "r0": chi_c, "r1": x_tilde,
+            "h0": h_entry}
 
 
 def bench_workloads():

@@ -32,7 +32,14 @@ from torgrad.constructions import (
     tower_mul,
 )
 from torgrad.verify import ROKHLIN_GRID, embedding_checks
-from helpers import koszul2, reference_level_contraction, w
+from helpers import (
+    insertion_order,
+    koszul2,
+    reference_integers_embedding,
+    reference_level_contraction,
+    reference_rokhlin_partition,
+    w,
+)
 
 SP33 = FiniteQuotient.abelian([3, 3])
 
@@ -162,6 +169,40 @@ def test_rokhlin_bounds(modulus, tile):
         assert res.boundary_norm == 2
     with pytest.raises(ValueError):
         rokhlin_partition(4, 5)
+
+
+@pytest.mark.parametrize("modulus", range(1, 21))
+def test_rokhlin_tiles_match_the_scanning_reference(modulus):
+    # every tile of Z/modulus: the sets and sums built from the residues
+    # equal those found by scans and copying sums, insertion order
+    # included, so the coinvariant rows keep their column order
+    for tile in range(1, modulus + 1):
+        rok = rokhlin_partition(modulus, tile)
+        ref = reference_rokhlin_partition(modulus, tile)
+        assert list(rok.base) == list(ref["base"])
+        assert list(rok.remainder) == list(ref["remainder"])
+        assert insertion_order(rok.complex.boundary(1).entries[0][0]) == (
+            insertion_order(ref["entry"])), (modulus, tile)
+        assert insertion_order(rok.witness[0]) == insertion_order(ref["x"])
+        emb = integers_embedding(rok)
+        entries = {"f0": emb.forward[0], "f1": emb.forward[1],
+                   "r0": emb.backward[0], "r1": emb.backward[1],
+                   "h0": emb.homotopies[0]}
+        for name, z in reference_integers_embedding(rok).items():
+            assert insertion_order(entries[name].entries[0][0]) == (
+                insertion_order(z)), (modulus, tile, name)
+
+
+def test_rokhlin_tiles_near_the_modulus_within_budget():
+    # a tile is built in O(M) and the h_0 entry costs what it holds; a
+    # scan of all M residues per set took seconds on these
+    budget_s = 0.5
+    for build in (lambda: rokhlin_partition(10 ** 4, 5000),
+                  lambda: integers_embedding(rokhlin_partition(400, 200))):
+        started = time.monotonic()
+        build()
+        elapsed = time.monotonic() - started
+        assert elapsed < budget_s, f"took {elapsed:.2f}s"
 
 
 def test_rokhlin_tower_contraction_window():

@@ -388,6 +388,23 @@ def test_json_readers_refuse_points_outside_the_allowed_support():
         assert_refused(reader, data, path, 3, match)
 
 
+def test_json_readers_refuse_a_point_listed_twice():
+    dom, _ = spaces_modules()
+    f = MarkedMorphism.identity(dom)
+    cx = MarkedComplex([dom, dom], [f],
+                       Augmentation(dom, [{0: 1, 1: -3}, {1: 2}]))
+    # a point given twice in one term's coeffs or in one augmentation
+    # value used to be read as its last coefficient
+    cases = [(MarkedMorphism.from_json, f.to_json(),
+              ("entries", 0, 0, 0, "coeffs", 1, 0)),
+             (MarkedComplex.from_json, cx.to_json(),
+              ("boundaries", 0, 0, 0, 0, "coeffs", 1, 0)),
+             (MarkedComplex.from_json, cx.to_json(),
+              ("augmentation", 0, 1, 0))]
+    for reader, data, path in cases:
+        assert_refused(reader, data, path, 0, "point 0 listed twice")
+
+
 def test_char_p_coefficients():
     # coefficients are integers: a serialized char must be absent or 0
     data = level_to_json(FiniteQuotient.abelian([4]))

@@ -1017,6 +1017,36 @@ def test_lognorm_cli_refuses_points_outside_the_allowed_support(tmp_path,
                             "the support A_0 ∩ g B_0 of its term\n")
 
 
+def test_lognorm_cli_lists_the_strategies_in_order(capsys):
+    # the choices are lognorm.STRATEGIES; the gradient's are those but
+    # exact (test_gradient_cli_rejects_exact_strategy)
+    assert main(["lognorm", "--input", "unread.json",
+                 "--strategy", "nope"]) == 1
+    assert ("invalid choice: 'nope' (choose from 'atoms', 'greedy', "
+            "'exact', 'block')") in capsys.readouterr().err
+
+
+def test_lognorm_cli_refuses_a_point_listed_twice(tmp_path, capsys):
+    # over Z/3, coeffs [[0, 5], [0, 1]] used to read as the coefficient 1,
+    # whose bound is 0; a point split across two words with one image is
+    # still summed, here to 6
+    level = {"quotient": {"kind": "abelian", "moduli": [3]},
+             "domain": [[0]], "codomain": [[0]]}
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(dict(level, entries=[[[
+        {"word": "", "coeffs": [[0, 5], [0, 1]]}]]])))
+    assert main(["lognorm", "--input", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "config error: point 0 listed twice\n"
+    path.write_text(json.dumps(dict(level, entries=[[[
+        {"word": "", "coeffs": [[0, 5]]},
+        {"word": "aaa", "coeffs": [[0, 1]]}]]])))
+    assert main(["lognorm", "--input", str(path)]) == 0
+    value_line = capsys.readouterr().out.split("\n")[0]
+    assert value_line == pipeline._fmt(math.log(6) / 3)
+
+
 def _set_word(data, value):
     data["entries"][0][0][0]["word"] = value
 
@@ -1113,6 +1143,11 @@ ROKHLIN_DEMO_LEDGERS = {
     (12, 4): ("3", "0", "1/4", "r1=4 h0=3"),
     (30, 7): ("4", "2", "1/5", "r1=7 h0=6"),
     (100, 10): ("10", "0", "1/10", "r1=10 h0=9"),
+    # near the modulus: x~ and h_0 have up to 28 fibres
+    (12, 11): ("1", "1", "1/6", "r1=11 h0=10"),
+    (20, 19): ("1", "1", "1/10", "r1=19 h0=18"),
+    (30, 29): ("1", "1", "1/15", "r1=29 h0=28"),
+    (31, 16): ("1", "15", "16/31", "r1=16 h0=15"),
 }
 ROKHLIN_TILE_CHECKS = ("boundary_norm", "complex_strict", "dim_bound",
                        "level_contraction", "tower_contraction",
