@@ -393,10 +393,6 @@ class GHReport:
             norms.append(self.aug_linf)
         return max(norms, default=0)
 
-    @property
-    def within(self) -> bool:
-        return self.max_size < self.delta and self.max_norm <= self.k
-
 
 def _padded(f: MarkedMorphism, domain: MarkedModule, codomain: MarkedModule
             ) -> MarkedMorphism:

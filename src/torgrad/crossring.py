@@ -28,11 +28,15 @@ the level only when it reads the group (products, actions, words) or the
 measure (normalised statistics).
 
 Sums and products accumulate in place.  The private helpers _fn_add_into,
-_celt_add_into and _mul_into add into their first argument and return it;
-they are the only code here that writes into a dict it was given.  Every
-public helper and method builds its result in dicts of its own (celt_mul
-is _mul_into on {}), so none writes into an argument or a stored entry.
-Insertion order is that of copying the sum before each addition.
+_celt_add_into, _act_into and _mul_into add into their first argument and
+return it; they are the only code here that writes into a dict it was
+given.  _act_into is the one loop that multiplies: _mul_into calls it once
+per pair of fibres, and Augmentation.apply once per term of each summand.
+Every public helper and method builds its result in dicts of its own
+(celt_mul is _mul_into on {}), so none writes into an argument or a stored
+entry.  A sum (_fn_add_into, _celt_add_into) and one product into an empty
+target (celt_mul) keep the insertion order of copying the sum before each
+addition; a product added into a nonempty target promises no order.
 """
 
 from __future__ import annotations
@@ -62,9 +66,9 @@ def level_to_json(space: FiniteQuotient) -> dict:
 
 def level_from_json(data: dict) -> FiniteQuotient:
     """The level of a serialised module, morphism or complex.  Coefficients
-    are integers: a ``char`` key, if present, must be 0."""
+    are integers: a ``char`` key, if present, must be the integer 0."""
     char = data.get("char", 0)
-    if char != 0:
+    if type(char) is not int or char != 0:
         raise ValueError(f"only integer coefficients are supported; "
                          f"char must be absent or 0, got {char!r}")
     return FiniteQuotient.from_json(data["quotient"])
@@ -146,62 +150,42 @@ def celt_sub(x: CElt, y: CElt) -> CElt:
     return _celt_add_into({g: dict(f) for g, f in x.items()}, y, -1)
 
 
+def _act_into(out: Fn, table: Sequence[int], f: Fn, h: Fn) -> Fn:
+    """out + f * (g.h), accumulated into out and returned, where table is
+    the left table of g; a point that cancels is deleted."""
+    for u, c in h.items():
+        gu = table[u]
+        fv = f.get(gu)
+        if fv is not None:
+            s = out.get(gu, 0) + fv * c
+            if s:
+                out[gu] = s
+            else:
+                out.pop(gu, None)
+    return out
+
+
 def _mul_into(out: CElt, space: FiniteQuotient, x: CElt, y: CElt) -> CElt:
-    """out + x * y, accumulated into out and returned.
+    """out + x * y, accumulated into out term by term and returned.
 
     Each pair of terms (f, g) of x and (h, k) of y adds f * (g.h) into the
-    fibre at g k; a point or fibre that cancels is deleted.  Into an empty
-    out the product is accumulated directly; otherwise it is formed apart
-    first and then added, so the insertion order is always that of
-    celt_add(out, celt_mul(space, x, y)).  Writes into out and its fibres
-    only, never into x or y or a fibre they hold."""
-    if out:
-        return _celt_add_into(out, _mul_into({}, space, x, y))
+    fibre at g k; a point or fibre that cancels is deleted.  Writes into
+    out and its fibres only, never into x or y or a fibre they hold."""
     for g, f in x.items():
         table = space.left_table(g)
         for k, h in y.items():
             gk = table[k]
-            fib = out.get(gk)
-            new = fib is None
-            if new:
-                fib = {}
-            for u, c in h.items():
-                gu = table[u]
-                fv = f.get(gu)
-                if fv is not None:
-                    s = fib.get(gu, 0) + fv * c
-                    if s:
-                        fib[gu] = s
-                    else:
-                        fib.pop(gu, None)
+            fib = _act_into(out.get(gk, {}), table, f, h)
             if fib:
-                if new:
-                    out[gk] = fib
-            elif not new:
-                del out[gk]
+                out[gk] = fib
+            else:
+                out.pop(gk, None)
     return out
 
 
 def celt_mul(space: FiniteQuotient, x: CElt, y: CElt) -> CElt:
     """(f, g)(h, k) = (f * (g.h), g k), extended bilinearly."""
     return _mul_into({}, space, x, y)
-
-
-def celt_apply_l(space: FiniteQuotient, z: CElt, xi: Fn) -> Fn:
-    """Action on base functions: (f, g).xi = f * (g.xi)."""
-    out: Fn = {}
-    for g, f in z.items():
-        table = space.left_table(g)
-        for u, c in xi.items():
-            gu = table[u]
-            fv = f.get(gu)
-            if fv is not None:
-                s = out.get(gu, 0) + fv * c
-                if s:
-                    out[gu] = s
-                else:
-                    out.pop(gu, None)
-    return out
 
 
 class ElementStats(NamedTuple):
@@ -660,10 +644,12 @@ class Augmentation:
             raise ValueError(
                 f"vector has {len(vec)} components, expected {self.domain.rank}"
             )
+        space = self.space
         out: Fn = {}
         for z, xi in zip(vec, self.values):
-            if z and xi:
-                _fn_add_into(out, celt_apply_l(self.space, z, xi))
+            if xi:
+                for g, f in z.items():
+                    _act_into(out, space.left_table(g), f, xi)
         return out
 
     def after(self, f: MarkedMorphism) -> "Augmentation":

@@ -20,7 +20,6 @@ from typing import Optional, Sequence
 
 from .complexes import (
     defect_report,
-    gh_verify,
     induce_resolution,
     push_complex,
 )
@@ -52,6 +51,7 @@ from .verify import (
     perturb_complex,
     rokhlin_checks,
     run_verify,
+    strictify_witness_bounds,
 )
 
 
@@ -286,11 +286,14 @@ def cmd_strictify_demo(args) -> int:
         defect = before.aug_size if r == 0 else before.sizes[r + 1]
         print(f"degree {r}: input defect {defect}, "
               f"error dim {res.error_dims[r]}")
-    report = gh_verify(pert, res.complex, res.witness)
+    delta, k = strictify_witness_bounds(pert,
+                                        Fraction(args.cells, space.order))
+    witness = res.witness
+    verified = witness.delta <= delta and witness.k <= k
     print(f"output strict: {after.is_strict}")
-    print(f"witness delta={report.delta} k={report.k} "
-          f"verified: {report.within}")
-    return 0 if after.is_strict and report.within else 2
+    print(f"witness delta={witness.delta} k={witness.k} "
+          f"verified: {verified}")
+    return 0 if after.is_strict and verified else 2
 
 
 # ---------------------------------------------------------------------------

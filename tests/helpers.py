@@ -292,6 +292,20 @@ def reference_apply(f, vec):
         for j in range(f.codomain.rank))
 
 
+def reference_aug_apply(eta, vec):
+    """eta(x)(u) = sum_i sum_g f_g(u) * xi_i(g^-1 u) at every point u of
+    the level, for x_i = sum_g (f_g, g) and xi_i = eta's value on
+    summand i."""
+    space = eta.space
+    out = {}
+    for u in range(space.order):
+        c = sum(f.get(u, 0) * xi.get(space.mul(space.inv(g), u), 0)
+                for z, xi in zip(vec, eta.values) for g, f in z.items())
+        if c:
+            out[u] = c
+    return out
+
+
 def reference_then(f, g):
     """Entries of g after f: entry (i, k) is sum_j f_ij * g_jk."""
     return tuple(
@@ -451,6 +465,12 @@ def reference_gh_report(left, right, witness):
         delta=witness.delta,
         k=witness.k,
     )
+
+
+def gh_within(report):
+    """The measured witness stays inside its bounds: every size below
+    delta and every norm at most k."""
+    return report.max_size < report.delta and report.max_norm <= report.k
 
 
 def certificate_value(f, blocks):

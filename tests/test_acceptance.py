@@ -37,7 +37,7 @@ from torgrad.discretize import (
 )
 from torgrad.lognorm import gabber_bounds, log_plus
 from torgrad.strictify import strictify_complex
-from helpers import coinvariants_dense, log_torsion, lognorm_of
+from helpers import coinvariants_dense, gh_within, log_torsion, lognorm_of
 from torgrad.verify import (
     ROKHLIN_GRID,
     brute_force_op_norm,
@@ -201,8 +201,8 @@ def test_criterion_7_strictification():
         bound = strictify_error_bound(pert, delta)
         for dim_e in res.error_dims:
             assert dim_e <= bound, (t, dim_e, bound)
-        assert gh_verify(pert, res.complex, res.witness).within
-        delta_max, k_max = strictify_witness_bounds(pert)
+        assert gh_within(gh_verify(pert, res.complex, res.witness))
+        delta_max, k_max = strictify_witness_bounds(pert, delta)
         assert res.witness.delta <= delta_max, (t, res.witness.delta)
         assert res.witness.k <= k_max, (t, res.witness.k)
     _report(7, 60.0, started,

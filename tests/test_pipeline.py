@@ -762,7 +762,8 @@ def test_verify_strictify_witness_check_can_fail(monkeypatch):
     # a witness whose delta is pushed past its ceiling is reported
     def loose(cx):
         res = strictify_complex(cx)
-        delta, _ = verify.strictify_witness_bounds(cx)
+        delta, _ = verify.strictify_witness_bounds(
+            cx, Fraction(1, cx.space.order))
         return dataclasses.replace(res, witness=dataclasses.replace(
             res.witness, delta=delta + Fraction(1, cx.space.order)))
     monkeypatch.setattr(verify, "strictify_complex", loose)
@@ -847,15 +848,22 @@ def test_lognorm_cli_certificate(tmp_path, capsys):
         assert repr([[tuple(atom) for atom in block]
                      for block in cert["blocks"]]) == repr(blocks)
         assert abs(certificate_value(f, blocks) - value) < 1e-9
-    # coefficients are integers: char 0 reads as no char, any other is refused
+    # coefficients are integers: char 0 reads as no char, any other is
+    # refused, false and 0.0 too, as every JSON reader refuses a bool or a
+    # float where an integer belongs
     main(["lognorm", "--input", str(path)])
     expected = capsys.readouterr().out
     path.write_text(json.dumps(dict(f.to_json(), char=0)))
     assert main(["lognorm", "--input", str(path)]) == 0
     assert capsys.readouterr().out == expected
-    path.write_text(json.dumps(dict(f.to_json(), char=2)))
-    assert main(["lognorm", "--input", str(path)]) == 1
-    assert capsys.readouterr().err.startswith("config error:")
+    for char in (2, False, 0.0):
+        path.write_text(json.dumps(dict(f.to_json(), char=char)))
+        assert main(["lognorm", "--input", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "config error: only integer coefficients are supported; char "
+            f"must be absent or 0, got {char!r}\n")
     assert main(["lognorm", "--input", str(tmp_path / "gone.json")]) == 1
     capsys.readouterr()
 
@@ -1133,6 +1141,31 @@ def test_strictify_demo_stdout_is_pinned(capsys):
             f"degree 1: input defect {d1}, error dim {e1}\n"
             "output strict: True\n"
             f"witness delta={delta} k={k} verified: True\n")
+
+
+def test_strictify_demo_witness_check_can_fail(monkeypatch, capsys):
+    # a witness pushed past a ceiling computed from the input and --cells
+    # fails the demo's check
+    cells = 3
+
+    def loose(field):
+        def build(cx):
+            res = strictify_complex(cx)
+            bounds = verify.strictify_witness_bounds(
+                cx, Fraction(cells, cx.space.order))
+            pushed = {"delta": bounds[0] + Fraction(1, cx.space.order),
+                      "k": bounds[1] + 1}
+            return dataclasses.replace(res, witness=dataclasses.replace(
+                res.witness, **{field: pushed[field]}))
+        return build
+
+    for field in ("delta", "k"):
+        monkeypatch.setattr(pipeline, "strictify_complex", loose(field))
+        assert main(["strictify-demo", "--order", "6",
+                     "--cells", str(cells)]) == 2
+        out = capsys.readouterr().out
+        assert "output strict: True\n" in out
+        assert out.endswith(" verified: False\n")
 
 
 # (modulus, tile) -> the header fields base, remainder and dim of

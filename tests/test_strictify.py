@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from helpers import (
+    gh_within,
     koszul2,
     reference_gh_report,
     restricted_copy,
@@ -41,7 +42,7 @@ def test_strict_input_passes_through():
     res = strictify_complex(cx)
     assert res.complex.to_json() == cx.to_json()
     assert res.total_error_dim == 0
-    assert gh_verify(cx, res.complex, res.witness).within
+    assert gh_within(gh_verify(cx, res.complex, res.witness))
 
 
 def perturbed_complex():
@@ -87,7 +88,7 @@ def test_strictify_repairs_almost_complex():
 
     # the witness packs both complexes into the output modules
     rep = gh_verify(bad, out, res.witness)
-    assert rep.within
+    assert gh_within(rep)
 
 
 def test_strictify_augmentation_defect_only():
