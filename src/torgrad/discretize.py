@@ -12,27 +12,27 @@ route to the same rows that the tests and `verify discretize` compare it
 with.
 
 The integer linear algebra lives here too, as one sparse elimination
-kernel (Dumas, Saunders, Villard, J. Symbolic Comput. 32, 2001;
+kernel over Z (Dumas, Saunders, Villard, J. Symbolic Comput. 32, 2001;
 Kaczynski, Mischaikow, Mrozek, Computational Homology, 2004).  It takes
 sparse rows, transposed if there are more rows than columns, since a
-pivot clears its whole column.  Over Z an
-incidence matrix, each column one +1 and one -1 or a single +-1, is not
-eliminated at all: it is totally unimodular, so every invariant factor is
-1, and the edges of a spanning forest of its graph are the unit pivots.
-Most boundaries of the resolutions here are incidence matrices of Cayley
-graphs: d_1 = (g_s - 1) of every family and, transposed, the genus-2 d_2
-and the Koszul d_3.  Any other matrix has its pivots taken in Markowitz
-order from a cost queue.  Over Z only +-1 entries are pivots, each
-contributing an invariant factor 1, and the residual core, usually empty
-since these matrices are very sparse with unit entries, goes to a dense
-Smith loop.  Rank over Q takes every nonzero entry as a pivot and leaves
-no core.  Homology needs nothing more: C_n / ker d_n embeds in the free
-group C_{n-1}, so Tors H_n = Tors coker d_{n+1} and
-b_n = dim C_n - rk d_n - rk d_{n+1}.  The complex is reduced from the top
-boundary down, each boundary eliminated once: the generators of C_n that
-d_{n+1}'s unit pivots pair off are deleted from d_n first, which leaves
-the image of d_n as it was.  Betti numbers over F_p come from the same
-factors by universal coefficients, with no second elimination.
+pivot clears its whole column.  An incidence matrix, each column one +1
+and one -1 or a single +-1, is not eliminated at all: it is totally
+unimodular, so every invariant factor is 1, and the edges of a spanning
+forest of its graph are the unit pivots.  Most boundaries of the
+resolutions here are incidence matrices of Cayley graphs: d_1 = (g_s - 1)
+of every family and, transposed, the genus-2 d_2 and the Koszul d_3.  Any
+other matrix has its pivots taken in Markowitz order from a cost queue.
+Only +-1 entries are pivots, each contributing an invariant factor 1, and
+the residual core, usually empty since these matrices are very sparse
+with unit entries, goes to a dense Smith loop.  Rank over Q, which only
+lognorm needs, comes from a sparse fraction-free echelon (_grows_rank).
+Homology needs nothing more: C_n / ker d_n embeds in the free group
+C_{n-1}, so Tors H_n = Tors coker d_{n+1} and b_n = dim C_n - rk d_n -
+rk d_{n+1}.  The complex is reduced from the top boundary down, each
+boundary eliminated once: the generators of C_n that d_{n+1}'s unit
+pivots pair off are deleted from d_n first, which leaves the image of d_n
+as it was.  Betti numbers over F_p come from the same factors by
+universal coefficients, with no second elimination.
 """
 
 from __future__ import annotations
@@ -80,15 +80,6 @@ def _transpose(rows: list, width: int) -> list:
         for j, v in row.items():
             out[j][i] = v
     return out
-
-
-def _oriented(rows: list, width: int) -> tuple:
-    """The sparse rows and width, or the transpose's if there are more rows
-    than columns: a pivot clears its whole column, so elimination runs
-    where columns are shorter.  Rank and invariant factors are the same."""
-    if len(rows) > width:
-        return _transpose(rows, width), len(rows)
-    return rows, width
 
 
 def _forest_pivots(rows: list, width: int) -> Optional[list]:
@@ -142,47 +133,41 @@ def _forest_pivots(rows: list, width: int) -> Optional[list]:
     return pivots
 
 
-def _eliminate(rows: list, width: int, over_q: bool = False) -> tuple:
-    """Sparse elimination over Z, or over Q if over_q, of the matrix with
-    the given sparse rows (not modified) and width.
+def _eliminate(rows: list, width: int) -> tuple:
+    """Sparse elimination over Z of the sparse rows (not modified) of the
+    given width.
 
-    Over Z an incidence matrix takes its pivots from a spanning forest
-    (_forest_pivots) and leaves no core.  Otherwise a pivot over Z is an
-    entry +-1, whose row and column unimodular row and column operations
-    clear, so the matrix is equivalent to I_k + S, S the Schur complement
-    left when no unit pivot remains.  Over Q every nonzero entry is a pivot
-    and nothing is left; a row cleared by a pivot u other than +-1 is first
-    multiplied by u (the rank stays) and then divided by the gcd of its
-    entries.
+    An incidence matrix takes its pivots from a spanning forest
+    (_forest_pivots) and leaves no core.  Otherwise a pivot is an entry
+    +-1, whose row and column unimodular row and column operations clear,
+    so the matrix is equivalent to I_k + S, S the Schur complement left
+    when no unit pivot remains.
 
     Rows are pivoted cheapest first by the Markowitz cost (row length - 1)
     * (column length - 1) of their best pivot, from a heap: a row is queued
     again whenever elimination changes it, and an older entry is still
     used while its pivot is.  Returns the pivots as (row, column) pairs,
     k of them, and S as a dense matrix over the rows and columns left.
-    Over Z, on either path, the pivots' block of the matrix is unimodular.
+    On either path the pivots' block of the matrix is unimodular.
     """
-    if not over_q:
-        pivots = _forest_pivots(rows, width)
-        if pivots is not None:
-            return pivots, []
+    pivots = _forest_pivots(rows, width)
+    if pivots is not None:
+        return pivots, []
     rows = [dict(row) for row in rows]
     cols = [set() for _ in range(width)]  # column j -> rows nonzero there
     for i, row in enumerate(rows):
         for j in row:
             cols[j].add(i)
-    units_only = not over_q
 
     def best(row):
-        """(Markowitz cost, column) of the cheapest pivot of row, or None."""
+        """(Markowitz cost, column) of the cheapest unit pivot, or None."""
         width = len(row) - 1
         top = None
         for j, v in row.items():
-            if units_only and v != 1 and v != -1:
-                continue
-            cost = width * (len(cols[j]) - 1)
-            if top is None or cost < top[0]:
-                top = (cost, j)
+            if v == 1 or v == -1:
+                cost = width * (len(cols[j]) - 1)
+                if top is None or cost < top[0]:
+                    top = (cost, j)
         return top
 
     heap = [(*cand, i) for i, cand in enumerate(map(best, rows)) if cand]
@@ -192,25 +177,19 @@ def _eliminate(rows: list, width: int, over_q: bool = False) -> tuple:
         _, c, i = heappop(heap)
         pivot_row = rows[i]
         # the row may have changed since it was queued; its entry at c
-        # is still a pivot if it is nonzero (and a unit over Z)
+        # is still a pivot if it is a unit
         u = pivot_row and pivot_row.get(c)
-        if not u or units_only and u != 1 and u != -1:
+        if u != 1 and u != -1:
             continue
         rows[i] = None
         del pivot_row[c]
-        scale = u != 1 and u != -1
         for j in pivot_row:
             cols[j].discard(i)
         below, cols[c] = cols[c], set()
         below.discard(i)
         for t in below:
             row = rows[t]
-            f = row.pop(c)
-            if scale:  # over Q: row <- u * row - f * pivot_row
-                for j in row:
-                    row[j] *= u
-            else:
-                f *= u
+            f = row.pop(c) * u
             for j, v in pivot_row.items():
                 w = row.get(j, 0) - f * v
                 if w:
@@ -220,25 +199,57 @@ def _eliminate(rows: list, width: int, over_q: bool = False) -> tuple:
                 elif j in row:
                     del row[j]
                     cols[j].discard(t)
-            if scale and row:
-                g = math.gcd(*row.values())
-                if g > 1:
-                    for j in row:
-                        row[j] //= g
             cand = best(row)
             if cand is not None:
                 heappush(heap, (*cand, t))
         pivots.append((i, c))
-    live = [row for row in rows if row]
-    if not live:
-        return pivots, []
     left = [j for j in range(width) if cols[j]]
-    return pivots, [[row.get(j, 0) for j in left] for row in live]
+    return pivots, [[row.get(j, 0) for j in left] for row in rows if row]
 
 
-def sparse_rank(rows: list, width: int) -> int:
-    """Rank over Q of the sparse rows (not modified) of the given width."""
-    return len(_eliminate(*_oriented(rows, width), over_q=True)[0])
+def _grows_rank(basis: dict, v: dict) -> bool:
+    """Whether the sparse vector v (not modified) grows the rank over Q of
+    the fraction-free echelon basis, which then takes it in.
+
+    basis maps each pivot p to (k, b), b the k-th vector taken in, zero at
+    earlier pivots and divided by its content.  v is reduced at its own
+    pivots in order k, from a heap, by v <- x v - y b with x : y = b[p] :
+    v[p] in lowest terms, then divided by its content; that brings in later
+    pivots only.  A nonzero rest joins, pivoted at its least index."""
+    v = dict(v)
+    heap = sorted((basis[j][0], j) for j in v if j in basis)
+    while heap:
+        p = heappop(heap)[1]
+        y = v.get(p)
+        if not y:
+            continue
+        b = basis[p][1]
+        g = math.gcd(b[p], y)
+        x, y = b[p] // g, y // g
+        if x != 1:
+            for j in v:
+                v[j] *= x
+        for j, w in b.items():
+            w = v.get(j, 0) - y * w
+            if w:
+                if j not in v and j in basis:
+                    heappush(heap, (basis[j][0], j))
+                v[j] = w
+            else:
+                del v[j]
+        g = math.gcd(*v.values())
+        if g > 1:
+            for j in v:
+                v[j] //= g
+    if v:
+        basis[min(v)] = (len(basis), v)
+    return bool(v)
+
+
+def sparse_rank(rows: list) -> int:
+    """Rank over Q of the sparse rows (not modified), by the echelon."""
+    basis = {}
+    return sum(_grows_rank(basis, row) for row in rows)
 
 
 def invariant_factors(a: Matrix) -> tuple:
@@ -246,7 +257,10 @@ def invariant_factors(a: Matrix) -> tuple:
 
     Each unit pivot contributes a factor 1; the dense Smith loop runs on
     the residual core only, usually empty."""
-    pivots, core = _eliminate(*_oriented(_sparse_rows(a), mat_shape(a)[1]))
+    rows, width = _sparse_rows(a), mat_shape(a)[1]
+    if len(rows) > width:  # a pivot clears its whole column
+        rows, width = _transpose(rows, width), len(rows)
+    pivots, core = _eliminate(rows, width)
     return (1,) * len(pivots) + _core_invariant_factors(core)
 
 

@@ -23,8 +23,8 @@ column bound (sum of log column norms over a rationally spanning subset,
 cheapest columns first), which in turn is dominated by the one-block
 split bound.  The split bound takes its rank from the factorisation that
 gives the exact torsion: the rank over Q is the number of nonzero
-invariant factors.  Block ranks of a coinvariants matrix come from the
-sparse elimination, taken over Q.
+invariant factors.  Block ranks and the column bound's spanning set come
+from one sparse fraction-free echelon over Q (discretize._grows_rank).
 """
 
 from __future__ import annotations
@@ -33,7 +33,8 @@ import math
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .discretize import _transpose, invariant_factors, mat_shape, sparse_rank
+from .discretize import (_grows_rank, _sparse_rows, _transpose,
+                         invariant_factors, mat_shape, sparse_rank)
 
 LOG_SLACK = 1e-9
 EXACT_ATOM_CAP = 10
@@ -51,7 +52,7 @@ class _BlockContext:
     nonzero norm), which is also its cache key.  rank, when given, is the
     rank over Q of the rows: a block of every live column holds every
     nonzero column, so it takes this rank as is, and the columns are built
-    only when some other block needs an elimination."""
+    only when some other block needs its rank."""
 
     def __init__(self, rows: list, width: int, order: int,
                  rank: Optional[int]):
@@ -70,7 +71,7 @@ class _BlockContext:
         if self._columns is None:
             # a block's rank is that of its columns, so keep them as rows
             self._columns = _transpose(self.rows, len(self.norms))
-        return sparse_rank([self._columns[k] for k in block], len(self.rows))
+        return sparse_rank([self._columns[k] for k in block])
 
     def value(self, block: tuple) -> float:
         hit = self._cache.get(block)
@@ -168,7 +169,7 @@ def lognorm_rows(rows: list, width: int, order: int, strategy: str,
 
     Blocks are sorted tuples of column positions; columns of zero norm are
     left out, they never contribute.  rank, when the caller already has
-    it, is the rank over Q of the rows; it saves the elimination of any
+    it, is the rank over Q of the rows; it saves the echelon of any
     block that covers every column of nonzero norm.
     """
     return _search(_BlockContext(rows, width, order, rank), strategy)
@@ -196,32 +197,17 @@ def gabber_column_bound(a) -> float:
     """Sum of log column norms over a cheap rationally spanning subset.
 
     Columns are tried in order of ascending l1 norm and kept when they
-    grow the rank, so the chosen set spans the image over Q and the
-    torsion of the cokernel divides the product of the kept norms.  The
-    kept columns are held as a fraction-free echelon basis, each vector
-    with its pivot position and divided by the gcd of its entries; a
-    candidate grows the rank when it does not reduce to zero against it.
-    """
+    grow the rank of the echelon (_grows_rank), so the chosen set spans
+    the image over Q and the torsion of the cokernel divides the product
+    of the kept norms."""
     rows, cols = mat_shape(a)
-    columns = list(zip(*a))
+    columns = _sparse_rows(list(zip(*a)))
     norms = column_l1s(a)
     order = sorted(range(cols), key=lambda j: (norms[j], j))
-    basis = []  # (pivot, vector): zero at the pivots of earlier vectors
+    basis = {}
     total = 0.0
     for j in order:
-        if not norms[j]:
-            continue
-        v = list(columns[j])
-        for piv, b in basis:
-            if v[piv]:
-                x, y = b[piv], v[piv]
-                v = [x * vi - y * bi for vi, bi in zip(v, b)]
-                g = math.gcd(*v)
-                if not g:
-                    break
-                v = [vi // g for vi in v]
-        if any(v):
-            basis.append((next(i for i, vi in enumerate(v) if vi), v))
+        if norms[j] and _grows_rank(basis, columns[j]):
             total += log_plus(norms[j])
             if len(basis) == min(rows, cols):
                 break

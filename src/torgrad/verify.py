@@ -380,7 +380,7 @@ def embedding_checks(emb: EmbeddingResult) -> dict:
     norms = emb.norms
     out["norm_table"] = (norms["f0"] <= 1 and norms["f1"] <= 1
                          and norms["r0"] <= 1 and norms["r1"] <= tile
-                         and norms["h0"] <= tile * tile)
+                         and norms["h0"] <= tile - 1)
     return out
 
 

@@ -41,11 +41,9 @@ from torgrad.complexes import GHReport, MarkedComplex, induce_resolution
 from torgrad.constructions import rokhlin_partition
 from torgrad.discretize import (
     _sparse_rows,
-    _transpose,
     coinvariants_matrix,
     coinvariants_rank,
     invariant_factors,
-    mat_shape,
     sparse_rank,
     to_dense,
 )
@@ -72,9 +70,9 @@ def log_torsion(a):
 
 
 def matrix_rank(a):
-    """Rank over Q of a dense matrix by the sparse elimination, the entry
-    that the tests check against sympy's rank."""
-    return sparse_rank(_sparse_rows(a), mat_shape(a)[1])
+    """Rank over Q of a dense matrix by the sparse echelon, the entry that
+    the tests check against sympy's rank."""
+    return sparse_rank(_sparse_rows(a))
 
 
 def cli_certificate(f, strategy, path):
@@ -513,7 +511,8 @@ def _list_partitions(items):
 def reference_lognorm_certificate(f, strategy):
     """The lognorm certificate by its route on morphisms: atom norms summed
     over the fibres of f, blocks hashed as frozensets of (summand, point)
-    atoms, and block ranks from the columns of coinvariants_matrix(f)."""
+    atoms, and block ranks taken by sympy over the columns of
+    coinvariants_dense(f), as certificate_value takes them."""
     masses = [{} for _ in f.entries]
     for i, row in enumerate(f.entries):
         for z in row:
@@ -521,9 +520,7 @@ def reference_lognorm_certificate(f, strategy):
                 for u, c in fn.items():
                     masses[i][u] = masses[i].get(u, 0) + abs(c)
     norms = {(i, u): masses[i].get(u, 0) for i, u in f.domain.atoms()}
-    columns = dict(zip(f.domain.atoms(),
-                       _transpose(coinvariants_matrix(f),
-                                  coinvariants_rank(f.domain))))
+    columns = dict(zip(f.domain.atoms(), zip(*coinvariants_dense(f))))
     cache = {}
 
     def value(block):
@@ -532,8 +529,7 @@ def reference_lognorm_certificate(f, strategy):
             norm = max(norms[a] for a in key)
             cache[key] = 0.0
             if norm > 1:
-                rank = sparse_rank([columns[a] for a in key],
-                                   coinvariants_rank(f.codomain))
+                rank = SymMatrix([list(columns[a]) for a in key]).rank()
                 weight = Fraction(min(len(key), rank), f.space.order)
                 cache[key] = float(weight) * math.log(norm)
         return cache[key]

@@ -303,3 +303,16 @@ def test_embedding_ledger_detects_a_broken_homotopy():
     assert checks["forward_chain_map"] and checks["backward_chain_map"]
     assert not checks["homotopy_degree0"]
     assert not checks["homotopy_degree1"]
+
+
+def test_embedding_ledger_detects_a_doubled_homotopy_norm():
+    # h0 measures N - 1; doubled it still satisfies 2(N - 1) <= N^2, so
+    # the norm table compares with N - 1 itself
+    emb = integers_embedding(rokhlin_partition(12, 4))
+    h0 = emb.homotopies[0]
+    doubled = celt_add(h0.entries[0][0], h0.entries[0][0])
+    bad = dataclasses.replace(emb, homotopies=(
+        MarkedMorphism(h0.domain, h0.codomain, [[doubled]]),))
+    assert bad.norms["h0"] == 2 * emb.norms["h0"] == 6
+    assert embedding_checks(emb)["norm_table"]
+    assert not embedding_checks(bad)["norm_table"]
